@@ -7,8 +7,8 @@ fresh channel is drawn per block and fresh noise per channel use.
 
 Every trial derives its own random stream from (seed, noise index, trial
 index) through SeedSequence spawn keys, so results are independent of
-execution order and thread count; rerunning a sweep with the same seed
-yields a byte-identical CSV.
+execution order; rerunning a sweep with the same seed yields a
+byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -25,8 +25,8 @@ import numpy as np
 from . import metrics
 from .channel import ChannelRealization, LinkGeometry, apply_channel, large_scale_gain, sample_channel
 from .constellation import SUPPORTED_SIZES, ConstellationTable, build_constellation, map_bits_to_symbols, symbols_to_bits
-from .estimation import PILOT_MODES, PilotBlock, build_pilot_matrix, estimate_lmmse, estimate_ls, transmit_pilots
-from .framing import CrcSpec, build_transport_blocks, extract_and_check, load_payload_bits
+from .estimation import PILOT_MODES, build_pilot_matrix, estimate_lmmse, estimate_ls, transmit_pilots
+from .framing import CrcSpec, block_total_bits, build_transport_blocks, extract_and_check, load_payload_bits
 from .neural import (
     Hyperparameters,
     Network,
@@ -120,21 +120,53 @@ class SimConfig:
         object.__setattr__(self, "noise_power", tuple(sorted(float(v) for v in raw)))
 
 
+# annotation text of each field ("int", "float | None", "tuple", ...): it
+# drives both the coercion of config text and the finiteness check
+_FIELD_KINDS = {f.name: f.type for f in fields(SimConfig)}
+
+
+def _geometry(config: SimConfig) -> LinkGeometry:
+    return LinkGeometry(f_c=config.f_c, d=config.d, eta=config.eta,
+                        B=config.B, N0=config.N0 or 0.0)
+
+
+def _hyperparameters(config: SimConfig) -> Hyperparameters:
+    return Hyperparameters(
+        learning_rate=config.dnn_learning_rate,
+        batch_size=config.dnn_batch_size,
+        epochs=config.dnn_epochs,
+        validation_fraction=config.dnn_validation_fraction,
+        patience=config.dnn_patience,
+    )
+
+
 def validate_config(config: SimConfig) -> None:
     """Raise :class:`ConfigError` naming the first offending parameter."""
-    if config.N_t < 1 or config.N_r < 1:
-        raise ConfigError(f"antenna counts must be >= 1, got N_t={config.N_t}, N_r={config.N_r}")
+    for name, kind in _FIELD_KINDS.items():
+        value = getattr(config, name)
+        if kind == "tuple" or kind.startswith("float"):
+            values = value if kind == "tuple" else (value,)
+            if not all(v is None or math.isfinite(v) for v in values):
+                raise ConfigError(f"{name} must be finite, got {value}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
+    for name in ("N_t", "N_r", "codeword_size", "n_transmissions", "workers",
+                 "dnn_depth", "dnn_width", "dnn_train_samples"):
+        if getattr(config, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(config, name)}")
+    for name, choices in (("constellation", ("QAM", "QPSK")), ("pilot_mode", PILOT_MODES),
+                          ("detector", DETECTORS), ("estimator", ESTIMATORS),
+                          ("equalizer", EQUALIZERS), ("dnn_features", FEATURE_MODES),
+                          ("dnn_labels", LABEL_SOURCES)):
+        if getattr(config, name) not in choices:
+            raise ConfigError(f"{name} = {getattr(config, name)!r}; expected one of {choices}")
     m = config.M_constellation
     if m < 2 or (m & (m - 1)):
         raise ConfigError(f"M_constellation = {m} invalid: Must be a power of two")
     if m not in SUPPORTED_SIZES:
         raise ConfigError(f"M_constellation = {m} unsupported; supported sizes: {SUPPORTED_SIZES}")
-    if config.constellation not in ("QAM", "QPSK"):
-        raise ConfigError(f"constellation = {config.constellation!r}; expected 'QAM' or 'QPSK'")
     if config.constellation == "QPSK" and m != 4:
         raise ConfigError(f"constellation QPSK implies M_constellation = 4, got {m}")
-    if config.codeword_size < 1:
-        raise ConfigError(f"codeword_size must be >= 1, got {config.codeword_size}")
     try:
         crc = CrcSpec(config.crc_generator)
     except ValueError as exc:
@@ -146,72 +178,43 @@ def validate_config(config: SimConfig) -> None:
         )
     if config.n_pilot < config.N_t:
         raise ConfigError(f"n_pilot = {config.n_pilot} must be at least N_t = {config.N_t}")
-    if config.pilot_mode not in PILOT_MODES:
-        raise ConfigError(f"pilot_mode = {config.pilot_mode!r}; expected one of {PILOT_MODES}")
-    if not config.noise_power:
-        raise ConfigError("noise_power list must not be empty")
-    if any(v <= 0 for v in config.noise_power):
-        raise ConfigError(f"noise powers must be positive, got {config.noise_power}")
-    if config.f_c <= 0:
-        raise ConfigError(f"f_c must be positive, got {config.f_c}")
-    if config.d < 1.0:
-        raise ConfigError(f"d must be at least 1 m, got {config.d}")
-    if config.eta < 2:
-        raise ConfigError(f"eta must be at least 2, got {config.eta}")
-    if config.B <= 0:
-        raise ConfigError(f"B must be positive, got {config.B}")
-    if config.N0 is not None and config.N0 < 0:
-        raise ConfigError(f"N0 must be nonnegative, got {config.N0}")
-    if config.G_override is not None and config.G_override <= 0:
-        raise ConfigError(f"G_override must be positive, got {config.G_override}")
-    if config.detector not in DETECTORS:
-        raise ConfigError(f"detector = {config.detector!r}; expected one of {DETECTORS}")
-    if config.estimator not in ESTIMATORS:
-        raise ConfigError(f"estimator = {config.estimator!r}; expected one of {ESTIMATORS}")
-    if config.equalizer not in EQUALIZERS:
-        raise ConfigError(f"equalizer = {config.equalizer!r}; expected one of {EQUALIZERS}")
     if config.equalizer == "zf" and config.N_r < config.N_t:
         raise ConfigError(
             f"equalizer 'zf' needs N_r >= N_t, got N_r={config.N_r}, N_t={config.N_t}"
         )
-    if config.n_transmissions < 1:
-        raise ConfigError(f"n_transmissions must be >= 1, got {config.n_transmissions}")
-    if config.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {config.workers}")
-    if config.dnn_features not in FEATURE_MODES:
-        raise ConfigError(f"dnn_features = {config.dnn_features!r}; expected one of {FEATURE_MODES}")
     if config.dnn_features == "raw" and config.N_t != 1:
         raise ConfigError("dnn_features = 'raw' is only supported for N_t = 1")
-    if config.dnn_labels not in LABEL_SOURCES:
-        raise ConfigError(f"dnn_labels = {config.dnn_labels!r}; expected one of {LABEL_SOURCES}")
-    if config.dnn_depth < 1 or config.dnn_width < 1:
-        raise ConfigError("dnn_depth and dnn_width must be >= 1")
-    if config.dnn_train_samples < 1:
-        raise ConfigError(f"dnn_train_samples must be >= 1, got {config.dnn_train_samples}")
     try:
-        Hyperparameters(
-            learning_rate=config.dnn_learning_rate,
-            batch_size=config.dnn_batch_size,
-            epochs=config.dnn_epochs,
-            validation_fraction=config.dnn_validation_fraction,
-            patience=config.dnn_patience,
-        )
+        _hyperparameters(config)
     except ValueError as exc:
         raise ConfigError(f"dnn hyperparameters invalid: {exc}") from exc
-
-
-_INT_FIELDS = {
-    "seed", "N_t", "N_r", "M_constellation", "codeword_size", "crc_length",
-    "n_pilot", "n_transmissions", "workers", "dnn_depth", "dnn_width",
-    "dnn_batch_size", "dnn_epochs", "dnn_patience", "dnn_train_samples",
-}
-_FLOAT_FIELDS = {"f_c", "d", "eta", "B", "dnn_learning_rate", "dnn_validation_fraction"}
-_OPTIONAL_FLOAT_FIELDS = {"N0", "G_override"}
-_OPTIONAL_STR_FIELDS = {"payload"}
+    try:
+        _geometry(config)
+    except ValueError as exc:
+        raise ConfigError(f"link geometry invalid: {exc}") from exc
+    try:
+        gain = link_gain(config)
+    except OverflowError:
+        gain = math.inf
+    # the L-MMSE filters form G * H^* H, which must not overflow
+    if not 1e-300 <= gain <= 1e300:
+        source = ("G_override" if config.G_override is not None
+                  else f"f_c = {config.f_c}, d = {config.d}, eta = {config.eta}")
+        raise ConfigError(f"{source} gives a large-scale gain of {gain}; "
+                          f"it must lie within 1e-300..1e300 (+-3000 dB)")
+    if not config.noise_power or any(v <= 0 for v in config.noise_power):
+        raise ConfigError(f"noise_power must be a nonempty list of positive values, got {config.noise_power}")
+    for sigma2 in config.noise_power:
+        # the SNR columns take log10(sigma2 * N_t * k), and the receiver
+        # squares sums of amplitudes of order sqrt(sigma2 / G)
+        if not math.isfinite(sigma2 * config.N_t * math.log2(m)) or not 1e-300 <= gain / sigma2 <= 1e300:
+            raise ConfigError(f"noise_power = {sigma2} is out of range for link gain {gain} (G_override, "
+                              f"or f_c, d, eta): G / noise_power must lie within +-3000 dB")
 
 
 def _coerce(name: str, value):
-    if name == "noise_power":
+    kind = _FIELD_KINDS[name]
+    if kind == "tuple":
         if isinstance(value, str):
             value = _parse_value(value)
         if np.isscalar(value):
@@ -219,33 +222,24 @@ def _coerce(name: str, value):
         try:
             return tuple(float(v) for v in value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"noise_power = {value!r} is not a list of numbers") from exc
-    if name == "crc_generator":
-        return str(value)
-    if name in _INT_FIELDS:
+            raise ConfigError(f"{name} = {value!r} is not a list of numbers") from exc
+    if kind.endswith(" | None"):
+        if value is None or (isinstance(value, str) and value.lower() in ("none", "")):
+            return None
+        kind = kind.removesuffix(" | None")
+    if kind == "int":
         try:
             as_float = float(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{name} = {value!r} is not an integer") from exc
-        if as_float != int(as_float):
+        if not math.isfinite(as_float) or as_float != int(as_float):
             raise ConfigError(f"{name} = {value!r} is not an integer")
         return int(as_float)
-    if name in _FLOAT_FIELDS:
+    if kind == "float":
         try:
             return float(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{name} = {value!r} is not a number") from exc
-    if name in _OPTIONAL_FLOAT_FIELDS:
-        if value is None or (isinstance(value, str) and value.lower() in ("none", "")):
-            return None
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name} = {value!r} is not a number") from exc
-    if name in _OPTIONAL_STR_FIELDS:
-        if value is None or (isinstance(value, str) and value.lower() in ("none", "")):
-            return None
-        return str(value)
     return str(value)
 
 
@@ -278,8 +272,7 @@ def load_config(path=None, overrides: dict | None = None) -> SimConfig:
     explicit ``noise_power`` always wins.
     """
     raw = _read_config_file(path) if path is not None else {}
-    known = {f.name for f in fields(SimConfig)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - _FIELD_KINDS.keys())
     if unknown:
         raise ConfigError(f"unknown parameter(s): {', '.join(unknown)}")
     values = {key: _coerce(key, value) for key, value in raw.items()}
@@ -288,13 +281,11 @@ def load_config(path=None, overrides: dict | None = None) -> SimConfig:
         values["noise_power"] = (float(values["N0"]) * float(bandwidth),)
     config = SimConfig(**values)
     if overrides:
-        cleaned = {
-            key: _coerce(key, value) for key, value in overrides.items() if value is not None
-        }
-        unknown = sorted(set(cleaned) - known)
+        cleaned = {key: value for key, value in overrides.items() if value is not None}
+        unknown = sorted(set(cleaned) - _FIELD_KINDS.keys())
         if unknown:
             raise ConfigError(f"unknown parameter(s): {', '.join(unknown)}")
-        config = replace(config, **cleaned)
+        config = replace(config, **{key: _coerce(key, value) for key, value in cleaned.items()})
     validate_config(config)
     return config
 
@@ -308,9 +299,7 @@ def link_gain(config: SimConfig) -> float:
     """Large-scale gain: the configured override, or the log-distance model."""
     if config.G_override is not None:
         return float(config.G_override)
-    geometry = LinkGeometry(f_c=config.f_c, d=config.d, eta=config.eta,
-                            B=config.B, N0=config.N0 or 0.0)
-    return large_scale_gain(geometry)
+    return large_scale_gain(_geometry(config))
 
 
 @dataclass(frozen=True)
@@ -360,6 +349,40 @@ def _detect_indices(config: SimConfig, s_flat: np.ndarray, y: np.ndarray,
     return predict(dnn_model, _detector_features(config, s_flat, y))
 
 
+def _estimate_channel(config: SimConfig, gain: float, noise_power: float,
+                      rng: np.random.Generator) -> tuple[ChannelRealization, np.ndarray]:
+    """Draw the block's channel, send the pilots over it and estimate it.
+
+    Draw order: channel matrix, pilot construction, pilot noise.
+    """
+    h = sample_channel(config.N_r, config.N_t, rng)
+    realization = ChannelRealization.from_matrix(h, gain, noise_power)
+    x_p = build_pilot_matrix(config.N_t, config.n_pilot, rng, config.pilot_mode)
+    y_p = transmit_pilots(realization, x_p, rng)
+    if config.estimator == "ls":
+        return realization, estimate_ls(y_p, x_p, gain)
+    return realization, estimate_lmmse(y_p, x_p, gain, noise_power)
+
+
+def _receive(config: SimConfig, table: ConstellationTable, realization: ChannelRealization,
+             h_hat: np.ndarray, tx_indices: np.ndarray,
+             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Send the block's symbols over the channel (drawing the data noise) and
+    equalize them with the estimate.
+
+    Returns the equalized symbols at constellation scale, one per
+    transmitted index, and the received matrix y. A rank-deficient
+    estimate raises ``numpy.linalg.LinAlgError``.
+    """
+    x = table.points[tx_indices].reshape(-1, config.N_t).T / math.sqrt(config.N_t)
+    y = apply_channel(realization, x, rng)
+    if config.equalizer == "zf":
+        equalized = equalize_zf(h_hat, realization.G, y)
+    else:
+        equalized = equalize_lmmse(h_hat, realization.G, realization.sigma2, y)
+    return (equalized.s_hat * math.sqrt(config.N_t)).T.ravel(), y
+
+
 def run_trial(config: SimConfig, noise_power: float, trial_index: int,
               noise_index: int = 0, *, table: ConstellationTable | None = None,
               crc_spec: CrcSpec | None = None, payload_bits=None,
@@ -389,31 +412,15 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     block = build_transport_blocks(payload_bits, config.codeword_size, crc_spec,
                                    table.k, config.N_t)[0]
 
-    gain = link_gain(config)
-    h = sample_channel(config.N_r, config.N_t, rng)
-    realization = ChannelRealization.from_matrix(h, gain, noise_power)
-
-    x_p = build_pilot_matrix(config.N_t, config.n_pilot, rng, config.pilot_mode)
-    pilots = PilotBlock(X_P=x_p, Y_P=transmit_pilots(realization, x_p, rng),
-                        n_pilot=config.n_pilot)
-    if config.estimator == "ls":
-        h_hat = estimate_ls(pilots.Y_P, pilots.X_P, gain)
-    else:
-        h_hat = estimate_lmmse(pilots.Y_P, pilots.X_P, gain, noise_power)
-    err_vec = metrics.error_vector(h, h_hat)
+    realization, h_hat = _estimate_channel(config, link_gain(config), noise_power, rng)
+    err_vec = metrics.error_vector(realization.H, h_hat)
     est_mse = metrics.estimation_mse(err_vec, config.N_r, config.N_t)
     snr_db = metrics.tx_snr_db(noise_power, config.N_t)
     ebn0_db = metrics.tx_ebn0_db(noise_power, config.N_t, table.k)
 
     tx_indices = map_bits_to_symbols(block.bits(), table)
-    x = table.points[tx_indices].reshape(-1, config.N_t).T / math.sqrt(config.N_t)
-    y = apply_channel(realization, x, rng)
-
     try:
-        if config.equalizer == "zf":
-            equalized = equalize_zf(h_hat, gain, y)
-        else:
-            equalized = equalize_lmmse(h_hat, gain, noise_power, y)
+        s_flat, y = _receive(config, table, realization, h_hat, tx_indices, rng)
     except np.linalg.LinAlgError:
         # rank-deficient estimate: count the whole block as lost
         measures = metrics.RadioMeasures(
@@ -423,7 +430,6 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
         return TrialOutcome(measures=measures, classification_error=1.0,
                             crc_ok=False, equalization_failed=True)
 
-    s_flat = (equalized.s_hat * math.sqrt(config.N_t)).T.ravel()
     rx_indices = _detect_indices(config, s_flat, y, table, dnn_model)
     rx_bits = symbols_to_bits(rx_indices, table)
     payload_rx, crc_ok = extract_and_check(rx_bits, config.codeword_size, crc_spec,
@@ -452,41 +458,27 @@ def train_detector_network(config: SimConfig, noise_power: float, noise_index: i
 
     Training data is generated with a dedicated substream, one fresh
     channel per block, through the same pilot/estimate/equalize pipeline
-    the trials use. Labels follow ``config.dnn_labels``: the transmitted
-    indices ("truth") or the ML detector's decisions ("ml").
+    the trials use; per block the draw order is channel matrix, pilot
+    construction, pilot noise, transmitted indices, data noise. Labels
+    follow ``config.dnn_labels``: the transmitted indices ("truth") or the
+    ML detector's decisions ("ml").
     """
     if table is None:
         table = build_constellation(config.constellation, config.M_constellation)
     data_rng = substream(config.seed, _TRAINING_NS, noise_index, 0)
     gain = link_gain(config)
-    crc_spec = CrcSpec(config.crc_generator)
-    symbols_per_block = build_transport_blocks(
-        np.zeros(config.codeword_size, dtype=np.uint8), config.codeword_size,
-        crc_spec, table.k, config.N_t,
-    )[0].symbols_per_block
+    symbols_per_block = block_total_bits(config.codeword_size, CrcSpec(config.crc_generator),
+                                         table.k, config.N_t) // table.k
 
     features, labels = [], []
     collected = 0
     while collected < config.dnn_train_samples:
-        h = sample_channel(config.N_r, config.N_t, data_rng)
-        realization = ChannelRealization.from_matrix(h, gain, noise_power)
-        x_p = build_pilot_matrix(config.N_t, config.n_pilot, data_rng, config.pilot_mode)
-        y_p = transmit_pilots(realization, x_p, data_rng)
-        if config.estimator == "ls":
-            h_hat = estimate_ls(y_p, x_p, gain)
-        else:
-            h_hat = estimate_lmmse(y_p, x_p, gain, noise_power)
+        realization, h_hat = _estimate_channel(config, gain, noise_power, data_rng)
         tx_indices = data_rng.integers(0, table.M, size=symbols_per_block)
-        x = table.points[tx_indices].reshape(-1, config.N_t).T / math.sqrt(config.N_t)
-        y = apply_channel(realization, x, data_rng)
         try:
-            if config.equalizer == "zf":
-                equalized = equalize_zf(h_hat, gain, y)
-            else:
-                equalized = equalize_lmmse(h_hat, gain, noise_power, y)
+            s_flat, y = _receive(config, table, realization, h_hat, tx_indices, data_rng)
         except np.linalg.LinAlgError:
             continue
-        s_flat = (equalized.s_hat * math.sqrt(config.N_t)).T.ravel()
         features.append(_detector_features(config, s_flat, y))
         if config.dnn_labels == "truth":
             labels.append(tx_indices)
@@ -503,14 +495,7 @@ def train_detector_network(config: SimConfig, noise_power: float, noise_index: i
     spec = NetworkSpec(depth=config.dnn_depth, width=config.dnn_width,
                        input_dim=X.shape[1], output_dim=table.M, seed=init_seed)
     network = init_network(spec)
-    hyper = Hyperparameters(
-        learning_rate=config.dnn_learning_rate,
-        batch_size=config.dnn_batch_size,
-        epochs=config.dnn_epochs,
-        validation_fraction=config.dnn_validation_fraction,
-        patience=config.dnn_patience,
-    )
-    train(network, training_set, hyper)
+    train(network, training_set, _hyperparameters(config))
     return network
 
 
@@ -532,11 +517,8 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
         bits = load_payload_bits(config.payload)
         if bits.size == 0:
             raise ConfigError(f"payload file {config.payload!r} contains no data")
-        n_chunks = math.ceil(bits.size / config.codeword_size)
-        payload_chunks = [
-            bits[i * config.codeword_size:(i + 1) * config.codeword_size]
-            for i in range(n_chunks)
-        ]
+        payload_chunks = [bits[i:i + config.codeword_size]
+                          for i in range(0, bits.size, config.codeword_size)]
 
     records = []
     for noise_index, sigma2 in enumerate(config.noise_power):
@@ -554,22 +536,15 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
                 trial_config = replace(config, detector="ml")
                 forced_class_error = 1.0
 
-        def one_trial(trial_index: int, _cfg=trial_config, _model=dnn_model,
-                      _noise=sigma2, _idx=noise_index) -> TrialOutcome:
-            chunk = None
-            if payload_chunks is not None:
-                chunk = payload_chunks[trial_index % len(payload_chunks)]
-            return run_trial(_cfg, _noise, trial_index, _idx, table=table,
-                             crc_spec=crc_spec, payload_bits=chunk, dnn_model=_model)
+        outcomes = [
+            run_trial(trial_config, sigma2, trial_index, noise_index, table=table,
+                      crc_spec=crc_spec, dnn_model=dnn_model,
+                      payload_bits=None if payload_chunks is None
+                      else payload_chunks[trial_index % len(payload_chunks)])
+            for trial_index in range(config.n_transmissions)
+        ]
 
-        n = config.n_transmissions
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                outcomes = list(pool.map(one_trial, range(n)))
-        else:
-            outcomes = [one_trial(t) for t in range(n)]
-
-        # ordered reduction keyed by trial index (outcomes is already ordered)
+        # ordered reduction keyed by trial index
         def mean(values):
             return float(np.mean(values))
 
@@ -600,17 +575,16 @@ def _format_field(value) -> str:
 
 def write_csv(records: list[SweepRecord], path) -> None:
     """Write records as UTF-8 CSV with LF endings and round-trip-exact floats."""
-    if not records:
-        raise ValueError("no records to write")
-    lines = [",".join(CSV_COLUMNS)]
-    for record in records:
-        lines.append(",".join(_format_field(getattr(record, col)) for col in CSV_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_extract(records, CSV_COLUMNS, path)
 
 
 def write_extract(records: list[SweepRecord], columns, path) -> None:
-    """Write a column subset (e.g. snr_tx_db,bler) for external plotting."""
+    """Write the given columns (e.g. snr_tx_db,bler) of each record as CSV.
+
+    The file is written next to ``path`` under a temporary name and then
+    renamed over it, so ``path`` holds either its old bytes or the whole
+    new file.
+    """
     if not records:
         raise ValueError("no records to write")
     columns = tuple(columns)
@@ -622,5 +596,11 @@ def write_extract(records: list[SweepRecord], columns, path) -> None:
     lines = [",".join(columns)]
     for record in records:
         lines.append(",".join(_format_field(getattr(record, col)) for col in columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)

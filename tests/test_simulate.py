@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mimolink.simulate as sim
 from mimolink.framing import CrcSpec, block_total_bits
@@ -125,6 +127,70 @@ class TestLoadConfig:
         path.write_text("just a line without equals\n")
         with pytest.raises(ConfigError, match="key = value"):
             load_config(path)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("noise_power = nan", "noise_power"),
+    ("noise_power = inf", "noise_power"),
+    ("noise_power = [1e-3, 1e999]", "noise_power"),
+    ("G_override = none\nf_c = nan", "f_c"),
+    ("G_override = none\nf_c = 1e-300", "f_c"),
+    ("B = nan", "B"),
+    ("N0 = inf\nnoise_power = 1e-3", "N0"),
+    ("G_override = inf", "G_override"),
+    ("dnn_learning_rate = nan", "dnn_learning_rate"),
+    ("G_override = none\nd = inf", "d"),
+    ("G_override = none\neta = inf", "eta"),
+    ("G_override = none\nd = 1e200", "d"),
+    ("seed = -1", "seed"),
+    ("seed = nan", "seed"),
+    ("n_transmissions = inf", "n_transmissions"),
+    ("noise_power = 1e308", "noise_power"),
+    ("G_override = 1e-300\nnoise_power = 1e10", "G_override"),
+    ("G_override = -1", "G_override"),
+    ("G_override = 1.7e308\nnoise_power = 1e304", "G_override"),
+])
+def test_out_of_range_values_rejected_naming_the_key(tmp_path, text, key):
+    """Non-finite or out-of-range values fail at load time, naming the key."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(text + "\n")
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        load_config(path)
+
+
+_EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e-12,
+             1.0, 1e12, 1e300, 1.7976931348623157e308]
+_FLOATS = st.one_of(st.sampled_from(_EXTREMES), st.floats())
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.fixed_dictionaries({}, optional={
+    "noise_power": _FLOATS,
+    "f_c": _FLOATS,
+    "d": _FLOATS,
+    "eta": _FLOATS,
+    "B": _FLOATS,
+    "G_override": st.one_of(st.none(), _FLOATS),
+    "seed": st.one_of(st.sampled_from([-1, 0, 2**64]), st.integers(-(2**70), 2**70)),
+}))
+def test_config_boundary_property(tmp_path, values):
+    """Any value either fails load_config or gives finite rows with rates in [0, 1]."""
+    lines = ["N_t = 2", "N_r = 2", "constellation = QPSK", "M_constellation = 4",
+             "n_pilot = 2", "n_transmissions = 2"]
+    lines += [f"{key} = {value!r}" for key, value in values.items()]
+    path = tmp_path / "prop.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        config = load_config(path)
+    except ConfigError:
+        return
+    records = run_sweep(config)
+    assert len(records) == len(config.noise_power)
+    for record in records:
+        values = (record.snr_tx_db, record.ebn0_tx_db, record.channel_mse, record.bler,
+                  record.ser, record.ber, record.classification_error)
+        assert all(math.isfinite(v) for v in values), record
+        assert all(0.0 <= v <= 1.0 for v in values[3:]), record
 
 
 class TestSubstream:
@@ -365,6 +431,19 @@ class TestCsvOutput:
         lines = path.read_text().splitlines()
         assert lines[0] == "snr_tx_db,bler"
         assert len(lines) == len(records) + 1
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"previous contents\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(sim.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(self._records(), path)
+        assert path.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_extract_unknown_column_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nope"):
