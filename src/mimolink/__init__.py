@@ -37,7 +37,7 @@ from .framing import (
     extract_and_check,
     load_payload_bits,
 )
-from .metrics import RadioMeasures, bler, classification_error, error_vector, estimation_mse, tx_ebn0_db, tx_snr_db
+from .metrics import bler, classification_error, error_vector, estimation_mse, tx_ebn0_db, tx_snr_db
 from .neural import (
     Hyperparameters,
     Network,
@@ -53,8 +53,6 @@ from .neural import (
     train,
 )
 from .receiver import (
-    DetectionResult,
-    EqualizedSymbols,
     detect_kmeans,
     detect_ml,
     equalize_lmmse,

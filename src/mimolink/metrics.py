@@ -7,22 +7,7 @@ unit-power normalization (per-symbol transmit power 1/N_t): logs are base
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RadioMeasures:
-    """Per-trial radio measures for one channel realization."""
-
-    error_vector: np.ndarray
-    estimation_mse: float
-    tx_snr_db: float
-    tx_ebn0_db: float
-    bler: float
-    ser: float
-    ber: float
 
 
 def error_vector(H: np.ndarray, H_hat: np.ndarray) -> np.ndarray:

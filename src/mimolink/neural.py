@@ -48,15 +48,10 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Feature rows with integer class labels.
-
-    ``label_source`` records where the labels came from: the transmitted
-    ground truth ("truth") or the ML detector's decisions ("ml").
-    """
+    """Feature rows with integer class labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    label_source: str = "truth"
 
 
 @dataclass

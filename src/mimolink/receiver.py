@@ -8,8 +8,6 @@ lowest constellation index, so their decisions coincide exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constellation import ConstellationTable
@@ -18,28 +16,13 @@ from .constellation import ConstellationTable
 _DETECT_CHUNK = 1 << 13
 
 
-@dataclass(frozen=True)
-class EqualizedSymbols:
-    """Post-equalization estimates, one row per transmit stream."""
-
-    s_hat: np.ndarray     # (N_t,) or (N_t, n_uses)
-    equalizer_id: str     # "zf" | "lmmse"
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Detected constellation indices and the corresponding points."""
-
-    indices: np.ndarray
-    points: np.ndarray
-
-
-def equalize_zf(h_hat: np.ndarray, G: float, y) -> EqualizedSymbols:
+def equalize_zf(h_hat: np.ndarray, G: float, y) -> np.ndarray:
     """Zero-forcing: left pseudo-inverse of the channel estimate, scaled by 1/sqrt(G).
 
-    s_hat = (1/sqrt(G)) (H^* H)^{-1} H^* y. Requires N_r >= N_t and a full
-    column rank estimate; a rank-deficient H_hat raises
-    ``numpy.linalg.LinAlgError`` (recorded by the harness as an
+    Returns s_hat = (1/sqrt(G)) (H^* H)^{-1} H^* y, one row per transmit
+    stream: shape (N_t,) or (N_t, n_uses), following y. Requires
+    N_r >= N_t and a full column rank estimate; a rank-deficient H_hat
+    raises ``numpy.linalg.LinAlgError`` (recorded by the harness as an
     equalization failure, not a crash).
     """
     h_hat = np.asarray(h_hat, dtype=complex)
@@ -49,16 +32,16 @@ def equalize_zf(h_hat: np.ndarray, G: float, y) -> EqualizedSymbols:
     if G <= 0:
         raise ValueError(f"G must be positive, got {G}")
     gram = h_hat.conj().T @ h_hat
-    s_hat = np.linalg.solve(gram, h_hat.conj().T @ np.asarray(y, dtype=complex)) / np.sqrt(G)
-    return EqualizedSymbols(s_hat=s_hat, equalizer_id="zf")
+    return np.linalg.solve(gram, h_hat.conj().T @ np.asarray(y, dtype=complex)) / np.sqrt(G)
 
 
-def equalize_lmmse(h_hat: np.ndarray, G: float, sigma2: float, y) -> EqualizedSymbols:
+def equalize_lmmse(h_hat: np.ndarray, G: float, sigma2: float, y) -> np.ndarray:
     """Linear-MMSE equalizer; the sigma2 * N_t * I regularizer reflects the
     per-stream transmit power 1/N_t.
 
-    s_hat = sqrt(G) (G H^* H + sigma2 N_t I)^{-1} H^* y; coincides with
-    zero-forcing at sigma2 = 0 and shrinks toward zero as sigma2 grows.
+    Returns s_hat = sqrt(G) (G H^* H + sigma2 N_t I)^{-1} H^* y, shaped like
+    the zero-forcing output; it coincides with zero-forcing at sigma2 = 0
+    and shrinks toward zero as sigma2 grows.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
     n_tx = h_hat.shape[1]
@@ -67,12 +50,12 @@ def equalize_lmmse(h_hat: np.ndarray, G: float, sigma2: float, y) -> EqualizedSy
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     regularized = G * (h_hat.conj().T @ h_hat) + sigma2 * n_tx * np.eye(n_tx)
-    s_hat = np.sqrt(G) * np.linalg.solve(regularized, h_hat.conj().T @ np.asarray(y, dtype=complex))
-    return EqualizedSymbols(s_hat=s_hat, equalizer_id="lmmse")
+    return np.sqrt(G) * np.linalg.solve(regularized, h_hat.conj().T @ np.asarray(y, dtype=complex))
 
 
-def detect_ml(s_hat, table: ConstellationTable) -> DetectionResult:
-    """Maximum-likelihood detection: nearest constellation point per symbol.
+def detect_ml(s_hat, table: ConstellationTable) -> np.ndarray:
+    """Maximum-likelihood detection: the index of the nearest constellation
+    point per symbol.
 
     Inputs must be in table coordinates (the 1/sqrt(N_t) transmit scaling
     removed). Ties break toward the lowest index.
@@ -83,10 +66,10 @@ def detect_ml(s_hat, table: ConstellationTable) -> DetectionResult:
         chunk = s[start:start + _DETECT_CHUNK]
         distances = np.abs(chunk[:, None] - table.points[None, :])
         indices[start:start + chunk.size] = distances.argmin(axis=1)
-    return DetectionResult(indices=indices, points=table.points[indices])
+    return indices
 
 
-def detect_kmeans(s_hat_batch, table: ConstellationTable) -> DetectionResult:
+def detect_kmeans(s_hat_batch, table: ConstellationTable) -> np.ndarray:
     """Assignment step of K-means with centroids frozen at the constellation.
 
     Symbols and centroids live in the two-dimensional (I, Q) plane; each
@@ -101,4 +84,4 @@ def detect_kmeans(s_hat_batch, table: ConstellationTable) -> DetectionResult:
         chunk = features[start:start + _DETECT_CHUNK]
         sq_dist = ((chunk[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         indices[start:start + chunk.shape[0]] = sq_dist.argmin(axis=1)
-    return DetectionResult(indices=indices, points=table.points[indices])
+    return indices

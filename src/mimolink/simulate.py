@@ -267,26 +267,28 @@ def load_config(path=None, overrides: dict | None = None) -> SimConfig:
     """Build a validated configuration from a key = value file plus overrides.
 
     An empty (or absent) file yields the defaults. Unknown keys are
-    rejected rather than silently ignored. When ``N0`` is given without an
-    explicit ``noise_power``, the single noise power N0 * B is used; an
+    rejected rather than silently ignored; overrides set to None are
+    skipped. When ``N0`` is given (in the file or as an override) without
+    an explicit ``noise_power``, the single noise power N0 * B is used; an
     explicit ``noise_power`` always wins.
     """
     raw = _read_config_file(path) if path is not None else {}
+    raw.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     unknown = sorted(set(raw) - _FIELD_KINDS.keys())
     if unknown:
         raise ConfigError(f"unknown parameter(s): {', '.join(unknown)}")
     values = {key: _coerce(key, value) for key, value in raw.items()}
-    if values.get("N0") is not None and "noise_power" not in values:
-        bandwidth = values.get("B", SimConfig.B)
-        values["noise_power"] = (float(values["N0"]) * float(bandwidth),)
+    derived = values.get("N0") is not None and "noise_power" not in values
+    if derived:
+        values["noise_power"] = (values["N0"] * values.get("B", SimConfig.B),)
     config = SimConfig(**values)
-    if overrides:
-        cleaned = {key: value for key, value in overrides.items() if value is not None}
-        unknown = sorted(set(cleaned) - _FIELD_KINDS.keys())
-        if unknown:
-            raise ConfigError(f"unknown parameter(s): {', '.join(unknown)}")
-        config = replace(config, **{key: _coerce(key, value) for key, value in cleaned.items()})
-    validate_config(config)
+    try:
+        validate_config(config)
+    except ConfigError as exc:
+        if derived and str(exc).startswith("noise_power"):
+            raise ConfigError(f"N0 = {config.N0} gives the noise power N0 * B = "
+                              f"{config.noise_power[0]}, which is rejected: {exc}") from None
+        raise
     return config
 
 
@@ -306,8 +308,9 @@ def link_gain(config: SimConfig) -> float:
 class TrialOutcome:
     """Measures for one transmitted transport block."""
 
-    measures: metrics.RadioMeasures
-    classification_error: float
+    estimation_mse: float
+    ser: float
+    ber: float
     crc_ok: bool
     equalization_failed: bool
 
@@ -338,9 +341,9 @@ def _detector_features(config: SimConfig, s_flat: np.ndarray, y: np.ndarray) -> 
 def _detect_indices(config: SimConfig, s_flat: np.ndarray, y: np.ndarray,
                     table: ConstellationTable, dnn_model: Network | None) -> np.ndarray:
     if config.detector == "ml":
-        return detect_ml(s_flat, table).indices
+        return detect_ml(s_flat, table)
     if config.detector == "kmeans":
-        return detect_kmeans(s_flat, table).indices
+        return detect_kmeans(s_flat, table)
     if dnn_model is None:
         raise ValueError(
             "detector 'dnn' needs a trained network; pass dnn_model or use "
@@ -377,10 +380,10 @@ def _receive(config: SimConfig, table: ConstellationTable, realization: ChannelR
     x = table.points[tx_indices].reshape(-1, config.N_t).T / math.sqrt(config.N_t)
     y = apply_channel(realization, x, rng)
     if config.equalizer == "zf":
-        equalized = equalize_zf(h_hat, realization.G, y)
+        s_hat = equalize_zf(h_hat, realization.G, y)
     else:
-        equalized = equalize_lmmse(h_hat, realization.G, realization.sigma2, y)
-    return (equalized.s_hat * math.sqrt(config.N_t)).T.ravel(), y
+        s_hat = equalize_lmmse(h_hat, realization.G, realization.sigma2, y)
+    return (s_hat * math.sqrt(config.N_t)).T.ravel(), y
 
 
 def run_trial(config: SimConfig, noise_power: float, trial_index: int,
@@ -413,40 +416,25 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
                                    table.k, config.N_t)[0]
 
     realization, h_hat = _estimate_channel(config, link_gain(config), noise_power, rng)
-    err_vec = metrics.error_vector(realization.H, h_hat)
-    est_mse = metrics.estimation_mse(err_vec, config.N_r, config.N_t)
-    snr_db = metrics.tx_snr_db(noise_power, config.N_t)
-    ebn0_db = metrics.tx_ebn0_db(noise_power, config.N_t, table.k)
+    # the column-major error vector fixes the summation order of the MSE
+    est_mse = metrics.estimation_mse(metrics.error_vector(realization.H, h_hat),
+                                     config.N_r, config.N_t)
 
     tx_indices = map_bits_to_symbols(block.bits(), table)
     try:
         s_flat, y = _receive(config, table, realization, h_hat, tx_indices, rng)
     except np.linalg.LinAlgError:
         # rank-deficient estimate: count the whole block as lost
-        measures = metrics.RadioMeasures(
-            error_vector=err_vec, estimation_mse=est_mse, tx_snr_db=snr_db,
-            tx_ebn0_db=ebn0_db, bler=1.0, ser=1.0, ber=1.0,
-        )
-        return TrialOutcome(measures=measures, classification_error=1.0,
+        return TrialOutcome(estimation_mse=est_mse, ser=1.0, ber=1.0,
                             crc_ok=False, equalization_failed=True)
 
     rx_indices = _detect_indices(config, s_flat, y, table, dnn_model)
-    rx_bits = symbols_to_bits(rx_indices, table)
-    payload_rx, crc_ok = extract_and_check(rx_bits, config.codeword_size, crc_spec,
-                                           table.k, config.N_t)
-
-    measures = metrics.RadioMeasures(
-        error_vector=err_vec,
+    payload_rx, crc_ok = extract_and_check(symbols_to_bits(rx_indices, table), config.codeword_size,
+                                           crc_spec, table.k, config.N_t)
+    return TrialOutcome(
         estimation_mse=est_mse,
-        tx_snr_db=snr_db,
-        tx_ebn0_db=ebn0_db,
-        bler=0.0 if crc_ok else 1.0,
         ser=metrics.ser(tx_indices, rx_indices),
         ber=metrics.ber(block.payload_bits, payload_rx),
-    )
-    return TrialOutcome(
-        measures=measures,
-        classification_error=metrics.classification_error(tx_indices, rx_indices),
         crc_ok=crc_ok,
         equalization_failed=False,
     )
@@ -483,12 +471,12 @@ def train_detector_network(config: SimConfig, noise_power: float, noise_index: i
         if config.dnn_labels == "truth":
             labels.append(tx_indices)
         else:
-            labels.append(detect_ml(s_flat, table).indices)
+            labels.append(detect_ml(s_flat, table))
         collected += symbols_per_block
 
     X = np.concatenate(features)[:config.dnn_train_samples]
     y_train = np.concatenate(labels)[:config.dnn_train_samples]
-    training_set = TrainingSet(features=X, labels=y_train, label_source=config.dnn_labels)
+    training_set = TrainingSet(features=X, labels=y_train)
 
     init_seed = int(np.random.SeedSequence(
         config.seed, spawn_key=(_TRAINING_NS, noise_index, 1)).generate_state(1)[0])
@@ -523,7 +511,7 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
     records = []
     for noise_index, sigma2 in enumerate(config.noise_power):
         trial_config = config
-        forced_class_error = None
+        training_diverged = False
         dnn_model = None
         if config.detector == "dnn":
             try:
@@ -534,7 +522,7 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
                     "recording classification_error = 1", sigma2, exc,
                 )
                 trial_config = replace(config, detector="ml")
-                forced_class_error = 1.0
+                training_diverged = True
 
         outcomes = [
             run_trial(trial_config, sigma2, trial_index, noise_index, table=table,
@@ -544,22 +532,18 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
             for trial_index in range(config.n_transmissions)
         ]
 
-        # ordered reduction keyed by trial index
-        def mean(values):
-            return float(np.mean(values))
-
+        # ordered reduction keyed by trial index; a detector's
+        # classification error is its symbol error rate
+        ser = float(np.mean([o.ser for o in outcomes]))
         records.append(SweepRecord(
             noise_power=sigma2,
             snr_tx_db=metrics.tx_snr_db(sigma2, config.N_t),
             ebn0_tx_db=metrics.tx_ebn0_db(sigma2, config.N_t, table.k),
-            channel_mse=mean([o.measures.estimation_mse for o in outcomes]),
-            bler=mean([o.measures.bler for o in outcomes]),
-            ser=mean([o.measures.ser for o in outcomes]),
-            ber=mean([o.measures.ber for o in outcomes]),
-            classification_error=(
-                forced_class_error if forced_class_error is not None
-                else mean([o.classification_error for o in outcomes])
-            ),
+            channel_mse=float(np.mean([o.estimation_mse for o in outcomes])),
+            bler=metrics.bler([o.crc_ok for o in outcomes]),
+            ser=ser,
+            ber=float(np.mean([o.ber for o in outcomes])),
+            classification_error=1.0 if training_diverged else ser,
             detector=config.detector,
             estimator=config.estimator,
             seed=config.seed,

@@ -108,8 +108,8 @@ def test_criterion_04_detector_identity():
         tx = rng.integers(0, m, size=n_symbols)
         noisy = table.points[tx] + 0.15 * (
             rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols))
-        ml_idx = detect_ml(noisy, table).indices
-        km_idx = detect_kmeans(noisy, table).indices
+        ml_idx = detect_ml(noisy, table)
+        km_idx = detect_kmeans(noisy, table)
         agreement = np.mean(ml_idx == km_idx)
         assert agreement == 1.0, f"M={m}: agreement {agreement}"
     print("\n[PASS] criterion 4: K-means == ML on 100% of 1e5 symbols for M in {4,16,64,256}")
@@ -133,8 +133,8 @@ def test_criterion_05_awgn_ber_oracle():
             h = sample_channel(1, 1, rng)
             realization = ChannelRealization.from_matrix(h, 1.0, sigma2)
             y = apply_channel(realization, table.points[idx][None, :], rng)
-            s_hat = equalize_zf(h, 1.0, y).s_hat.ravel()  # perfect CSI
-            rx_idx = detect_ml(s_hat, table).indices
+            s_hat = equalize_zf(h, 1.0, y).ravel()  # perfect CSI
+            rx_idx = detect_ml(s_hat, table)
             errors += np.count_nonzero(
                 symbols_to_bits(rx_idx, table) != tx_bits[start * table.k:(start + block) * table.k])
         measured = errors / n_bits
@@ -188,8 +188,8 @@ def test_criterion_07_dnn_detector_parity():
     h = sample_channel(1, 1, rng)
     realization = ChannelRealization.from_matrix(h, 1.0, 1e-3)
     y = apply_channel(realization, table.points[tx][None, :], rng)
-    s_hat = equalize_zf(h, 1.0, y).s_hat.ravel()
-    ml_idx = detect_ml(s_hat, table).indices
+    s_hat = equalize_zf(h, 1.0, y).ravel()
+    ml_idx = detect_ml(s_hat, table)
     dnn_idx = predict(network, np.column_stack([s_hat.real, s_hat.imag]))
     agreement = float(np.mean(dnn_idx == ml_idx))
     assert agreement >= 0.99, f"agreement {agreement}"

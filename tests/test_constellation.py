@@ -154,5 +154,5 @@ class TestBitSymbolMapping:
             bits = rng.integers(0, 2, size=200 * table.k, dtype=np.uint8)
             tx = map_bits_to_symbols(bits, table)
             detected = detect_ml(table.points[tx], table)
-            np.testing.assert_array_equal(detected.indices, tx)
-            np.testing.assert_array_equal(symbols_to_bits(detected.indices, table), bits)
+            np.testing.assert_array_equal(detected, tx)
+            np.testing.assert_array_equal(symbols_to_bits(detected, table), bits)

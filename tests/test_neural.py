@@ -278,7 +278,7 @@ class TestPredictAndPersistence:
         x = np.column_stack([noisy.real, noisy.imag])
         net = init_network(NetworkSpec(depth=2, width=16, input_dim=2, output_dim=4, seed=13))
         train(net, TrainingSet(x, labels), Hyperparameters(epochs=60))
-        ml_idx = detect_ml(noisy, table).indices
+        ml_idx = detect_ml(noisy, table)
         assert np.mean(predict(net, x) == ml_idx) >= 0.99
 
     def test_save_load_roundtrip(self, tmp_path):

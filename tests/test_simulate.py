@@ -99,6 +99,9 @@ class TestLoadConfig:
         path.write_text("N0 = 1e-9\nB = 2e6\n")
         assert load_config(path).noise_power == (2e-3,)
 
+    def test_n0_override_defines_noise_power(self):
+        assert load_config(None, {"N0": 1e-20}).noise_power == (1e-20 * SimConfig.B,)
+
     def test_explicit_noise_power_wins_over_n0(self, tmp_path):
         path = tmp_path / "n0b.cfg"
         path.write_text("N0 = 1e-9\nB = 2e6\nnoise_power = [7e-3]\n")
@@ -137,6 +140,8 @@ class TestLoadConfig:
     ("G_override = none\nf_c = 1e-300", "f_c"),
     ("B = nan", "B"),
     ("N0 = inf\nnoise_power = 1e-3", "N0"),
+    ("N0 = inf", "N0"),
+    ("N0 = 1e300", "N0"),
     ("G_override = inf", "G_override"),
     ("dnn_learning_rate = nan", "dnn_learning_rate"),
     ("G_override = none\nd = inf", "d"),
@@ -211,18 +216,17 @@ class TestRunTrial:
     def test_vanishing_noise_gives_clean_block(self):
         outcome = run_trial(FAST, 1e-12, trial_index=0)
         assert outcome.crc_ok
-        assert outcome.measures.ber == 0.0
-        assert outcome.measures.ser == 0.0
-        assert outcome.measures.estimation_mse < 1e-9
+        assert outcome.ber == 0.0
+        assert outcome.ser == 0.0
+        assert outcome.estimation_mse < 1e-9
         assert not outcome.equalization_failed
 
     def test_trial_is_deterministic(self):
         a = run_trial(FAST, 1e-3, trial_index=5, noise_index=1)
         b = run_trial(FAST, 1e-3, trial_index=5, noise_index=1)
-        np.testing.assert_array_equal(a.measures.error_vector, b.measures.error_vector)
-        assert a.measures.ser == b.measures.ser
-        assert a.measures.ber == b.measures.ber
-        assert a.measures.estimation_mse == b.measures.estimation_mse
+        assert a.ser == b.ser
+        assert a.ber == b.ber
+        assert a.estimation_mse == b.estimation_mse
         assert a.crc_ok == b.crc_ok
 
     def test_kmeans_and_ml_detectors_recover_identical_bits(self):
@@ -232,15 +236,15 @@ class TestRunTrial:
         for trial in range(30):
             a = run_trial(ml_cfg, 5e-3, trial, 0)
             b = run_trial(km_cfg, 5e-3, trial, 0)
-            assert a.measures.ser == b.measures.ser
-            assert a.measures.ber == b.measures.ber
+            assert a.ser == b.ser
+            assert a.ber == b.ber
             assert a.crc_ok == b.crc_ok
 
     def test_payload_chunk_is_transmitted(self):
         payload = np.ones(FAST.codeword_size, dtype=np.uint8)
         outcome = run_trial(FAST, 1e-12, 0, payload_bits=payload)
         assert outcome.crc_ok
-        assert outcome.measures.ber == 0.0
+        assert outcome.ber == 0.0
 
     def test_oversized_payload_chunk_rejected(self):
         with pytest.raises(ValueError, match="codeword_size"):
@@ -256,13 +260,7 @@ class TestRunTrial:
         outcome = run_trial(FAST, 1e-3, 0)
         assert outcome.equalization_failed
         assert not outcome.crc_ok
-        assert outcome.measures.bler == 1.0
-        assert outcome.measures.ser == 1.0
-
-    def test_snr_fields_follow_the_formulas(self):
-        outcome = run_trial(FAST, 4e-3, 0)
-        assert outcome.measures.tx_snr_db == pytest.approx(-10 * math.log10(4e-3 * FAST.N_t))
-        assert outcome.measures.tx_ebn0_db == pytest.approx(-10 * math.log10(4 * 4e-3 * FAST.N_t))
+        assert outcome.ser == 1.0
 
 
 class TestRunSweep:
@@ -306,8 +304,23 @@ class TestRunSweep:
             run_sweep(replace(FAST, payload=str(payload)))
 
     def test_classification_error_matches_ser_for_ml(self):
-        for record in run_sweep(FAST):
-            assert record.classification_error == record.ser
+        """Without a DNN fallback the classification error is the SER, for
+        ml and for the other detectors."""
+        dnn = replace(
+            FAST, N_t=1, N_r=1, constellation="QPSK", M_constellation=4, n_pilot=2,
+            detector="dnn", noise_power=(1e-3, 5e-2), n_transmissions=10,
+            dnn_train_samples=600, dnn_epochs=30, dnn_width=8,
+        )
+        for config in (FAST, replace(FAST, detector="kmeans"), dnn):
+            for record in run_sweep(config):
+                assert record.classification_error == record.ser
+
+    def test_equalization_failures_fail_every_rate(self, monkeypatch):
+        """A noise point whose every estimate is rank-deficient reports all
+        rates at 1."""
+        monkeypatch.setattr(sim, "estimate_ls", lambda y, x, g: np.zeros((FAST.N_r, FAST.N_t)))
+        [record] = run_sweep(replace(FAST, noise_power=(1e-3,), n_transmissions=5))
+        assert (record.bler, record.ser, record.ber, record.classification_error) == (1.0, 1.0, 1.0, 1.0)
 
     def test_dnn_sweep_smoke(self):
         config = replace(
@@ -376,7 +389,7 @@ class TestUndetectedErrorRate:
         errored = 0
         for trial in range(config.n_transmissions):
             outcome = run_trial(config, 2e-2, trial, 0)
-            if outcome.measures.ber > 0:
+            if outcome.ber > 0:
                 errored += 1
                 if outcome.crc_ok:
                     passed_with_errors += 1
