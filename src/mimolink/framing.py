@@ -8,6 +8,7 @@ fills whole channel uses at the configured transmission rank.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,25 +67,43 @@ def load_payload_bits(path) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
 
 
-def crc_compute(bits, spec: CrcSpec) -> np.ndarray:
-    """Remainder of bits * x^r modulo the generator over GF(2).
+@functools.lru_cache(maxsize=8)
+def _remainder_table(generator: str, n: int) -> np.ndarray:
+    """(n, r) bit matrix whose row j is x^(n-1-j) * x^r mod g, MSB first.
 
-    MSB-first long division with a zero-initialized register, no
-    reflection and no final XOR. An empty message yields the all-zero CRC.
+    Built once per (generator, message length) by shift-and-reduce on a
+    Python int, so any degree r fits. Stored read-only as float64 (8 * n * r
+    bytes) so the CRC is one BLAS product, whose sums of 0/1 terms are
+    exact up to 2^53 terms.
     """
-    r = spec.crc_length
-    poly = int(spec.generator, 2)
+    r = len(generator) - 1
+    poly = int(generator, 2)
     top = 1 << r
-    reg = 0
-    for b in np.asarray(bits, dtype=np.uint8).ravel():
-        reg = (reg << 1) | int(b)
-        if reg & top:
-            reg ^= poly
-    for _ in range(r):
+    width = (r + 7) // 8
+    rows = bytearray(n * width)
+    reg = poly ^ top  # x^r mod g, the row of the last message bit
+    for j in range(n - 1, -1, -1):
+        rows[j * width:(j + 1) * width] = reg.to_bytes(width, "big")
         reg <<= 1
         if reg & top:
             reg ^= poly
-    return np.array([(reg >> i) & 1 for i in range(r - 1, -1, -1)], dtype=np.uint8)
+    packed = np.frombuffer(rows, dtype=np.uint8).reshape(n, width)
+    table = np.unpackbits(packed, axis=1)[:, 8 * width - r:].astype(np.float64)
+    table.setflags(write=False)
+    return table
+
+
+def crc_compute(bits, spec: CrcSpec) -> np.ndarray:
+    """Remainder of bits * x^r modulo the generator over GF(2).
+
+    Same result as MSB-first long division with a zero-initialized
+    register, no reflection and no final XOR. The remainder is linear in
+    the message, so it is the XOR of the remainder-table rows of the 1
+    bits: their exact floating-point sum taken mod 2. An empty message
+    yields the all-zero CRC.
+    """
+    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    return ((bits @ _remainder_table(spec.generator, bits.size)) % 2).astype(np.uint8)
 
 
 def crc_verify(payload_bits, crc_bits, spec: CrcSpec) -> bool:

@@ -375,7 +375,8 @@ def _receive(config: SimConfig, table: ConstellationTable, realization: ChannelR
 
     Returns the equalized symbols at constellation scale, one per
     transmitted index, and the received matrix y. A rank-deficient
-    estimate raises ``numpy.linalg.LinAlgError``.
+    estimate, or equalized symbols that are not all finite, raise
+    ``numpy.linalg.LinAlgError``.
     """
     x = table.points[tx_indices].reshape(-1, config.N_t).T / math.sqrt(config.N_t)
     y = apply_channel(realization, x, rng)
@@ -383,25 +384,31 @@ def _receive(config: SimConfig, table: ConstellationTable, realization: ChannelR
         s_hat = equalize_zf(h_hat, realization.G, y)
     else:
         s_hat = equalize_lmmse(h_hat, realization.G, realization.sigma2, y)
+    if not np.isfinite(s_hat).all():
+        raise np.linalg.LinAlgError("equalized symbols are not all finite")
     return (s_hat * math.sqrt(config.N_t)).T.ravel(), y
 
 
 def run_trial(config: SimConfig, noise_power: float, trial_index: int,
               noise_index: int = 0, *, table: ConstellationTable | None = None,
-              crc_spec: CrcSpec | None = None, payload_bits=None,
-              dnn_model: Network | None = None) -> TrialOutcome:
+              crc_spec: CrcSpec | None = None, gain: float | None = None,
+              payload_bits=None, dnn_model: Network | None = None) -> TrialOutcome:
     """Transmit one transport block end to end and measure it.
 
     Randomness comes from the substream (seed, noise_index, trial_index);
     within a trial the draw order is fixed: payload bits (when not
     supplied), channel matrix, pilot construction, pilot noise, data noise.
     ``payload_bits`` may hold at most ``codeword_size`` bits (shorter
-    chunks are zero-padded by the framing layer).
+    chunks are zero-padded by the framing layer). ``table``, ``crc_spec``
+    and the large-scale ``gain`` are fixed per sweep; each one not given
+    is derived from ``config``.
     """
     if table is None:
         table = build_constellation(config.constellation, config.M_constellation)
     if crc_spec is None:
         crc_spec = CrcSpec(config.crc_generator)
+    if gain is None:
+        gain = link_gain(config)
     rng = substream(config.seed, _TRIAL_NS, noise_index, trial_index)
     if payload_bits is None:
         payload_bits = rng.integers(0, 2, size=config.codeword_size, dtype=np.uint8)
@@ -415,7 +422,7 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     block = build_transport_blocks(payload_bits, config.codeword_size, crc_spec,
                                    table.k, config.N_t)[0]
 
-    realization, h_hat = _estimate_channel(config, link_gain(config), noise_power, rng)
+    realization, h_hat = _estimate_channel(config, gain, noise_power, rng)
     # the column-major error vector fixes the summation order of the MSE
     est_mse = metrics.estimation_mse(metrics.error_vector(realization.H, h_hat),
                                      config.N_r, config.N_t)
@@ -499,6 +506,7 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
     validate_config(config)
     table = build_constellation(config.constellation, config.M_constellation)
     crc_spec = CrcSpec(config.crc_generator)
+    gain = link_gain(config)
 
     payload_chunks = None
     if config.payload is not None:
@@ -526,7 +534,7 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
 
         outcomes = [
             run_trial(trial_config, sigma2, trial_index, noise_index, table=table,
-                      crc_spec=crc_spec, dnn_model=dnn_model,
+                      crc_spec=crc_spec, gain=gain, dnn_model=dnn_model,
                       payload_bits=None if payload_chunks is None
                       else payload_chunks[trial_index % len(payload_chunks)])
             for trial_index in range(config.n_transmissions)

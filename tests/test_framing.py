@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolink.framing import (
@@ -52,14 +52,32 @@ class TestCrcCompute:
     def test_empty_message_allowed(self):
         np.testing.assert_array_equal(crc_compute([], DEFAULT_SPEC), [0, 0])
 
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_matches_long_division_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        generator = ("111", "1011", "10011", "100000111")[seed % 4]
+        if seed % 2:
+            generator = ("111", "1011", "10011", "100000111")[seed // 2 % 4]
+            size = int(rng.integers(1, 64))
+        else:
+            # any degree 1..80, past the 64 bits of a machine word
+            degree = int(rng.integers(1, 81))
+            middle = "".join(map(str, rng.integers(0, 2, size=degree - 1)))
+            generator = f"1{middle}1"
+            size = int(rng.integers(0, 5001))
         spec = CrcSpec(generator)
-        message = rng.integers(0, 2, size=int(rng.integers(1, 64))).astype(np.uint8)
+        message = rng.integers(0, 2, size=size).astype(np.uint8)
         oracle = gf2_remainder(message.tolist(), [int(c) for c in generator])
-        np.testing.assert_array_equal(crc_compute(message, spec), oracle)
+        crc = crc_compute(message, spec)
+        assert crc.dtype == np.uint8
+        np.testing.assert_array_equal(crc, oracle)
+
+    def test_xmodem_check_value(self):
+        """CRC-16/XMODEM (CCITT polynomial, zero init, MSB first, no
+        reflection, no final XOR) of ASCII "123456789" is 0x31C3."""
+        message = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
+        crc = crc_compute(message, CrcSpec("10001000000100001"))
+        assert int("".join(map(str, crc)), 2) == 0x31C3
 
     def test_systematic_property(self):
         """Recomputing over the payload reproduces the appended CRC."""

@@ -92,6 +92,23 @@ class TestForward:
             forward(net, np.zeros((3, 5)))
 
 
+class TestOneHot:
+    def test_matches_identity_rows(self):
+        labels = np.random.default_rng(4).integers(0, 16, size=300)
+        onehot = one_hot(labels, 16)
+        expected = np.eye(16)[labels]
+        assert onehot.dtype == expected.dtype and onehot.shape == expected.shape
+        np.testing.assert_array_equal(onehot, expected)
+
+    def test_empty_labels(self):
+        assert one_hot([], 4).shape == (0, 4)
+
+    @pytest.mark.parametrize("labels", [[-1], [4], [0, 5, 1]])
+    def test_out_of_range_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            one_hot(labels, 4)
+
+
 class TestLoss:
     def test_perfect_prediction_is_numerically_zero(self):
         probs = np.array([[1.0, 0.0, 0.0, 0.0]])

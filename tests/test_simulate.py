@@ -262,6 +262,20 @@ class TestRunTrial:
         assert not outcome.crc_ok
         assert outcome.ser == 1.0
 
+    def test_non_finite_equalizer_output_is_a_block_failure(self, monkeypatch):
+        monkeypatch.setattr(sim, "equalize_zf", lambda h, g, y: np.full((FAST.N_t, y.shape[1]), np.nan + 0j))
+        outcome = run_trial(FAST, 1e-3, 0)
+        assert outcome.equalization_failed
+        assert not outcome.crc_ok
+        assert (outcome.ser, outcome.ber) == (1.0, 1.0)
+
+    def test_given_gain_matches_derived_gain(self):
+        config = replace(FAST, G_override=None, noise_power=(1e-12,))
+        gain = sim.link_gain(config)
+        assert gain != 1.0
+        for trial in range(3):
+            assert run_trial(config, 1e-12, trial, gain=gain) == run_trial(config, 1e-12, trial)
+
 
 class TestRunSweep:
     def test_one_record_per_noise_power(self):
@@ -322,6 +336,24 @@ class TestRunSweep:
         [record] = run_sweep(replace(FAST, noise_power=(1e-3,), n_transmissions=5))
         assert (record.bler, record.ser, record.ber, record.classification_error) == (1.0, 1.0, 1.0, 1.0)
 
+    def test_non_finite_equalizer_output_fails_every_rate(self, monkeypatch):
+        """Non-finite equalized symbols count as failed blocks, never as a
+        BLER-0 row."""
+        monkeypatch.setattr(sim, "equalize_zf", lambda h, g, y: np.full((FAST.N_t, y.shape[1]), np.nan + 0j))
+        [record] = run_sweep(replace(FAST, noise_power=(1e-3,), n_transmissions=5))
+        assert (record.bler, record.ser, record.ber) == (1.0, 1.0, 1.0)
+
+    def test_link_gain_is_not_recomputed_per_trial(self, monkeypatch):
+        calls = []
+        original = sim.link_gain
+        monkeypatch.setattr(sim, "link_gain", lambda config: calls.append(1) or original(config))
+        config = replace(FAST, G_override=None, noise_power=(1e-12, 1e-3), n_transmissions=1)
+        run_sweep(config)
+        one_trial = len(calls)
+        records = run_sweep(replace(config, n_transmissions=6))
+        assert len(calls) == 2 * one_trial
+        assert records[0].bler == 0.0
+
     def test_dnn_sweep_smoke(self):
         config = replace(
             FAST, N_t=1, N_r=1, constellation="QPSK", M_constellation=4, n_pilot=2,
@@ -375,6 +407,25 @@ class TestRunSweep:
         assert records[0].classification_error == 1.0
         assert np.isfinite(records[0].bler)
         assert any("falling back" in message for message in caplog.messages)
+
+    def test_training_skips_blocks_with_non_finite_equalizer_output(self, monkeypatch):
+        calls = []
+        equalize = sim.equalize_zf
+
+        def every_other_block_nan(h_hat, G, y):
+            calls.append(1)
+            s_hat = equalize(h_hat, G, y)
+            return s_hat * np.nan if len(calls) % 2 else s_hat
+
+        monkeypatch.setattr(sim, "equalize_zf", every_other_block_nan)
+        config = replace(
+            FAST, N_t=1, N_r=1, constellation="QPSK", M_constellation=4, n_pilot=2,
+            detector="dnn", dnn_train_samples=600, dnn_epochs=5, dnn_width=8,
+        )
+        model = train_detector_network(config, 1e-3, 0)
+        # 9 symbols per block: the NaN blocks were drawn and skipped
+        assert len(calls) > 2 * 600 // 9
+        assert all(np.isfinite(p).all() for p in model.weights + model.biases)
 
     def test_invalid_config_propagates(self):
         with pytest.raises(ConfigError):
