@@ -67,27 +67,35 @@ def load_payload_bits(path) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
 
 
-@functools.lru_cache(maxsize=8)
-def _remainder_table(generator: str, n: int) -> np.ndarray:
-    """(n, r) bit matrix whose row j is x^(n-1-j) * x^r mod g, MSB first.
+# message bits per remainder-table product; the table holds this many rows
+_CRC_CHUNK_BITS = 1024
 
-    Built once per (generator, message length) by shift-and-reduce on a
-    Python int, so any degree r fits. Stored read-only as float64 (8 * n * r
-    bytes) so the CRC is one BLAS product, whose sums of 0/1 terms are
-    exact up to 2^53 terms.
+
+@functools.lru_cache(maxsize=8)
+def _remainder_table(generator: str) -> np.ndarray:
+    """(w, r) bit matrix whose row j is x^(w-1-j) * x^r mod g, MSB first.
+
+    w = max(_CRC_CHUNK_BITS, r). Row j is the CRC of a w-bit chunk whose
+    only 1 bit is bit j, and row i < r is also x^(r-1-i) * x^w mod g, so
+    the first r rows carry a remainder w bits further along a message.
+    Built once per generator by shift-and-reduce on a Python int, so any
+    degree r fits. Stored read-only as float64, 8 * w * r bytes whatever
+    the message length, so the CRC is a few BLAS products whose sums of
+    0/1 terms are exact.
     """
     r = len(generator) - 1
+    w = max(_CRC_CHUNK_BITS, r)
     poly = int(generator, 2)
     top = 1 << r
     width = (r + 7) // 8
-    rows = bytearray(n * width)
-    reg = poly ^ top  # x^r mod g, the row of the last message bit
-    for j in range(n - 1, -1, -1):
+    rows = bytearray(w * width)
+    reg = poly ^ top  # x^r mod g, the row of the last chunk bit
+    for j in range(w - 1, -1, -1):
         rows[j * width:(j + 1) * width] = reg.to_bytes(width, "big")
         reg <<= 1
         if reg & top:
             reg ^= poly
-    packed = np.frombuffer(rows, dtype=np.uint8).reshape(n, width)
+    packed = np.frombuffer(rows, dtype=np.uint8).reshape(w, width)
     table = np.unpackbits(packed, axis=1)[:, 8 * width - r:].astype(np.float64)
     table.setflags(write=False)
     return table
@@ -98,12 +106,23 @@ def crc_compute(bits, spec: CrcSpec) -> np.ndarray:
 
     Same result as MSB-first long division with a zero-initialized
     register, no reflection and no final XOR. The remainder is linear in
-    the message, so it is the XOR of the remainder-table rows of the 1
-    bits: their exact floating-point sum taken mod 2. An empty message
-    yields the all-zero CRC.
+    the message, so the CRC of a chunk is the XOR of the remainder-table
+    rows of its 1 bits: their exact floating-point sum taken mod 2. The
+    message is cut into w-bit chunks from the end (the first chunk takes
+    the rest), and the remainder so far is carried past each further
+    chunk by the first r table rows. An empty message yields the all-zero
+    CRC.
     """
     bits = np.asarray(bits, dtype=np.uint8).ravel()
-    return ((bits @ _remainder_table(spec.generator, bits.size)) % 2).astype(np.uint8)
+    table = _remainder_table(spec.generator)
+    w, r = table.shape
+    head = bits.size - (bits.size - 1) // w * w if bits.size else 0
+    crc = bits[:head] @ table[w - head:]
+    if bits.size > head:
+        carry = table[:r]
+        for chunk_crc in bits[head:].reshape(-1, w) @ table:
+            crc = (crc % 2) @ carry + chunk_crc
+    return (crc % 2).astype(np.uint8)
 
 
 def crc_verify(payload_bits, crc_bits, spec: CrcSpec) -> bool:

@@ -157,9 +157,7 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"labels must lie in [0, {n_classes})")
-    onehot = np.zeros((labels.size, n_classes))
-    onehot[np.arange(labels.size), labels] = 1.0
-    return onehot
+    return np.eye(n_classes)[labels]
 
 
 def cross_entropy(probabilities: np.ndarray, onehot_labels: np.ndarray) -> float:

@@ -391,24 +391,20 @@ def _receive(config: SimConfig, table: ConstellationTable, realization: ChannelR
 
 def run_trial(config: SimConfig, noise_power: float, trial_index: int,
               noise_index: int = 0, *, table: ConstellationTable | None = None,
-              crc_spec: CrcSpec | None = None, gain: float | None = None,
-              payload_bits=None, dnn_model: Network | None = None) -> TrialOutcome:
+              crc_spec: CrcSpec | None = None, payload_bits=None,
+              dnn_model: Network | None = None) -> TrialOutcome:
     """Transmit one transport block end to end and measure it.
 
     Randomness comes from the substream (seed, noise_index, trial_index);
     within a trial the draw order is fixed: payload bits (when not
     supplied), channel matrix, pilot construction, pilot noise, data noise.
     ``payload_bits`` may hold at most ``codeword_size`` bits (shorter
-    chunks are zero-padded by the framing layer). ``table``, ``crc_spec``
-    and the large-scale ``gain`` are fixed per sweep; each one not given
-    is derived from ``config``.
+    chunks are zero-padded by the framing layer).
     """
     if table is None:
         table = build_constellation(config.constellation, config.M_constellation)
     if crc_spec is None:
         crc_spec = CrcSpec(config.crc_generator)
-    if gain is None:
-        gain = link_gain(config)
     rng = substream(config.seed, _TRIAL_NS, noise_index, trial_index)
     if payload_bits is None:
         payload_bits = rng.integers(0, 2, size=config.codeword_size, dtype=np.uint8)
@@ -422,7 +418,7 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     block = build_transport_blocks(payload_bits, config.codeword_size, crc_spec,
                                    table.k, config.N_t)[0]
 
-    realization, h_hat = _estimate_channel(config, gain, noise_power, rng)
+    realization, h_hat = _estimate_channel(config, link_gain(config), noise_power, rng)
     # the column-major error vector fixes the summation order of the MSE
     est_mse = metrics.estimation_mse(metrics.error_vector(realization.H, h_hat),
                                      config.N_r, config.N_t)
@@ -506,7 +502,6 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
     validate_config(config)
     table = build_constellation(config.constellation, config.M_constellation)
     crc_spec = CrcSpec(config.crc_generator)
-    gain = link_gain(config)
 
     payload_chunks = None
     if config.payload is not None:
@@ -534,7 +529,7 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
 
         outcomes = [
             run_trial(trial_config, sigma2, trial_index, noise_index, table=table,
-                      crc_spec=crc_spec, gain=gain, dnn_model=dnn_model,
+                      crc_spec=crc_spec, dnn_model=dnn_model,
                       payload_bits=None if payload_chunks is None
                       else payload_chunks[trial_index % len(payload_chunks)])
             for trial_index in range(config.n_transmissions)

@@ -15,6 +15,7 @@ from mimolink.framing import (
     extract_and_check,
     load_payload_bits,
 )
+from mimolink.framing import _remainder_table
 
 DEFAULT_SPEC = CrcSpec("111")  # x^2 + x + 1
 
@@ -28,6 +29,26 @@ def gf2_remainder(message_bits, generator_bits):
             for j, g in enumerate(generator_bits):
                 work[i + j] ^= g
     return work[-r:] if r else []
+
+
+def gf2_power_mod(exponent, generator):
+    """x^exponent mod g over GF(2), polynomials as Python ints, by square and multiply."""
+    def mul_mod(a, b):
+        product = 0
+        while b:
+            if b & 1:
+                product ^= a
+            a, b = a << 1, b >> 1
+        while product.bit_length() >= generator.bit_length():
+            product ^= generator << (product.bit_length() - generator.bit_length())
+        return product
+
+    result, base = 1, 2  # 1 and x
+    while exponent:
+        if exponent & 1:
+            result = mul_mod(result, base)
+        base, exponent = mul_mod(base, base), exponent >> 1
+    return result
 
 
 class TestCrcSpec:
@@ -78,6 +99,29 @@ class TestCrcCompute:
         message = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
         crc = crc_compute(message, CrcSpec("10001000000100001"))
         assert int("".join(map(str, crc)), 2) == 0x31C3
+
+    def test_generator_longer_than_a_table_chunk(self):
+        """Degree 1030 exceeds the 1024-bit chunk of the remainder table."""
+        rng = np.random.default_rng(8)
+        generator = "1" + "".join(map(str, rng.integers(0, 2, size=1029))) + "1"
+        message = rng.integers(0, 2, size=2500).astype(np.uint8)
+        oracle = gf2_remainder(message.tolist(), [int(c) for c in generator])
+        np.testing.assert_array_equal(crc_compute(message, CrcSpec(generator)), oracle)
+
+    def test_megabit_message_keeps_the_table_bounded(self):
+        """A 2^20-bit message gives the XOR of x^(n-1-j) * x^r mod g over
+        its 1 bits j, and the cached table does not grow with its length."""
+        generator = "100000100110000010001110110110111"  # CRC-32, 0x104C11DB7
+        n = 2**20
+        ones = np.random.default_rng(5).choice(n, size=40, replace=False)
+        message = np.zeros(n, dtype=np.uint8)
+        message[ones] = 1
+        expected = 0
+        for j in ones:
+            expected ^= gf2_power_mod(n - 1 - int(j) + 32, int(generator, 2))
+        crc = crc_compute(message, CrcSpec(generator))
+        assert int("".join(map(str, crc)), 2) == expected
+        assert _remainder_table(generator).shape == (1024, 32)
 
     def test_systematic_property(self):
         """Recomputing over the payload reproduces the appended CRC."""

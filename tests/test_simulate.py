@@ -269,13 +269,6 @@ class TestRunTrial:
         assert not outcome.crc_ok
         assert (outcome.ser, outcome.ber) == (1.0, 1.0)
 
-    def test_given_gain_matches_derived_gain(self):
-        config = replace(FAST, G_override=None, noise_power=(1e-12,))
-        gain = sim.link_gain(config)
-        assert gain != 1.0
-        for trial in range(3):
-            assert run_trial(config, 1e-12, trial, gain=gain) == run_trial(config, 1e-12, trial)
-
 
 class TestRunSweep:
     def test_one_record_per_noise_power(self):
@@ -342,17 +335,6 @@ class TestRunSweep:
         monkeypatch.setattr(sim, "equalize_zf", lambda h, g, y: np.full((FAST.N_t, y.shape[1]), np.nan + 0j))
         [record] = run_sweep(replace(FAST, noise_power=(1e-3,), n_transmissions=5))
         assert (record.bler, record.ser, record.ber) == (1.0, 1.0, 1.0)
-
-    def test_link_gain_is_not_recomputed_per_trial(self, monkeypatch):
-        calls = []
-        original = sim.link_gain
-        monkeypatch.setattr(sim, "link_gain", lambda config: calls.append(1) or original(config))
-        config = replace(FAST, G_override=None, noise_power=(1e-12, 1e-3), n_transmissions=1)
-        run_sweep(config)
-        one_trial = len(calls)
-        records = run_sweep(replace(config, n_transmissions=6))
-        assert len(calls) == 2 * one_trial
-        assert records[0].bler == 0.0
 
     def test_dnn_sweep_smoke(self):
         config = replace(
