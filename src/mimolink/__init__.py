@@ -21,11 +21,9 @@ from .constellation import (
     symbols_to_bits,
 )
 from .estimation import (
-    PilotBlock,
     build_pilot_matrix,
     estimate_lmmse,
     estimate_ls,
-    transmit_pilots,
 )
 from .framing import (
     CrcSpec,

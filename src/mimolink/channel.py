@@ -41,26 +41,17 @@ class LinkGeometry:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One trial's channel: small-scale H, large-scale gain G, noise power."""
+    """One trial's channel: small-scale H (N_r x N_t), large-scale gain G, noise power."""
 
     H: np.ndarray
     G: float
     sigma2: float
-    N_r: int
-    N_t: int
 
     def __post_init__(self):
-        if self.H.shape != (self.N_r, self.N_t):
-            raise ValueError(f"H has shape {self.H.shape}, expected ({self.N_r}, {self.N_t})")
         if self.G <= 0:
             raise ValueError(f"G must be positive, got {self.G}")
         if self.sigma2 < 0:
             raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
-
-    @classmethod
-    def from_matrix(cls, H: np.ndarray, G: float, sigma2: float) -> "ChannelRealization":
-        n_rx, n_tx = H.shape
-        return cls(H=H, G=G, sigma2=sigma2, N_r=n_rx, N_t=n_tx)
 
 
 def large_scale_gain(geometry: LinkGeometry) -> float:
@@ -69,8 +60,6 @@ def large_scale_gain(geometry: LinkGeometry) -> float:
     G = (c / (4 pi f_c d_ref))^2 * (d_ref / d)^eta with d_ref = 1 m;
     reduces to plain free-space path loss for eta = 2.
     """
-    if geometry.d < REFERENCE_DISTANCE_M:
-        raise ValueError(f"d must be at least {REFERENCE_DISTANCE_M} m, got {geometry.d}")
     fspl_ref = (SPEED_OF_LIGHT / (4.0 * math.pi * geometry.f_c * REFERENCE_DISTANCE_M)) ** 2
     return fspl_ref * (REFERENCE_DISTANCE_M / geometry.d) ** geometry.eta
 
@@ -88,28 +77,27 @@ def sample_channel(n_rx: int, n_tx: int, rng: np.random.Generator) -> np.ndarray
     return raw * (np.sqrt(n_rx * n_tx) / np.linalg.norm(raw))
 
 
-def sample_noise(n_rx: int, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """Length-n_rx complex noise vector, per-entry variance sigma2."""
+def sample_noise(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+    """Complex noise of the given shape (an int is a vector length), per-entry
+    variance sigma2: sqrt(sigma2) CN(0, 1), or zeros without a draw at sigma2 = 0."""
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     if sigma2 == 0:
-        return np.zeros(n_rx, dtype=complex)
-    return np.sqrt(sigma2) * complex_gaussian(rng, n_rx)
+        return np.zeros(shape, dtype=complex)
+    return np.sqrt(sigma2) * complex_gaussian(rng, shape)
 
 
 def apply_channel(realization: ChannelRealization, x, rng: np.random.Generator) -> np.ndarray:
     """y = sqrt(G) H x + n with a fresh noise draw per channel use.
 
     ``x`` is one column vector of length N_t or a batch of channel uses as
-    an (N_t, n_uses) matrix; the output matches. Callers apply the
-    1/sqrt(N_t) transmit power scaling before calling.
+    an (N_t, n_uses) matrix, such as a pilot matrix X_P; the output
+    matches. Callers apply the 1/sqrt(N_t) transmit power scaling to data
+    symbols before calling.
     """
+    n_rx, n_tx = realization.H.shape
     x = np.asarray(x, dtype=complex)
-    if x.ndim not in (1, 2) or x.shape[0] != realization.N_t:
-        raise ValueError(f"x has shape {x.shape}, expected ({realization.N_t},) or ({realization.N_t}, n)")
-    noise_shape = (realization.N_r,) if x.ndim == 1 else (realization.N_r, x.shape[1])
-    if realization.sigma2 == 0:
-        noise = np.zeros(noise_shape, dtype=complex)
-    else:
-        noise = np.sqrt(realization.sigma2) * complex_gaussian(rng, noise_shape)
+    if x.ndim not in (1, 2) or x.shape[0] != n_tx:
+        raise ValueError(f"x has shape {x.shape}, expected ({n_tx},) or ({n_tx}, n)")
+    noise = sample_noise((n_rx,) + x.shape[1:], realization.sigma2, rng)
     return np.sqrt(realization.G) * (realization.H @ x) + noise

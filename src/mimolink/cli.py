@@ -6,13 +6,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .framing import FramingError
 from .simulate import (
-    CSV_COLUMNS,
     DETECTORS,
     EQUALIZERS,
     ESTIMATORS,
-    ConfigError,
+    _checked_columns,
     load_config,
     run_sweep,
     write_csv,
@@ -56,23 +54,17 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, overrides)
         extract_columns = None
-        if args.extract:
-            extract_columns = tuple(c.strip() for c in args.extract.split(",") if c.strip())
-            unknown = [c for c in extract_columns if c not in CSV_COLUMNS]
-            if unknown:
-                raise ConfigError(
-                    f"unknown extract column(s): {', '.join(unknown)}; "
-                    f"valid: {', '.join(CSV_COLUMNS)}"
-                )
+        if args.extract is not None:
+            extract_columns = _checked_columns(c.strip() for c in args.extract.split(",") if c.strip())
         records = run_sweep(config)
         write_csv(records, config.output)
         print(f"wrote {len(records)} records to {config.output}")
-        if extract_columns:
+        if extract_columns is not None:
             extract_path = args.extract_output or _default_extract_path(config.output)
             write_extract(records, extract_columns, extract_path)
             print(f"wrote extract ({', '.join(extract_columns)}) to {extract_path}")
         return 0
-    except (ConfigError, FramingError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and FramingError are ValueErrors
         print(f"simulate: error: {exc}", file=sys.stderr)
         return 2
 

@@ -59,10 +59,12 @@ def build_constellation(scheme: str, M: int) -> ConstellationTable:
     """
     if scheme not in ("QPSK", "QAM"):
         raise ValueError(f"unknown constellation scheme {scheme!r}; expected 'QPSK' or 'QAM'")
-    if scheme == "QPSK" and M != 4:
-        raise ValueError(f"QPSK implies M = 4, got M = {M}")
+    if M < 2 or M & (M - 1):
+        raise ValueError(f"constellation size M = {M} is invalid. Must be a power of two")
     if M not in SUPPORTED_SIZES:
         raise ValueError(f"unsupported constellation size M = {M}; supported sizes: {SUPPORTED_SIZES}")
+    if scheme == "QPSK" and M != 4:
+        raise ValueError(f"QPSK implies M = 4, got M = {M}")
 
     side = math.isqrt(M)
     k = int(math.log2(M))

@@ -2,28 +2,19 @@
 
 Pilot matrices are semi-unitary by construction (X_P X_P^* = I), so both
 estimators reduce to a scaled correlation Y_P X_P^*. The general matrix
-forms are kept for user-supplied pilots.
+forms are kept for user-supplied pilots. The received pilots
+Y_P = sqrt(G) H X_P + N come from :func:`mimolink.channel.apply_channel`,
+the same channel the data symbols cross.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelRealization, complex_gaussian
+from .channel import complex_gaussian
 
 SEMI_UNITARY_TOL = 1e-10
 PILOT_MODES = ("unitary-random", "permutation")
-
-
-@dataclass(frozen=True)
-class PilotBlock:
-    """Known pilot matrix and the received pilots for one estimation pass."""
-
-    X_P: np.ndarray   # (N_t, n_pilot)
-    Y_P: np.ndarray   # (N_r, n_pilot)
-    n_pilot: int
 
 
 def build_pilot_matrix(n_tx: int, n_pilot: int, rng: np.random.Generator,
@@ -50,20 +41,6 @@ def build_pilot_matrix(n_tx: int, n_pilot: int, rng: np.random.Generator,
     x_p = np.zeros((n_tx, n_pilot), dtype=complex)
     x_p[:, :n_tx] = q
     return x_p
-
-
-def transmit_pilots(realization: ChannelRealization, x_p: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Y_P = sqrt(G) H X_P + N, one independent noise column per pilot symbol."""
-    x_p = np.asarray(x_p, dtype=complex)
-    if x_p.ndim != 2 or x_p.shape[0] != realization.N_t:
-        raise ValueError(f"X_P has shape {x_p.shape}, expected ({realization.N_t}, n_pilot)")
-    shape = (realization.N_r, x_p.shape[1])
-    if realization.sigma2 == 0:
-        noise = np.zeros(shape, dtype=complex)
-    else:
-        noise = np.sqrt(realization.sigma2) * complex_gaussian(rng, shape)
-    return np.sqrt(realization.G) * (realization.H @ x_p) + noise
 
 
 def _gram_and_correlation(y_p, x_p):

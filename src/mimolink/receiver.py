@@ -12,8 +12,11 @@ import numpy as np
 
 from .constellation import ConstellationTable
 
-# bound on the per-chunk (n_symbols x M) distance matrix
-_DETECT_CHUNK = 1 << 13
+# bound on the entries of a per-chunk (n_symbols x M) distance matrix: at
+# 16 bytes an entry its temporaries stay below glibc's 128 KiB mmap and
+# trim thresholds, so they are reused from the heap instead of being
+# mapped and page-faulted afresh on every call
+_DETECT_ENTRIES = 1 << 12
 
 
 def equalize_zf(h_hat: np.ndarray, G: float, y) -> np.ndarray:
@@ -62,8 +65,9 @@ def detect_ml(s_hat, table: ConstellationTable) -> np.ndarray:
     """
     s = np.asarray(s_hat, dtype=complex).ravel()
     indices = np.empty(s.size, dtype=np.int64)
-    for start in range(0, s.size, _DETECT_CHUNK):
-        chunk = s[start:start + _DETECT_CHUNK]
+    step = max(1, _DETECT_ENTRIES // table.M)
+    for start in range(0, s.size, step):
+        chunk = s[start:start + step]
         distances = np.abs(chunk[:, None] - table.points[None, :])
         indices[start:start + chunk.size] = distances.argmin(axis=1)
     return indices
@@ -80,8 +84,9 @@ def detect_kmeans(s_hat_batch, table: ConstellationTable) -> np.ndarray:
     features = np.column_stack([s.real, s.imag])
     centroids = np.column_stack([table.points.real, table.points.imag])
     indices = np.empty(s.size, dtype=np.int64)
-    for start in range(0, s.size, _DETECT_CHUNK):
-        chunk = features[start:start + _DETECT_CHUNK]
+    step = max(1, _DETECT_ENTRIES // table.M)
+    for start in range(0, s.size, step):
+        chunk = features[start:start + step]
         sq_dist = ((chunk[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         indices[start:start + chunk.shape[0]] = sq_dist.argmin(axis=1)
     return indices

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import metrics
 from .channel import ChannelRealization, LinkGeometry, apply_channel, large_scale_gain, sample_channel
-from .constellation import SUPPORTED_SIZES, ConstellationTable, build_constellation, map_bits_to_symbols, symbols_to_bits
-from .estimation import PILOT_MODES, build_pilot_matrix, estimate_lmmse, estimate_ls, transmit_pilots
+from .constellation import ConstellationTable, build_constellation, map_bits_to_symbols, symbols_to_bits
+from .estimation import PILOT_MODES, build_pilot_matrix, estimate_lmmse, estimate_ls
 from .framing import CrcSpec, block_total_bits, build_transport_blocks, extract_and_check, load_payload_bits
 from .neural import (
     Hyperparameters,
@@ -154,19 +154,16 @@ def validate_config(config: SimConfig) -> None:
                  "dnn_depth", "dnn_width", "dnn_train_samples"):
         if getattr(config, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(config, name)}")
-    for name, choices in (("constellation", ("QAM", "QPSK")), ("pilot_mode", PILOT_MODES),
-                          ("detector", DETECTORS), ("estimator", ESTIMATORS),
-                          ("equalizer", EQUALIZERS), ("dnn_features", FEATURE_MODES),
-                          ("dnn_labels", LABEL_SOURCES)):
+    for name, choices in (("pilot_mode", PILOT_MODES), ("detector", DETECTORS),
+                          ("estimator", ESTIMATORS), ("equalizer", EQUALIZERS),
+                          ("dnn_features", FEATURE_MODES), ("dnn_labels", LABEL_SOURCES)):
         if getattr(config, name) not in choices:
             raise ConfigError(f"{name} = {getattr(config, name)!r}; expected one of {choices}")
-    m = config.M_constellation
-    if m < 2 or (m & (m - 1)):
-        raise ConfigError(f"M_constellation = {m} invalid: Must be a power of two")
-    if m not in SUPPORTED_SIZES:
-        raise ConfigError(f"M_constellation = {m} unsupported; supported sizes: {SUPPORTED_SIZES}")
-    if config.constellation == "QPSK" and m != 4:
-        raise ConfigError(f"constellation QPSK implies M_constellation = 4, got {m}")
+    try:
+        k = build_constellation(config.constellation, config.M_constellation).k
+    except ValueError as exc:
+        raise ConfigError(f"constellation = {config.constellation!r}, "
+                          f"M_constellation = {config.M_constellation}: {exc}") from exc
     try:
         crc = CrcSpec(config.crc_generator)
     except ValueError as exc:
@@ -207,7 +204,7 @@ def validate_config(config: SimConfig) -> None:
     for sigma2 in config.noise_power:
         # the SNR columns take log10(sigma2 * N_t * k), and the receiver
         # squares sums of amplitudes of order sqrt(sigma2 / G)
-        if not math.isfinite(sigma2 * config.N_t * math.log2(m)) or not 1e-300 <= gain / sigma2 <= 1e300:
+        if not math.isfinite(sigma2 * config.N_t * k) or not 1e-300 <= gain / sigma2 <= 1e300:
             raise ConfigError(f"noise_power = {sigma2} is out of range for link gain {gain} (G_override, "
                               f"or f_c, d, eta): G / noise_power must lie within +-3000 dB")
 
@@ -228,6 +225,10 @@ def _coerce(name: str, value):
             return None
         kind = kind.removesuffix(" | None")
     if kind == "int":
+        if isinstance(value, str):
+            value = _parse_value(value)
+        if isinstance(value, (int, np.integer)):
+            return int(value)  # exact however large; float() would round above 2**53
         try:
             as_float = float(value)
         except (TypeError, ValueError) as exc:
@@ -358,10 +359,9 @@ def _estimate_channel(config: SimConfig, gain: float, noise_power: float,
 
     Draw order: channel matrix, pilot construction, pilot noise.
     """
-    h = sample_channel(config.N_r, config.N_t, rng)
-    realization = ChannelRealization.from_matrix(h, gain, noise_power)
+    realization = ChannelRealization(sample_channel(config.N_r, config.N_t, rng), gain, noise_power)
     x_p = build_pilot_matrix(config.N_t, config.n_pilot, rng, config.pilot_mode)
-    y_p = transmit_pilots(realization, x_p, rng)
+    y_p = apply_channel(realization, x_p, rng)
     if config.estimator == "ls":
         return realization, estimate_ls(y_p, x_p, gain)
     return realization, estimate_lmmse(y_p, x_p, gain, noise_power)
@@ -565,6 +565,18 @@ def write_csv(records: list[SweepRecord], path) -> None:
     write_extract(records, CSV_COLUMNS, path)
 
 
+def _checked_columns(columns) -> tuple[str, ...]:
+    """The selected output columns as a tuple; raise ``ValueError`` when the
+    selection is empty or names a column that is not in ``CSV_COLUMNS``."""
+    columns = tuple(columns)
+    if not columns:
+        raise ValueError(f"no columns selected; valid: {', '.join(CSV_COLUMNS)}")
+    unknown = [c for c in columns if c not in CSV_COLUMNS]
+    if unknown:
+        raise ValueError(f"unknown column(s): {', '.join(unknown)}; valid: {', '.join(CSV_COLUMNS)}")
+    return columns
+
+
 def write_extract(records: list[SweepRecord], columns, path) -> None:
     """Write the given columns (e.g. snr_tx_db,bler) of each record as CSV.
 
@@ -574,12 +586,7 @@ def write_extract(records: list[SweepRecord], columns, path) -> None:
     """
     if not records:
         raise ValueError("no records to write")
-    columns = tuple(columns)
-    unknown = [c for c in columns if c not in CSV_COLUMNS]
-    if unknown:
-        raise ValueError(f"unknown column(s): {', '.join(unknown)}; valid: {', '.join(CSV_COLUMNS)}")
-    if not columns:
-        raise ValueError("no columns selected")
+    columns = _checked_columns(columns)
     lines = [",".join(columns)]
     for record in records:
         lines.append(",".join(_format_field(getattr(record, col)) for col in columns))

@@ -13,7 +13,7 @@ from scipy import special
 
 from mimolink.channel import ChannelRealization, apply_channel, sample_channel
 from mimolink.constellation import build_constellation, map_bits_to_symbols, symbols_to_bits
-from mimolink.estimation import build_pilot_matrix, estimate_lmmse, estimate_ls, transmit_pilots
+from mimolink.estimation import build_pilot_matrix, estimate_lmmse, estimate_ls
 from mimolink.framing import CrcSpec, crc_compute, crc_verify
 from mimolink.metrics import tx_ebn0_db, tx_snr_db
 from mimolink.neural import (
@@ -65,9 +65,9 @@ def test_criterion_02_noiseless_ls_identity():
         n_pilot = int(rng.integers(n_tx, 17))
         gain = float(10 ** rng.uniform(-2, 2))
         h = sample_channel(n_rx, n_tx, rng)
-        realization = ChannelRealization.from_matrix(h, gain, 0.0)
+        realization = ChannelRealization(h, gain, 0.0)
         x_p = build_pilot_matrix(n_tx, n_pilot, rng)
-        h_hat = estimate_ls(transmit_pilots(realization, x_p, rng), x_p, gain)
+        h_hat = estimate_ls(apply_channel(realization, x_p, rng), x_p, gain)
         mse = float(np.mean(np.abs(h - h_hat) ** 2))
         worst = max(worst, mse)
         assert mse < 1e-18
@@ -84,9 +84,9 @@ def test_criterion_03_estimation_mse_closed_forms():
         ls_total = lmmse_total = 0.0
         for _ in range(n_realizations):
             h = sample_channel(n_rx, n_tx, rng)
-            realization = ChannelRealization.from_matrix(h, 1.0, sigma2)
+            realization = ChannelRealization(h, 1.0, sigma2)
             x_p = build_pilot_matrix(n_tx, n_pilot, rng)
-            y_p = transmit_pilots(realization, x_p, rng)
+            y_p = apply_channel(realization, x_p, rng)
             ls_total += np.mean(np.abs(h - estimate_ls(y_p, x_p, 1.0)) ** 2)
             lmmse_total += np.mean(np.abs(h - estimate_lmmse(y_p, x_p, 1.0, sigma2)) ** 2)
         ls_mse = ls_total / n_realizations
@@ -131,7 +131,7 @@ def test_criterion_05_awgn_ber_oracle():
         for start in range(0, n_symbols, block):
             idx = tx_idx[start:start + block]
             h = sample_channel(1, 1, rng)
-            realization = ChannelRealization.from_matrix(h, 1.0, sigma2)
+            realization = ChannelRealization(h, 1.0, sigma2)
             y = apply_channel(realization, table.points[idx][None, :], rng)
             s_hat = equalize_zf(h, 1.0, y).ravel()  # perfect CSI
             rx_idx = detect_ml(s_hat, table)
@@ -186,7 +186,7 @@ def test_criterion_07_dnn_detector_parity():
     n_test = 10_000
     tx = rng.integers(0, 4, size=n_test)
     h = sample_channel(1, 1, rng)
-    realization = ChannelRealization.from_matrix(h, 1.0, 1e-3)
+    realization = ChannelRealization(h, 1.0, 1e-3)
     y = apply_channel(realization, table.points[tx][None, :], rng)
     s_hat = equalize_zf(h, 1.0, y).ravel()
     ml_idx = detect_ml(s_hat, table)

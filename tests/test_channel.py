@@ -104,10 +104,18 @@ class TestSampleNoise:
         with pytest.raises(ValueError):
             sample_noise(4, -0.1, np.random.default_rng(0))
 
+    def test_shape_tuple(self):
+        draws = sample_noise((3, 4), 0.5, np.random.default_rng(5))
+        assert draws.shape == (3, 4) and draws.dtype == complex
+        # same stream, same order as the flat draw
+        flat = sample_noise(12, 0.5, np.random.default_rng(5))
+        np.testing.assert_array_equal(draws.ravel(), flat)
+        np.testing.assert_array_equal(sample_noise((3, 4), 0.0, np.random.default_rng(5)), np.zeros((3, 4)))
+
 
 class TestApplyChannel:
     def _realization(self, h, gain=1.0, sigma2=0.0):
-        return ChannelRealization.from_matrix(np.asarray(h, dtype=complex), gain, sigma2)
+        return ChannelRealization(np.asarray(h, dtype=complex), gain, sigma2)
 
     def test_identity_channel_passthrough(self):
         rng = np.random.default_rng(5)
@@ -159,9 +167,26 @@ class TestApplyChannel:
 
     def test_realization_shape_validation(self):
         with pytest.raises(ValueError):
-            ChannelRealization(H=np.eye(2), G=1.0, sigma2=0.0, N_r=3, N_t=2)
-        with pytest.raises(ValueError):
-            ChannelRealization.from_matrix(np.eye(2), G=0.0, sigma2=0.0)
+            ChannelRealization(np.eye(2), G=0.0, sigma2=0.0)
+
+    def test_noise_is_the_sample_noise_draw(self):
+        """The noise in y on a fixed stream is sample_noise's draw, bit for bit.
+
+        y - sqrt(G) H x would round, so the sum is rebuilt instead, and a
+        zero input, where y is the noise itself, pins it exactly.
+        """
+        rng = np.random.default_rng(11)
+        h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        x = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+        realization = self._realization(h, gain=2.0, sigma2=0.3)
+        noise = sample_noise((3, 5), 0.3, np.random.default_rng(12))
+        y = apply_channel(realization, x, np.random.default_rng(12))
+        np.testing.assert_array_equal(y, np.sqrt(2.0) * (h @ x) + noise)
+        y0 = apply_channel(realization, np.zeros((2, 5)), np.random.default_rng(12))
+        np.testing.assert_array_equal(y0, noise)
+        np.testing.assert_array_equal(
+            apply_channel(realization, np.zeros(2), np.random.default_rng(12)),
+            sample_noise(3, 0.3, np.random.default_rng(12)))
 
     def test_sigma2_from_density_times_bandwidth(self):
         geo = LinkGeometry(f_c=1.8e9, d=10, eta=2, B=1e6, N0=4e-15)

@@ -79,3 +79,20 @@ class TestCli:
     def test_unknown_extract_column_exits_before_the_sweep(self, fast_config, capsys):
         assert main(["--config", str(fast_config), "--extract", "bogus"]) != 0
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("selection", [",", "", " , "])
+    def test_empty_extract_selection_exits_before_the_sweep(self, fast_config, tmp_path, capsys, selection):
+        assert main(["--config", str(fast_config), "--extract", selection]) != 0
+        assert "no columns selected" in capsys.readouterr().err
+        assert not (tmp_path / "output.csv").exists()
+
+    def test_seed_above_2_to_the_64_reaches_the_csv_exactly(self, fast_config, tmp_path):
+        rows = {}
+        for seed in (2**64, 2**64 + 1):
+            out = tmp_path / f"seed{seed}.csv"
+            assert main(["--config", str(fast_config), "--seed", str(seed), "--output", str(out)]) == 0
+            lines = out.read_text().splitlines()[1:]
+            assert all(line.endswith(f",{seed}") for line in lines)
+            rows[seed] = [line.rsplit(",", 1)[0] for line in lines]
+        # different streams, so the measures differ too
+        assert rows[2**64] != rows[2**64 + 1]

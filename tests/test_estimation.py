@@ -3,17 +3,12 @@
 import numpy as np
 import pytest
 
-from mimolink.channel import ChannelRealization, sample_channel
-from mimolink.estimation import (
-    build_pilot_matrix,
-    estimate_lmmse,
-    estimate_ls,
-    transmit_pilots,
-)
+from mimolink.channel import ChannelRealization, apply_channel, sample_channel
+from mimolink.estimation import build_pilot_matrix, estimate_lmmse, estimate_ls
 
 
 def realization(h, gain=1.0, sigma2=0.0):
-    return ChannelRealization.from_matrix(np.asarray(h, dtype=complex), gain, sigma2)
+    return ChannelRealization(np.asarray(h, dtype=complex), gain, sigma2)
 
 
 class TestPilotMatrix:
@@ -49,25 +44,27 @@ class TestPilotMatrix:
 
 
 class TestTransmitPilots:
+    """Pilot matrices sent through apply_channel as a batch of channel uses."""
+
     def test_noiseless_is_plain_product(self):
         rng = np.random.default_rng(3)
         h = sample_channel(3, 2, rng)
         x_p = build_pilot_matrix(2, 5, rng)
-        y_p = transmit_pilots(realization(h), x_p, rng)
+        y_p = apply_channel(realization(h), x_p, rng)
         np.testing.assert_allclose(y_p, h @ x_p, atol=1e-14)
 
     def test_identity_pilots_reveal_the_scaled_channel(self):
         rng = np.random.default_rng(4)
         h = sample_channel(4, 4, rng)
         x_p = np.concatenate([np.eye(4), np.zeros((4, 3))], axis=1)
-        y_p = transmit_pilots(realization(h, gain=2.25), x_p, rng)
+        y_p = apply_channel(realization(h, gain=2.25), x_p, rng)
         np.testing.assert_allclose(y_p[:, :4], 1.5 * h, atol=1e-13)
 
     def test_matches_brute_force_multiply_oracle(self):
         rng = np.random.default_rng(5)
         h = sample_channel(2, 2, rng)
         x_p = build_pilot_matrix(2, 3, rng)
-        y_p = transmit_pilots(realization(h), x_p, rng)
+        y_p = apply_channel(realization(h), x_p, rng)
         oracle = np.zeros((2, 3), dtype=complex)
         for i in range(2):
             for j in range(3):
@@ -78,7 +75,7 @@ class TestTransmitPilots:
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
-            transmit_pilots(realization(np.eye(2)), np.zeros((3, 4)), rng)
+            apply_channel(realization(np.eye(2)), np.zeros((3, 4)), rng)
 
 
 class TestLeastSquares:
@@ -87,7 +84,7 @@ class TestLeastSquares:
         for gain in (1.0, 4.0, 0.25):
             h = sample_channel(4, 4, rng)
             x_p = build_pilot_matrix(4, 8, rng)
-            y_p = transmit_pilots(realization(h, gain=gain), x_p, rng)
+            y_p = apply_channel(realization(h, gain=gain), x_p, rng)
             np.testing.assert_allclose(estimate_ls(y_p, x_p, gain), h, atol=1e-10)
 
     def test_per_entry_mse_equals_sigma2(self):
@@ -99,7 +96,7 @@ class TestLeastSquares:
         for _ in range(n_trials):
             h = sample_channel(4, 4, rng)
             x_p = build_pilot_matrix(4, 8, rng)
-            y_p = transmit_pilots(realization(h, sigma2=sigma2), x_p, rng)
+            y_p = apply_channel(realization(h, sigma2=sigma2), x_p, rng)
             h_hat = estimate_ls(y_p, x_p, 1.0)
             total += np.mean(np.abs(h - h_hat) ** 2)
         assert abs(total / n_trials - sigma2) < 0.05 * sigma2
@@ -108,7 +105,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(9)
         h = sample_channel(3, 3, rng)
         x_p = build_pilot_matrix(3, 6, rng)
-        y_p = transmit_pilots(realization(h, sigma2=0.05), x_p, rng)
+        y_p = apply_channel(realization(h, sigma2=0.05), x_p, rng)
         shortcut = estimate_ls(y_p, x_p, 1.0)
         gram = x_p @ x_p.conj().T
         general = y_p @ x_p.conj().T @ np.linalg.inv(gram)
@@ -119,7 +116,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(10)
         h = sample_channel(3, 2, rng)
         x_p = (rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)))
-        y_p = transmit_pilots(realization(h, sigma2=0.02), x_p, rng)
+        y_p = apply_channel(realization(h, sigma2=0.02), x_p, rng)
         gram = x_p @ x_p.conj().T
         oracle = y_p @ x_p.conj().T @ np.linalg.inv(gram)
         np.testing.assert_allclose(estimate_ls(y_p, x_p, 1.0), oracle, atol=1e-11)
@@ -140,7 +137,7 @@ class TestLmmse:
         rng = np.random.default_rng(11)
         h = sample_channel(4, 4, rng)
         x_p = build_pilot_matrix(4, 8, rng)
-        y_p = transmit_pilots(realization(h, gain=2.0, sigma2=0.0), x_p, rng)
+        y_p = apply_channel(realization(h, gain=2.0, sigma2=0.0), x_p, rng)
         np.testing.assert_allclose(
             estimate_lmmse(y_p, x_p, 2.0, 0.0), estimate_ls(y_p, x_p, 2.0), atol=1e-12
         )
@@ -150,7 +147,7 @@ class TestLmmse:
         rng = np.random.default_rng(12)
         h = sample_channel(3, 3, rng)
         x_p = build_pilot_matrix(3, 4, rng)
-        y_p = transmit_pilots(realization(h, sigma2=0.0), x_p, rng)
+        y_p = apply_channel(realization(h, sigma2=0.0), x_p, rng)
         np.testing.assert_allclose(estimate_lmmse(y_p, x_p, 1.0, 1.0), h / 2, atol=1e-12)
 
     def test_per_entry_mse_matches_shrinkage_closed_form(self):
@@ -162,7 +159,7 @@ class TestLmmse:
         for _ in range(n_trials):
             h = sample_channel(4, 4, rng)
             x_p = build_pilot_matrix(4, 8, rng)
-            y_p = transmit_pilots(realization(h, sigma2=sigma2), x_p, rng)
+            y_p = apply_channel(realization(h, sigma2=sigma2), x_p, rng)
             h_hat = estimate_lmmse(y_p, x_p, 1.0, sigma2)
             total += np.mean(np.abs(h - h_hat) ** 2)
         expected = sigma2 / (1 + sigma2)
@@ -175,7 +172,7 @@ class TestLmmse:
         for _ in range(400):
             h = sample_channel(4, 4, rng)
             x_p = build_pilot_matrix(4, 8, rng)
-            y_p = transmit_pilots(realization(h, sigma2=sigma2), x_p, rng)
+            y_p = apply_channel(realization(h, sigma2=sigma2), x_p, rng)
             ls_total += np.mean(np.abs(h - estimate_ls(y_p, x_p, 1.0)) ** 2)
             lmmse_total += np.mean(np.abs(h - estimate_lmmse(y_p, x_p, 1.0, sigma2)) ** 2)
         assert lmmse_total < ls_total

@@ -30,7 +30,7 @@ class TestZeroForcing:
         rng = np.random.default_rng(2)
         h = random_channel(4, 4, rng)
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        realization = ChannelRealization.from_matrix(h, 3.0, 0.0)
+        realization = ChannelRealization(h, 3.0, 0.0)
         y = apply_channel(realization, x, rng)
         s_hat = equalize_zf(h, 3.0, y)
         assert np.linalg.norm(s_hat - x) < 1e-9
@@ -102,7 +102,7 @@ class TestLmmseEqualizer:
         zf_errors = lmmse_errors = total = 0
         for _ in range(250):
             h = random_channel(n_rx, n_tx, rng)
-            realization = ChannelRealization.from_matrix(h, 1.0, sigma2)
+            realization = ChannelRealization(h, 1.0, sigma2)
             tx = rng.integers(0, 16, size=n_tx * uses_per_channel)
             x = table.points[tx].reshape(uses_per_channel, n_tx).T / np.sqrt(n_tx)
             y = apply_channel(realization, x, rng)

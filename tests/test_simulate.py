@@ -149,6 +149,7 @@ class TestLoadConfig:
     ("G_override = none\nd = 1e200", "d"),
     ("seed = -1", "seed"),
     ("seed = nan", "seed"),
+    ("N_t = 2.5", "N_t"),
     ("n_transmissions = inf", "n_transmissions"),
     ("noise_power = 1e308", "noise_power"),
     ("G_override = 1e-300\nnoise_power = 1e10", "G_override"),
@@ -161,6 +162,22 @@ def test_out_of_range_values_rejected_naming_the_key(tmp_path, text, key):
     path.write_text(text + "\n")
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
         load_config(path)
+
+
+@pytest.mark.parametrize("seed", [2**53 + 1, 2**64 + 1])
+def test_integers_above_2_to_the_53_stay_exact(tmp_path, seed):
+    """Integer keys are not sent through float, which would round them."""
+    path = tmp_path / "seed.cfg"
+    path.write_text(f"seed = {seed}\n")
+    assert load_config(path).seed == seed
+    assert load_config(None, {"seed": seed}).seed == seed
+    assert load_config(None, {"seed": str(seed)}).seed == seed
+
+
+@pytest.mark.parametrize("key, value", [("seed", "nan"), ("N_t", "2.5")])
+def test_non_integral_text_override_rejected_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        load_config(None, {key: value})
 
 
 _EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e-12,
@@ -490,6 +507,11 @@ class TestCsvOutput:
             write_csv(self._records(), path)
         assert path.read_bytes() == b"previous contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_extract_empty_selection_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no columns"):
+            write_extract(self._records(), (), tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_extract_unknown_column_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nope"):
