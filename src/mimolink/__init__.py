@@ -28,14 +28,13 @@ from .estimation import (
 from .framing import (
     CrcSpec,
     FramingError,
-    TransportBlock,
     build_transport_blocks,
     crc_compute,
     crc_verify,
     extract_and_check,
     load_payload_bits,
 )
-from .metrics import bler, classification_error, error_vector, estimation_mse, tx_ebn0_db, tx_snr_db
+from .metrics import bler, error_vector, estimation_mse, tx_ebn0_db, tx_snr_db
 from .neural import (
     Hyperparameters,
     Network,

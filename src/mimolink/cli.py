@@ -43,7 +43,10 @@ def _default_extract_path(output: str) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.extract_output is not None and args.extract is None:
+        parser.error("--extract-output needs --extract")
     overrides = {
         "seed": args.seed,
         "detector": args.detector,

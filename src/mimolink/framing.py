@@ -1,4 +1,4 @@
-"""CRC framing: payload bit streams cut into CRC-protected transport blocks.
+"""CRC framing: one payload of up to ``codeword_size`` bits per transport block.
 
 Block layout is [payload | zero padding | CRC]: the CRC covers the payload
 only and always sits at the very end of the block. Block length is the
@@ -43,22 +43,6 @@ class CrcSpec:
     @property
     def crc_length(self) -> int:
         return len(self.generator) - 1
-
-
-@dataclass(frozen=True)
-class TransportBlock:
-    """One CRC-protected unit of payload bits sized for the symbol grid."""
-
-    payload_bits: np.ndarray
-    pad_bits: np.ndarray
-    crc_bits: np.ndarray
-    block_index: int
-    total_bits: int
-    symbols_per_block: int
-
-    def bits(self) -> np.ndarray:
-        """Assembled on-air bits: [payload | padding | CRC]."""
-        return np.concatenate([self.payload_bits, self.pad_bits, self.crc_bits])
 
 
 def load_payload_bits(path) -> np.ndarray:
@@ -139,35 +123,21 @@ def block_total_bits(codeword_size: int, spec: CrcSpec, k: int, n_tx: int) -> in
     return math.ceil((codeword_size + spec.crc_length) / grid) * grid
 
 
-def build_transport_blocks(bits, codeword_size: int, spec: CrcSpec, k: int, n_tx: int) -> list[TransportBlock]:
-    """Segment a bit stream into uniform CRC-protected transport blocks.
+def build_transport_blocks(payload_bits, codeword_size: int, spec: CrcSpec, k: int, n_tx: int) -> np.ndarray:
+    """On-air bits of one transport block, [payload | zero padding | CRC], as uint8.
 
-    The final partial codeword is zero-padded to ``codeword_size`` before
-    its CRC is computed, so every block has the same on-air length.
+    The payload holds 1..``codeword_size`` bits; a shorter one is
+    zero-padded to ``codeword_size`` before its CRC is computed, so every
+    block has the same on-air length.
     """
-    if codeword_size < 1:
-        raise ValueError(f"codeword_size must be >= 1, got {codeword_size}")
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
-    if bits.size == 0:
-        return []
-    total = block_total_bits(codeword_size, spec, k, n_tx)
-    n_pad = total - codeword_size - spec.crc_length
-    blocks = []
-    for index in range(math.ceil(bits.size / codeword_size)):
-        chunk = bits[index * codeword_size:(index + 1) * codeword_size]
-        if chunk.size < codeword_size:
-            chunk = np.concatenate([chunk, np.zeros(codeword_size - chunk.size, dtype=np.uint8)])
-        blocks.append(
-            TransportBlock(
-                payload_bits=chunk,
-                pad_bits=np.zeros(n_pad, dtype=np.uint8),
-                crc_bits=crc_compute(chunk, spec),
-                block_index=index,
-                total_bits=total,
-                symbols_per_block=total // k,
-            )
-        )
-    return blocks
+    payload = np.asarray(payload_bits, dtype=np.uint8).ravel()
+    if not 0 < payload.size <= codeword_size:
+        raise ValueError(f"a transport block holds 1..codeword_size = {codeword_size} "
+                         f"payload bits, got {payload.size}")
+    block = np.zeros(block_total_bits(codeword_size, spec, k, n_tx), dtype=np.uint8)
+    block[:payload.size] = payload
+    block[block.size - spec.crc_length:] = crc_compute(block[:codeword_size], spec)
+    return block
 
 
 def extract_and_check(received_bits, codeword_size: int, spec: CrcSpec, k: int, n_tx: int):

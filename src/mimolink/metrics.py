@@ -70,7 +70,3 @@ def ber(tx_bits, rx_bits) -> float:
     """Bit error rate over aligned bit sequences."""
     return _mismatch_rate(tx_bits, rx_bits)
 
-
-def classification_error(y_true, y_pred) -> float:
-    """Mean of the indicator [y_true != y_pred]; accuracy is its complement."""
-    return _mismatch_rate(y_true, y_pred)

@@ -93,10 +93,6 @@ class Network:
         self.biases = biases
         self.rng = rng
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
 
 def init_network(spec: NetworkSpec, rng: np.random.Generator | None = None) -> Network:
     """Glorot-uniform weights in +/- sqrt(6 / (fan_in + fan_out)), zero biases."""
@@ -277,9 +273,12 @@ def save_network(network: Network, path) -> None:
 def load_network(path) -> Network:
     """Inverse of :func:`save_network`."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    dims = [int(tok) for tok in lines[0].split()]
+    dims = [int(tok) for tok in lines[0].split()] if lines else []
     if len(dims) < 3:
         raise ValueError(f"network file {path} must list input, hidden and output dims")
+    if len(lines) != 2 * len(dims) - 1:
+        raise ValueError(f"network file {path} has {len(lines)} lines, expected "
+                         f"{2 * len(dims) - 1} for {len(dims) - 1} layers")
     hidden = dims[1:-1]
     if any(h != hidden[0] for h in hidden):
         raise ValueError(f"network file {path} has non-uniform hidden widths {hidden}")

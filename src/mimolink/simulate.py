@@ -398,8 +398,7 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     Randomness comes from the substream (seed, noise_index, trial_index);
     within a trial the draw order is fixed: payload bits (when not
     supplied), channel matrix, pilot construction, pilot noise, data noise.
-    ``payload_bits`` may hold at most ``codeword_size`` bits (shorter
-    chunks are zero-padded by the framing layer).
+    ``build_transport_blocks`` frames ``payload_bits`` and checks its size.
     """
     if table is None:
         table = build_constellation(config.constellation, config.M_constellation)
@@ -408,22 +407,14 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     rng = substream(config.seed, _TRIAL_NS, noise_index, trial_index)
     if payload_bits is None:
         payload_bits = rng.integers(0, 2, size=config.codeword_size, dtype=np.uint8)
-    else:
-        payload_bits = np.asarray(payload_bits, dtype=np.uint8).ravel()
-        if not 0 < payload_bits.size <= config.codeword_size:
-            raise ValueError(
-                f"a trial transmits one block: payload chunk of {payload_bits.size} bits "
-                f"must hold 1..codeword_size = {config.codeword_size} bits"
-            )
-    block = build_transport_blocks(payload_bits, config.codeword_size, crc_spec,
-                                   table.k, config.N_t)[0]
+    block = build_transport_blocks(payload_bits, config.codeword_size, crc_spec, table.k, config.N_t)
 
     realization, h_hat = _estimate_channel(config, link_gain(config), noise_power, rng)
     # the column-major error vector fixes the summation order of the MSE
     est_mse = metrics.estimation_mse(metrics.error_vector(realization.H, h_hat),
                                      config.N_r, config.N_t)
 
-    tx_indices = map_bits_to_symbols(block.bits(), table)
+    tx_indices = map_bits_to_symbols(block, table)
     try:
         s_flat, y = _receive(config, table, realization, h_hat, tx_indices, rng)
     except np.linalg.LinAlgError:
@@ -437,7 +428,7 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     return TrialOutcome(
         estimation_mse=est_mse,
         ser=metrics.ser(tx_indices, rx_indices),
-        ber=metrics.ber(block.payload_bits, payload_rx),
+        ber=metrics.ber(block[:config.codeword_size], payload_rx),
         crc_ok=crc_ok,
         equalization_failed=False,
     )

@@ -80,6 +80,14 @@ class TestCli:
         assert main(["--config", str(fast_config), "--extract", "bogus"]) != 0
         assert "bogus" in capsys.readouterr().err
 
+    def test_extract_output_without_extract_exits_before_the_sweep(self, fast_config, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", str(fast_config), "--extract-output", str(tmp_path / "pair.csv")])
+        assert exit_info.value.code != 0
+        assert "--extract" in capsys.readouterr().err
+        assert not (tmp_path / "pair.csv").exists()
+        assert not (tmp_path / "output.csv").exists()
+
     @pytest.mark.parametrize("selection", [",", "", " , "])
     def test_empty_extract_selection_exits_before_the_sweep(self, fast_config, tmp_path, capsys, selection):
         assert main(["--config", str(fast_config), "--extract", selection]) != 0

@@ -168,51 +168,63 @@ class TestCrcVerify:
 class TestTransportBlocks:
     def test_grid_padding_arithmetic(self):
         # 19 payload + 2 crc = 21; least multiple of 6 above that is 24
-        blocks = build_transport_blocks(np.ones(19, dtype=np.uint8), 19, DEFAULT_SPEC, k=6, n_tx=1)
-        assert len(blocks) == 1
-        block = blocks[0]
-        assert block.total_bits == 24
-        assert block.symbols_per_block == 4
-        assert block.pad_bits.size == 3
-        assert block.bits().size == 24
+        bits = build_transport_blocks(np.ones(19, dtype=np.uint8), 19, DEFAULT_SPEC, k=6, n_tx=1)
+        assert block_total_bits(19, DEFAULT_SPEC, k=6, n_tx=1) == 24
+        assert block_total_bits(19, DEFAULT_SPEC, k=6, n_tx=1) // 6 == 4  # symbols per block
+        assert bits.size - 19 - DEFAULT_SPEC.crc_length == 3  # pad bits
+        np.testing.assert_array_equal(bits[19:22], np.zeros(3, dtype=np.uint8))
+        assert bits.size == 24
+        assert bits.dtype == np.uint8
 
     def test_exact_fit_has_no_padding(self):
         # 16 payload + 2 crc = 18, already a multiple of k * n_tx = 6
-        blocks = build_transport_blocks(np.ones(16, dtype=np.uint8), 16, DEFAULT_SPEC, k=6, n_tx=1)
-        assert blocks[0].pad_bits.size == 0
-        assert blocks[0].total_bits == 18
-        assert blocks[0].symbols_per_block == 3
+        bits = build_transport_blocks(np.ones(16, dtype=np.uint8), 16, DEFAULT_SPEC, k=6, n_tx=1)
+        assert bits.size == 16 + DEFAULT_SPEC.crc_length  # no pad bits
+        assert block_total_bits(16, DEFAULT_SPEC, k=6, n_tx=1) == 18
+        assert block_total_bits(16, DEFAULT_SPEC, k=6, n_tx=1) // 6 == 3  # symbols per block
 
-    def test_empty_stream_yields_no_blocks(self):
-        assert build_transport_blocks(np.array([], dtype=np.uint8), 16, DEFAULT_SPEC, 6, 1) == []
+    def test_empty_payload_rejected(self):
+        with pytest.raises(ValueError, match="codeword_size = 16"):
+            build_transport_blocks(np.array([], dtype=np.uint8), 16, DEFAULT_SPEC, 6, 1)
+
+    def test_oversized_payload_rejected(self):
+        with pytest.raises(ValueError, match="codeword_size = 16"):
+            build_transport_blocks(np.ones(17, dtype=np.uint8), 16, DEFAULT_SPEC, 6, 1)
 
     def test_crc_is_last_field(self):
         payload = np.arange(16, dtype=np.uint8) % 2
-        block = build_transport_blocks(payload, 16, DEFAULT_SPEC, 6, 1)[0]
-        bits = block.bits()
-        np.testing.assert_array_equal(bits[-2:], block.crc_bits)
+        bits = build_transport_blocks(payload, 16, DEFAULT_SPEC, 6, 1)
+        np.testing.assert_array_equal(bits[-2:], crc_compute(payload, DEFAULT_SPEC))
         np.testing.assert_array_equal(bits[:16], payload)
 
     def test_short_final_chunk_zero_padded(self):
         bits = np.ones(20, dtype=np.uint8)
-        blocks = build_transport_blocks(bits, 16, DEFAULT_SPEC, 6, 1)
-        assert len(blocks) == 2
-        np.testing.assert_array_equal(blocks[1].payload_bits[:4], [1, 1, 1, 1])
-        np.testing.assert_array_equal(blocks[1].payload_bits[4:], np.zeros(12, dtype=np.uint8))
+        # x^12 = 1 mod x^2 + x + 1, so only the CCITT generator tells the
+        # padded payload's CRC from the unpadded one's
+        for spec in (DEFAULT_SPEC, CrcSpec("10001000000100001")):
+            block = build_transport_blocks(bits[16:], 16, spec, 6, 1)
+            np.testing.assert_array_equal(block[:4], [1, 1, 1, 1])
+            np.testing.assert_array_equal(block[4:16], np.zeros(12, dtype=np.uint8))
+            # the CRC covers the zero-padded payload
+            np.testing.assert_array_equal(block[-spec.crc_length:], crc_compute(block[:16], spec))
 
     @pytest.mark.parametrize("codeword_size,k,n_tx", [(16, 6, 1), (16, 6, 16), (7, 2, 3), (1, 4, 2), (128, 8, 4)])
     def test_total_bits_fill_whole_channel_uses(self, codeword_size, k, n_tx):
         bits = np.random.default_rng(0).integers(0, 2, size=3 * codeword_size).astype(np.uint8)
-        for block in build_transport_blocks(bits, codeword_size, DEFAULT_SPEC, k, n_tx):
-            assert block.total_bits % (k * n_tx) == 0
-            assert block.crc_bits.size == DEFAULT_SPEC.crc_length  # one CRC per block
+        for chunk in bits.reshape(3, codeword_size):
+            block = build_transport_blocks(chunk, codeword_size, DEFAULT_SPEC, k, n_tx)
+            assert block.size == block_total_bits(codeword_size, DEFAULT_SPEC, k, n_tx)
+            assert block.size % (k * n_tx) == 0
+            # one CRC per block, at its end
+            np.testing.assert_array_equal(block[block.size - DEFAULT_SPEC.crc_length:],
+                                          crc_compute(chunk, DEFAULT_SPEC))
 
     @pytest.mark.parametrize("codeword_size,k,n_tx", [(16, 6, 1), (16, 6, 16), (11, 4, 2), (64, 2, 8)])
     def test_build_then_extract_is_identity(self, codeword_size, k, n_tx):
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, size=codeword_size).astype(np.uint8)
-        block = build_transport_blocks(bits, codeword_size, DEFAULT_SPEC, k, n_tx)[0]
-        payload, ok = extract_and_check(block.bits(), codeword_size, DEFAULT_SPEC, k, n_tx)
+        block = build_transport_blocks(bits, codeword_size, DEFAULT_SPEC, k, n_tx)
+        payload, ok = extract_and_check(block, codeword_size, DEFAULT_SPEC, k, n_tx)
         assert ok
         np.testing.assert_array_equal(payload, bits)
 
@@ -220,7 +232,7 @@ class TestTransportBlocks:
 class TestExtractAndCheck:
     # 16 payload bits on the 16-antenna 64-QAM grid: 96-bit blocks, 78 pad bits
     def _block_bits(self, payload):
-        return build_transport_blocks(payload, 16, DEFAULT_SPEC, 6, 16)[0].bits()
+        return build_transport_blocks(payload, 16, DEFAULT_SPEC, 6, 16)
 
     def test_any_payload_flip_fails_crc(self):
         payload = np.random.default_rng(9).integers(0, 2, size=16).astype(np.uint8)
@@ -268,7 +280,8 @@ class TestLoadPayloadBits:
         path.write_bytes(b"")
         bits = load_payload_bits(path)
         assert bits.size == 0
-        assert build_transport_blocks(bits, 16, DEFAULT_SPEC, 6, 1) == []
+        with pytest.raises(ValueError, match="codeword_size"):
+            build_transport_blocks(bits, 16, DEFAULT_SPEC, 6, 1)
 
     def test_two_bytes_zero_then_ff(self, tmp_path):
         path = tmp_path / "p.bin"

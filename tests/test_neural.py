@@ -37,7 +37,7 @@ class TestInit:
     def test_parameter_count_smallest_network(self):
         # 2 inputs -> 1 hidden unit -> 4 outputs: (2+1) + (4+4) = 11
         net = init_network(NetworkSpec(depth=1, width=1, input_dim=2, output_dim=4))
-        assert net.n_parameters == 11
+        assert sum(w.size for w in net.weights) + sum(b.size for b in net.biases) == 11
 
     def test_biases_start_at_zero(self):
         net = init_network(NetworkSpec(depth=2, width=5, input_dim=3, output_dim=4))
@@ -301,3 +301,15 @@ class TestPredictAndPersistence:
         loaded = load_network(path)
         np.testing.assert_array_equal(flatten_params(loaded), flatten_params(net))
         np.testing.assert_array_equal(predict(loaded, x), predict(net, x))
+
+    @pytest.mark.parametrize("keep", ["empty", "truncated", "extra line"])
+    def test_malformed_file_rejected_naming_the_path(self, tmp_path, keep):
+        net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=4, seed=14))
+        path = tmp_path / "net.txt"
+        save_network(net, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 2 * 3
+        body = {"empty": [], "truncated": lines[:-1], "extra line": lines + ["0.5"]}[keep]
+        path.write_text("".join(line + "\n" for line in body), encoding="utf-8")
+        with pytest.raises(ValueError, match="net.txt"):
+            load_network(path)
