@@ -40,7 +40,6 @@ from .neural import (
     Network,
     NetworkSpec,
     TrainingDivergedError,
-    TrainingSet,
     forward,
     gradient,
     init_network,

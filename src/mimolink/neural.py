@@ -2,7 +2,9 @@
 
 Sigmoid hidden layers, a softmax output over the M constellation classes,
 categorical cross-entropy with clamped probabilities, and analytically
-derived gradients driven by plain mini-batch gradient descent. Everything
+derived gradients driven by plain mini-batch gradient descent. Labels are
+integer class indices in [0, M) throughout: the loss and the gradient
+index each row's true-class probability directly. Everything
 is deterministic given the seed: initialization, the validation split, and
 the per-epoch shuffles all come from the network's own stream.
 """
@@ -46,14 +48,6 @@ class NetworkSpec:
         return [self.input_dim] + [self.width] * self.depth + [self.output_dim]
 
 
-@dataclass(frozen=True)
-class TrainingSet:
-    """Feature rows with integer class labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-
 @dataclass
 class Hyperparameters:
     learning_rate: float = 0.05
@@ -94,10 +88,9 @@ class Network:
         self.rng = rng
 
 
-def init_network(spec: NetworkSpec, rng: np.random.Generator | None = None) -> Network:
+def init_network(spec: NetworkSpec) -> Network:
     """Glorot-uniform weights in +/- sqrt(6 / (fan_in + fan_out)), zero biases."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     weights, biases = [], []
     dims = spec.layer_dims
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -108,13 +101,8 @@ def init_network(spec: NetworkSpec, rng: np.random.Generator | None = None) -> N
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # numerically stable in both tails
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) as one ufunc that cannot overflow in either tail
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -149,21 +137,22 @@ def forward(network: Network, X) -> np.ndarray:
     return probs
 
 
-def one_hot(labels, n_classes: int) -> np.ndarray:
+def _checked_labels(labels, n_rows: int, n_classes: int) -> np.ndarray:
+    """Labels as a flat int64 index array, one per row, each in [0, n_classes)."""
     labels = np.asarray(labels, dtype=np.int64).ravel()
+    if labels.size != n_rows:
+        raise ValueError(f"{n_rows} rows but {labels.size} labels")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"labels must lie in [0, {n_classes})")
-    return np.eye(n_classes)[labels]
+    return labels
 
 
-def cross_entropy(probabilities: np.ndarray, onehot_labels: np.ndarray) -> float:
-    """Mean categorical cross-entropy with p clamped to [1e-12, 1 - 1e-12]."""
+def cross_entropy(probabilities: np.ndarray, labels) -> float:
+    """Mean of -log p[row, label] with p clamped to [1e-12, 1 - 1e-12]."""
     p = np.asarray(probabilities, dtype=float)
-    y = np.asarray(onehot_labels, dtype=float)
-    if p.shape != y.shape:
-        raise ValueError(f"shape mismatch: probabilities {p.shape} vs labels {y.shape}")
-    clamped = np.clip(p, PROB_CLAMP_LO, PROB_CLAMP_HI)
-    return float(np.mean(-(y * np.log(clamped)).sum(axis=1)))
+    labels = _checked_labels(labels, p.shape[0], p.shape[1])
+    p_true = np.clip(p[np.arange(labels.size), labels], PROB_CLAMP_LO, PROB_CLAMP_HI)
+    return float(np.mean(-np.log(p_true)))
 
 
 def gradient(network: Network, X, labels):
@@ -174,15 +163,16 @@ def gradient(network: Network, X, labels):
     clamp window carry no gradient, matching the clamped loss.
     """
     X = _as_feature_matrix(network, X)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if labels.size != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} feature rows but {labels.size} labels")
-    activations, probs = _forward_cached(network, X)
     n = X.shape[0]
-    y = one_hot(labels, network.spec.output_dim)
-    p_true = probs[np.arange(n), labels]
+    labels = _checked_labels(labels, n, network.spec.output_dim)
+    activations, probs = _forward_cached(network, X)
+    rows = np.arange(n)
+    p_true = probs[rows, labels]
     active = (p_true > PROB_CLAMP_LO) & (p_true < PROB_CLAMP_HI)
-    delta = (probs - y) * active[:, None] / n
+    delta = probs  # becomes (probs - y) * active / n in place, y one-hot
+    delta[rows, labels] -= 1.0
+    delta *= active[:, None]
+    delta /= n
 
     n_layers = len(network.weights)
     weight_grads = [None] * n_layers
@@ -197,23 +187,19 @@ def gradient(network: Network, X, labels):
     return weight_grads, bias_grads
 
 
-def train(network: Network, training_set: TrainingSet, hyper: Hyperparameters) -> TrainingHistory:
+def train(network: Network, features, labels, hyper: Hyperparameters) -> TrainingHistory:
     """Mini-batch gradient descent with early stopping on validation loss.
 
+    ``features`` holds one row per sample and ``labels`` its class index.
     The validation split and per-epoch shuffles use the network's stream,
     so (seed, data) fully determine the loss history. Training stops when
     the validation loss fails to improve for ``patience`` epochs; raises
     :class:`TrainingDivergedError` if the loss becomes non-finite.
     """
-    X = np.asarray(training_set.features, dtype=float)
-    labels = np.asarray(training_set.labels, dtype=np.int64).ravel()
+    X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a nonempty 2-D feature matrix")
-    if labels.size != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} feature rows but {labels.size} labels")
-    n_classes = network.spec.output_dim
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"labels must lie in [0, {n_classes})")
+    labels = _checked_labels(labels, X.shape[0], network.spec.output_dim)
 
     rng = network.rng
     n = X.shape[0]
@@ -224,9 +210,6 @@ def train(network: Network, training_set: TrainingSet, hyper: Hyperparameters) -
         raise ValueError("validation fraction leaves no training rows")
     if val_idx.size == 0:
         val_idx = train_idx  # too little data to hold out; validate on train
-
-    y_train_onehot = one_hot(labels[train_idx], n_classes)
-    y_val_onehot = one_hot(labels[val_idx], n_classes)
 
     history = TrainingHistory()
     best_val = math.inf
@@ -239,8 +222,9 @@ def train(network: Network, training_set: TrainingSet, hyper: Hyperparameters) -
             for layer in range(len(network.weights)):
                 network.weights[layer] -= hyper.learning_rate * weight_grads[layer]
                 network.biases[layer] -= hyper.learning_rate * bias_grads[layer]
-        train_loss = cross_entropy(forward(network, X[train_idx]), y_train_onehot)
-        val_loss = cross_entropy(forward(network, X[val_idx]), y_val_onehot)
+        probs = forward(network, X)
+        train_loss = cross_entropy(probs[train_idx], labels[train_idx])
+        val_loss = cross_entropy(probs[val_idx], labels[val_idx])
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
         history.train_loss.append(train_loss)
@@ -271,17 +255,24 @@ def save_network(network: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    """Inverse of :func:`save_network`."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Inverse of :func:`save_network`; malformed content raises a
+    ValueError naming ``path``."""
+    try:
+        return _parse_network(Path(path).read_text(encoding="utf-8").splitlines())
+    except ValueError as exc:
+        raise ValueError(f"network file {path}: {exc}") from exc
+
+
+def _parse_network(lines: list[str]) -> Network:
     dims = [int(tok) for tok in lines[0].split()] if lines else []
     if len(dims) < 3:
-        raise ValueError(f"network file {path} must list input, hidden and output dims")
+        raise ValueError("first line must list input, hidden and output dims")
     if len(lines) != 2 * len(dims) - 1:
-        raise ValueError(f"network file {path} has {len(lines)} lines, expected "
+        raise ValueError(f"{len(lines)} lines, expected "
                          f"{2 * len(dims) - 1} for {len(dims) - 1} layers")
     hidden = dims[1:-1]
     if any(h != hidden[0] for h in hidden):
-        raise ValueError(f"network file {path} has non-uniform hidden widths {hidden}")
+        raise ValueError(f"non-uniform hidden widths {hidden}")
     spec = NetworkSpec(depth=len(hidden), width=hidden[0],
                        input_dim=dims[0], output_dim=dims[-1])
     weights, biases = [], []
@@ -289,7 +280,7 @@ def load_network(path) -> Network:
         w = np.fromiter(map(float, lines[1 + 2 * layer].split()), dtype=float)
         b = np.fromiter(map(float, lines[2 + 2 * layer].split()), dtype=float)
         if w.size != fan_in * fan_out or b.size != fan_out:
-            raise ValueError(f"network file {path} has a malformed layer {layer}")
+            raise ValueError(f"malformed layer {layer}")
         weights.append(w.reshape(fan_in, fan_out))
         biases.append(b)
     return Network(spec, weights, biases, np.random.default_rng(spec.seed))

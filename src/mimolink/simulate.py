@@ -32,7 +32,6 @@ from .neural import (
     Network,
     NetworkSpec,
     TrainingDivergedError,
-    TrainingSet,
     init_network,
     predict,
     train,
@@ -470,14 +469,13 @@ def train_detector_network(config: SimConfig, noise_power: float, noise_index: i
 
     X = np.concatenate(features)[:config.dnn_train_samples]
     y_train = np.concatenate(labels)[:config.dnn_train_samples]
-    training_set = TrainingSet(features=X, labels=y_train)
 
     init_seed = int(np.random.SeedSequence(
         config.seed, spawn_key=(_TRAINING_NS, noise_index, 1)).generate_state(1)[0])
     spec = NetworkSpec(depth=config.dnn_depth, width=config.dnn_width,
                        input_dim=X.shape[1], output_dim=table.M, seed=init_seed)
     network = init_network(spec)
-    train(network, training_set, _hyperparameters(config))
+    train(network, X, y_train, _hyperparameters(config))
     return network
 
 

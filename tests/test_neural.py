@@ -1,25 +1,26 @@
 """Tests for the from-scratch neural symbol classifier."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from mimolink.constellation import build_constellation
 from mimolink.neural import (
     Hyperparameters,
     NetworkSpec,
     TrainingDivergedError,
-    TrainingSet,
     cross_entropy,
     forward,
     gradient,
     init_network,
     load_network,
-    one_hot,
     predict,
     save_network,
     train,
+    _sigmoid,
 )
 from mimolink.receiver import detect_ml
 
@@ -86,32 +87,48 @@ class TestForward:
         expected /= expected.sum()
         np.testing.assert_allclose(forward(net, x)[0], expected, atol=1e-12)
 
+    def test_sigmoid_matches_expit_without_warnings(self):
+        """0.5 + 0.5 tanh(z / 2) is the logistic function to within 2.3e-16,
+        stays in [0, 1], and neither overflows nor warns in either tail."""
+        z = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [-np.inf, np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(z)
+        assert np.max(np.abs(got - expit(z))) <= 2.3e-16
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
     def test_wrong_feature_width_rejected(self):
         net = init_network(NetworkSpec(depth=1, width=2, input_dim=2, output_dim=4))
         with pytest.raises(ValueError):
             forward(net, np.zeros((3, 5)))
 
 
-class TestOneHot:
-    def test_empty_labels(self):
-        assert one_hot([], 4).shape == (0, 4)
+class TestLabels:
+    """Labels index rows in place, so an unchecked -1 would pick the last class."""
 
     @pytest.mark.parametrize("labels", [[-1], [4], [0, 5, 1]])
-    def test_out_of_range_labels_rejected(self, labels):
+    @pytest.mark.parametrize("call", [
+        lambda net, x, labels: cross_entropy(forward(net, x), labels),
+        lambda net, x, labels: gradient(net, x, labels),
+        lambda net, x, labels: train(net, x, labels, Hyperparameters(epochs=1)),
+    ], ids=["cross_entropy", "gradient", "train"])
+    def test_out_of_range_labels_rejected(self, call, labels):
+        net = init_network(NetworkSpec(depth=1, width=2, input_dim=2, output_dim=4))
+        x = np.zeros((len(labels), 2))
         with pytest.raises(ValueError, match="labels"):
-            one_hot(labels, 4)
+            call(net, x, labels)
 
 
 class TestLoss:
     def test_perfect_prediction_is_numerically_zero(self):
         probs = np.array([[1.0, 0.0, 0.0, 0.0]])
-        labels = one_hot([0], 4)
+        labels = [0]
         assert cross_entropy(probs, labels) <= 1e-9
 
     def test_uniform_prediction_is_log_m(self):
         for m in (4, 16, 64):
             probs = np.full((7, m), 1.0 / m)
-            labels = one_hot(np.arange(7) % m, m)
+            labels = np.arange(7) % m
             assert abs(cross_entropy(probs, labels) - math.log(m)) < 1e-12
 
     def test_matches_independent_summation_oracle(self):
@@ -119,7 +136,7 @@ class TestLoss:
         raw = rng.random((20, 8))
         probs = raw / raw.sum(axis=1, keepdims=True)
         labels_idx = rng.integers(0, 8, size=20)
-        labels = one_hot(labels_idx, 8)
+        labels = labels_idx
         oracle = 0.0
         for row, lab in zip(probs, labels_idx):
             oracle -= math.log(min(max(row[lab], 1e-12), 1 - 1e-12))
@@ -130,7 +147,7 @@ class TestLoss:
         rng = np.random.default_rng(2)
         raw = rng.random((30, 5))
         probs = raw / raw.sum(axis=1, keepdims=True)
-        assert cross_entropy(probs, one_hot(rng.integers(0, 5, 30), 5)) >= 0.0
+        assert cross_entropy(probs, rng.integers(0, 5, 30)) >= 0.0
 
 
 class TestGradient:
@@ -142,7 +159,6 @@ class TestGradient:
         net = init_network(spec)
         x = rng.standard_normal((12, 2))
         labels = rng.integers(0, 4, size=12)
-        onehot = one_hot(labels, 4)
         weight_grads, bias_grads = gradient(net, x, labels)
         h = 1e-6
         params = list(net.weights) + list(net.biases)
@@ -152,9 +168,9 @@ class TestGradient:
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + h
-                up = cross_entropy(forward(net, x), onehot)
+                up = cross_entropy(forward(net, x), labels)
                 flat[i] = keep - h
-                down = cross_entropy(forward(net, x), onehot)
+                down = cross_entropy(forward(net, x), labels)
                 flat[i] = keep
                 fd = (up - down) / (2 * h)
                 rel = abs(gflat[i] - fd) / max(1.0, abs(gflat[i]))
@@ -205,7 +221,7 @@ class TestTraining:
         x = np.concatenate([rng.normal(-2, 0.3, (n // 2, 2)), rng.normal(2, 0.3, (n // 2, 2))])
         labels = np.concatenate([np.zeros(n // 2, int), np.ones(n // 2, int)])
         net = init_network(NetworkSpec(depth=1, width=4, input_dim=2, output_dim=2, seed=6))
-        history = train(net, TrainingSet(x, labels),
+        history = train(net, x, labels,
                         Hyperparameters(epochs=50, patience=50))
         assert history.train_loss[-1] < math.log(2)
 
@@ -215,7 +231,7 @@ class TestTraining:
         before = flatten_params(net).copy()
         x = rng.standard_normal((64, 2))
         labels = rng.integers(0, 4, size=64)
-        history = train(net, TrainingSet(x, labels),
+        history = train(net, x, labels,
                         Hyperparameters(learning_rate=0.0, epochs=8, patience=100))
         np.testing.assert_array_equal(flatten_params(net), before)
         assert max(history.train_loss) - min(history.train_loss) < 1e-12
@@ -230,7 +246,7 @@ class TestTraining:
             rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
         x = np.column_stack([noisy.real, noisy.imag])
         net = init_network(NetworkSpec(depth=2, width=16, input_dim=2, output_dim=4, seed=8))
-        train(net, TrainingSet(x, labels), Hyperparameters())
+        train(net, x, labels, Hyperparameters())
         holdout_labels = rng.integers(0, 4, size=2000)
         holdout = table.points[holdout_labels] + np.sqrt(1e-3) * (
             rng.standard_normal(2000) + 1j * rng.standard_normal(2000)) / np.sqrt(2)
@@ -244,7 +260,7 @@ class TestTraining:
         histories = []
         for _ in range(2):
             net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=4, seed=9))
-            histories.append(train(net, TrainingSet(x, labels),
+            histories.append(train(net, x, labels,
                                    Hyperparameters(epochs=12, patience=100)))
         assert histories[0].train_loss == histories[1].train_loss
         assert histories[0].val_loss == histories[1].val_loss
@@ -256,21 +272,21 @@ class TestTraining:
         labels = rng.integers(0, 4, size=128)
         net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=4, seed=10))
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
-            train(net, TrainingSet(x, labels), Hyperparameters(epochs=10))
+            train(net, x, labels, Hyperparameters(epochs=10))
 
     def test_early_stopping_respects_patience(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((100, 2))
         labels = rng.integers(0, 2, size=100)  # unlearnable noise
         net = init_network(NetworkSpec(depth=1, width=2, input_dim=2, output_dim=2, seed=11))
-        history = train(net, TrainingSet(x, labels),
+        history = train(net, x, labels,
                         Hyperparameters(epochs=500, patience=5, learning_rate=0.5))
         assert history.epochs_run < 500
 
     def test_empty_training_set_rejected(self):
         net = init_network(NetworkSpec(depth=1, width=2, input_dim=2, output_dim=2))
         with pytest.raises(ValueError):
-            train(net, TrainingSet(np.zeros((0, 2)), np.zeros(0, int)), Hyperparameters())
+            train(net, np.zeros((0, 2)), np.zeros(0, int), Hyperparameters())
 
 
 class TestPredictAndPersistence:
@@ -287,7 +303,7 @@ class TestPredictAndPersistence:
         noisy = table.points[labels] + 0.02 * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))
         x = np.column_stack([noisy.real, noisy.imag])
         net = init_network(NetworkSpec(depth=2, width=16, input_dim=2, output_dim=4, seed=13))
-        train(net, TrainingSet(x, labels), Hyperparameters(epochs=60))
+        train(net, x, labels, Hyperparameters(epochs=60))
         ml_idx = detect_ml(noisy, table)
         assert np.mean(predict(net, x) == ml_idx) >= 0.99
 
@@ -295,21 +311,30 @@ class TestPredictAndPersistence:
         rng = np.random.default_rng(14)
         net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=4, seed=14))
         x = rng.standard_normal((64, 2))
-        train(net, TrainingSet(x, rng.integers(0, 4, 64)), Hyperparameters(epochs=3, patience=10))
+        train(net, x, rng.integers(0, 4, 64), Hyperparameters(epochs=3, patience=10))
         path = tmp_path / "net.txt"
         save_network(net, path)
         loaded = load_network(path)
         np.testing.assert_array_equal(flatten_params(loaded), flatten_params(net))
         np.testing.assert_array_equal(predict(loaded, x), predict(net, x))
 
-    @pytest.mark.parametrize("keep", ["empty", "truncated", "extra line"])
+    @pytest.mark.parametrize("keep", ["empty", "truncated", "extra line", "non-numeric-dim",
+                                      "non-numeric-weight", "non-numeric-bias", "zero-dim"])
     def test_malformed_file_rejected_naming_the_path(self, tmp_path, keep):
         net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=4, seed=14))
         path = tmp_path / "net.txt"
         save_network(net, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 2 * 3
-        body = {"empty": [], "truncated": lines[:-1], "extra line": lines + ["0.5"]}[keep]
+
+        def with_first_token(i, token):
+            return lines[:i] + [token + lines[i][lines[i].index(" "):]] + lines[i + 1:]
+
+        body = {"empty": [], "truncated": lines[:-1], "extra line": lines + ["0.5"],
+                "non-numeric-dim": with_first_token(0, "x"),
+                "non-numeric-weight": with_first_token(1, "zz"),
+                "non-numeric-bias": with_first_token(2, "zz"),
+                "zero-dim": with_first_token(0, "0")}[keep]
         path.write_text("".join(line + "\n" for line in body), encoding="utf-8")
         with pytest.raises(ValueError, match="net.txt"):
             load_network(path)
