@@ -246,11 +246,13 @@ def predict(network: Network, X) -> np.ndarray:
 
 def save_network(network: Network, path) -> None:
     """Write the network as text: layer dims, then per layer one row-major
-    weight line and one bias line at full (17 significant digit) precision."""
+    weight line and one bias line at full (17 significant digit) precision,
+    then the spec seed."""
     lines = [" ".join(str(d) for d in network.spec.layer_dims)]
     for w, b in zip(network.weights, network.biases):
         lines.append(" ".join(format(v, ".17g") for v in w.ravel()))
         lines.append(" ".join(format(v, ".17g") for v in b))
+    lines.append(str(network.spec.seed))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -267,14 +269,14 @@ def _parse_network(lines: list[str]) -> Network:
     dims = [int(tok) for tok in lines[0].split()] if lines else []
     if len(dims) < 3:
         raise ValueError("first line must list input, hidden and output dims")
-    if len(lines) != 2 * len(dims) - 1:
+    if len(lines) != 2 * len(dims):
         raise ValueError(f"{len(lines)} lines, expected "
-                         f"{2 * len(dims) - 1} for {len(dims) - 1} layers")
+                         f"{2 * len(dims)} for {len(dims) - 1} layers and the seed")
     hidden = dims[1:-1]
     if any(h != hidden[0] for h in hidden):
         raise ValueError(f"non-uniform hidden widths {hidden}")
     spec = NetworkSpec(depth=len(hidden), width=hidden[0],
-                       input_dim=dims[0], output_dim=dims[-1])
+                       input_dim=dims[0], output_dim=dims[-1], seed=int(lines[-1]))
     weights, biases = [], []
     for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         w = np.fromiter(map(float, lines[1 + 2 * layer].split()), dtype=float)

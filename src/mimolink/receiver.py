@@ -1,20 +1,28 @@
 """Linear equalization and nearest-point symbol detection.
 
-Detection comes in two equivalent flavors: a maximum-likelihood rule over
-complex distances and the assignment step of K-means with centroids frozen
-at the constellation points in the (I, Q) plane. Both break ties toward the
-lowest constellation index, so their decisions coincide exactly.
+Detection comes in two flavors: maximum likelihood, which slices I and Q
+to their nearest grid levels, and the assignment step of K-means with
+centroids frozen at the constellation points in the (I, Q) plane. Both
+break ties toward the lowest constellation index, so their decisions
+coincide wherever the distances are resolvable in double precision. They
+part only near a level midpoint, where K-means' squared distances round
+to a tie; that window widens with the other coordinate, and once a
+coordinate of ``s_hat`` passes about 1e7 it covers a growing share of
+symbols. Inputs must be finite, as the simulator's receive pass
+guarantees.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .constellation import ConstellationTable
 
-# bound on the entries of a per-chunk (n_symbols x M) distance matrix: at
-# 16 bytes an entry its temporaries stay below glibc's 128 KiB mmap and
-# trim thresholds, so they are reused from the heap instead of being
+# bound on the entries of a per-chunk (n_symbols x M) K-means distance
+# plane: at 8 bytes an entry its two planes stay below glibc's 128 KiB mmap
+# and trim thresholds, so they are reused from the heap instead of being
 # mapped and page-faulted afresh on every call
 _DETECT_ENTRIES = 1 << 12
 
@@ -60,16 +68,20 @@ def detect_ml(s_hat, table: ConstellationTable) -> np.ndarray:
     """Maximum-likelihood detection: the index of the nearest constellation
     point per symbol.
 
-    Inputs must be in table coordinates (the 1/sqrt(N_t) transmit scaling
-    removed). Ties break toward the lowest index.
+    On a square grid the nearest point is the nearest level on I paired
+    with the nearest level on Q, so each axis is sliced against the
+    sqrt(M) - 1 midpoints of its levels and point (i, q) is index
+    i * sqrt(M) + q. Inputs must be finite and in table coordinates (the
+    1/sqrt(N_t) transmit scaling removed). A symbol exactly on a midpoint
+    takes the lower level, so ties break toward the lowest index.
     """
     s = np.asarray(s_hat, dtype=complex).ravel()
-    indices = np.empty(s.size, dtype=np.int64)
-    step = max(1, _DETECT_ENTRIES // table.M)
-    for start in range(0, s.size, step):
-        chunk = s[start:start + step]
-        distances = np.abs(chunk[:, None] - table.points[None, :])
-        indices[start:start + chunk.size] = distances.argmin(axis=1)
+    side = math.isqrt(table.M)
+    levels = table.points.real[::side]
+    midpoints = (levels[:-1] + levels[1:]) / 2
+    indices = midpoints.searchsorted(s.real).astype(np.int64, copy=False)
+    indices *= side
+    indices += midpoints.searchsorted(s.imag)
     return indices
 
 
@@ -81,12 +93,14 @@ def detect_kmeans(s_hat_batch, table: ConstellationTable) -> np.ndarray:
     toward the lowest index. No centroid update is performed.
     """
     s = np.asarray(s_hat_batch, dtype=complex).ravel()
-    features = np.column_stack([s.real, s.imag])
-    centroids = np.column_stack([table.points.real, table.points.imag])
     indices = np.empty(s.size, dtype=np.int64)
     step = max(1, _DETECT_ENTRIES // table.M)
     for start in range(0, s.size, step):
-        chunk = features[start:start + step]
-        sq_dist = ((chunk[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        indices[start:start + chunk.shape[0]] = sq_dist.argmin(axis=1)
+        chunk = s[start:start + step]
+        dx = chunk.real[:, None] - table.points.real
+        dy = chunk.imag[:, None] - table.points.imag
+        np.square(dx, out=dx)
+        np.square(dy, out=dy)
+        dx += dy
+        indices[start:start + chunk.size] = dx.argmin(axis=1)
     return indices

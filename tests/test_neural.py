@@ -317,15 +317,18 @@ class TestPredictAndPersistence:
         loaded = load_network(path)
         np.testing.assert_array_equal(flatten_params(loaded), flatten_params(net))
         np.testing.assert_array_equal(predict(loaded, x), predict(net, x))
+        assert loaded.spec == net.spec
+        np.testing.assert_array_equal(loaded.rng.random(4), np.random.default_rng(14).random(4))
 
     @pytest.mark.parametrize("keep", ["empty", "truncated", "extra line", "non-numeric-dim",
-                                      "non-numeric-weight", "non-numeric-bias", "zero-dim"])
+                                      "non-numeric-weight", "non-numeric-bias", "zero-dim",
+                                      "non-numeric-seed", "fractional-seed", "negative-seed"])
     def test_malformed_file_rejected_naming_the_path(self, tmp_path, keep):
         net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=4, seed=14))
         path = tmp_path / "net.txt"
         save_network(net, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 1 + 2 * 3
+        assert len(lines) == 1 + 2 * 3 + 1
 
         def with_first_token(i, token):
             return lines[:i] + [token + lines[i][lines[i].index(" "):]] + lines[i + 1:]
@@ -334,7 +337,10 @@ class TestPredictAndPersistence:
                 "non-numeric-dim": with_first_token(0, "x"),
                 "non-numeric-weight": with_first_token(1, "zz"),
                 "non-numeric-bias": with_first_token(2, "zz"),
-                "zero-dim": with_first_token(0, "0")}[keep]
+                "zero-dim": with_first_token(0, "0"),
+                "non-numeric-seed": lines[:-1] + ["x"],
+                "fractional-seed": lines[:-1] + ["1.5"],
+                "negative-seed": lines[:-1] + ["-1"]}[keep]
         path.write_text("".join(line + "\n" for line in body), encoding="utf-8")
         with pytest.raises(ValueError, match="net.txt"):
             load_network(path)

@@ -1,11 +1,21 @@
 """Tests for ZF / L-MMSE equalization and ML / K-means detection."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mimolink import receiver
 from mimolink.channel import ChannelRealization, apply_channel, sample_channel
 from mimolink.constellation import build_constellation, map_bits_to_symbols
 from mimolink.receiver import detect_kmeans, detect_ml, equalize_lmmse, equalize_zf
+
+TABLES = [build_constellation(scheme, m)
+          for scheme, m in [("QPSK", 4), ("QAM", 16), ("QAM", 64), ("QAM", 256)]]
+TABLE_IDS = [f"M{table.M}" for table in TABLES]
+COORDINATES = st.floats(min_value=-1e3, max_value=1e3)
 
 
 def random_channel(n_rx, n_tx, rng):
@@ -157,12 +167,67 @@ class TestMlDetection:
         table = build_constellation("QPSK", 4)
         assert detect_ml(np.array([]), table).size == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(table=st.sampled_from(TABLES),
+           coordinates=st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1, max_size=30))
+    def test_matches_exhaustive_scan_wherever_resolvable(self, table, coordinates):
+        """The per-axis slicer picks the point of the complex-distance scan
+        whenever the scan's two smallest distances differ beyond rounding."""
+        s = np.array([complex(re, im) for re, im in coordinates])
+        distances = np.abs(s[:, None] - table.points)
+        two_nearest = np.sort(distances, axis=1)[:, :2]
+        resolvable = two_nearest[:, 1] - two_nearest[:, 0] > 1e-12 * two_nearest[:, 1]
+        got = detect_ml(s, table)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got[resolvable], distances.argmin(axis=1)[resolvable])
+
+    @pytest.mark.parametrize("table", TABLES, ids=TABLE_IDS)
+    def test_level_midpoints_go_to_the_lower_index(self, table):
+        """A symbol on a midpoint between two I or Q levels takes the lower
+        level. K-means agrees wherever its float distances to the two levels
+        tie exactly, as at the midpoint 0 between the two inner levels."""
+        side = math.isqrt(table.M)
+        levels = table.points.real[::side]
+        midpoints = (levels[:-1] + levels[1:]) / 2
+        exact = midpoints - levels[:-1] == levels[1:] - midpoints
+        assert exact[(side - 1) // 2]
+        lower, every = np.arange(side - 1), np.arange(side)
+        cases = [
+            (midpoints[:, None] + 1j * levels, lower[:, None] * side + every, np.s_[exact, :]),
+            (levels[:, None] + 1j * midpoints, every[:, None] * side + lower, np.s_[:, exact]),
+            (midpoints[:, None] + 1j * midpoints, lower[:, None] * side + lower, np.ix_(exact, exact)),
+        ]
+        for s, expected, tied in cases:
+            np.testing.assert_array_equal(detect_ml(s, table), expected.ravel())
+            np.testing.assert_array_equal(detect_kmeans(s[tied], table), expected[tied].ravel())
+
+    def test_far_symbol_slices_to_the_true_nearest_level(self):
+        """Far out on Q the distances to the four I levels round to a tie:
+        the complex-distance scan and K-means fall back to the lowest index
+        (I level 0), while the slicer still finds the I level nearest 0.3."""
+        table = build_constellation("QAM", 16)
+        s = np.array([0.3 + 1e9j])
+        assert detect_ml(s, table)[0] == 2 * 4 + 3
+        assert np.abs(s[:, None] - table.points).argmin() == 3
+        assert detect_kmeans(s, table)[0] == 3
+
 
 class TestKmeansDetection:
     def test_centroids_detect_to_their_own_indices(self):
-        for scheme, m in [("QPSK", 4), ("QAM", 256)]:
-            table = build_constellation(scheme, m)
-            np.testing.assert_array_equal(detect_kmeans(table.points, table), np.arange(m))
+        for table in TABLES:
+            np.testing.assert_array_equal(detect_kmeans(table.points, table), np.arange(table.M))
+
+    @pytest.mark.parametrize("table", TABLES, ids=TABLE_IDS)
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_inputs_across_a_chunk_boundary(self, table, offset):
+        step = max(1, receiver._DETECT_ENTRIES // table.M)
+        rng = np.random.default_rng(13)
+        tx = rng.integers(0, table.M, size=step + offset)
+        s = table.points[tx] + 0.2 * (rng.standard_normal(tx.size) + 1j * rng.standard_normal(tx.size))
+        sq_dist = (s.real[:, None] - table.points.real) ** 2 + (s.imag[:, None] - table.points.imag) ** 2
+        got = detect_kmeans(s, table)
+        np.testing.assert_array_equal(got, sq_dist.argmin(axis=1))
+        np.testing.assert_array_equal(got, detect_ml(s, table))
 
     @pytest.mark.parametrize("scheme,m", [("QPSK", 4), ("QAM", 16), ("QAM", 64), ("QAM", 256)])
     def test_agrees_with_ml_on_noisy_batches(self, scheme, m):
