@@ -41,7 +41,9 @@ class LinkGeometry:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One trial's channel: small-scale H (N_r x N_t), large-scale gain G, noise power."""
+    """One trial's channel: small-scale H (N_r x N_t), large-scale gain G,
+    noise power. H may also be a stack (..., N_r, N_t) of trials' channels
+    that share G and sigma2."""
 
     H: np.ndarray
     G: float
@@ -87,17 +89,34 @@ def sample_noise(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     return np.sqrt(sigma2) * complex_gaussian(rng, shape)
 
 
-def apply_channel(realization: ChannelRealization, x, rng: np.random.Generator) -> np.ndarray:
-    """y = sqrt(G) H x + n with a fresh noise draw per channel use.
+def apply_channel(realization: ChannelRealization, x, noise) -> np.ndarray:
+    """y = sqrt(G) H x + n with fresh noise per channel use.
 
     ``x`` is one column vector of length N_t or a batch of channel uses as
     an (N_t, n_uses) matrix, such as a pilot matrix X_P; the output
-    matches. Callers apply the 1/sqrt(N_t) transmit power scaling to data
-    symbols before calling.
+    matches. A stack of channels H (..., N_r, N_t) takes a stack of
+    batches (..., N_t, n_uses), each product bit for bit its own.
+    ``noise`` is the stream to draw n from with :func:`sample_noise`, or
+    n itself, already drawn in the output's shape. Callers apply the
+    1/sqrt(N_t) transmit power scaling to data symbols before calling.
     """
-    n_rx, n_tx = realization.H.shape
+    h = realization.H
     x = np.asarray(x, dtype=complex)
-    if x.ndim not in (1, 2) or x.shape[0] != n_tx:
-        raise ValueError(f"x has shape {x.shape}, expected ({n_tx},) or ({n_tx}, n)")
-    noise = sample_noise((n_rx,) + x.shape[1:], realization.sigma2, rng)
-    return np.sqrt(realization.G) * (realization.H @ x) + noise
+    n_tx = h.shape[-1]
+    stack = h.shape[:-2]
+    if stack:
+        fits = x.ndim == h.ndim and x.shape[:-1] == stack + (n_tx,)
+    else:
+        fits = x.ndim in (1, 2) and x.shape[0] == n_tx
+    if not fits:
+        raise ValueError(f"x has shape {x.shape}, expected ({n_tx},) or ({n_tx}, n) "
+                         f"per channel of the stack {h.shape}")
+    shape = h.shape[:-1] + x.shape[len(stack) + 1:]
+    if isinstance(noise, np.random.Generator):
+        noise = sample_noise(shape, realization.sigma2, noise)
+    elif np.shape(noise) != shape:
+        raise ValueError(f"noise has shape {np.shape(noise)}, expected {shape}")
+    y = h @ x
+    y *= np.sqrt(realization.G)
+    y += noise
+    return y

@@ -25,34 +25,63 @@ def build_pilot_matrix(n_tx: int, n_pilot: int, rng: np.random.Generator,
     (i, i), so columns beyond N_t are zero. ``unitary-random`` draws Q by
     orthonormal factorization of a complex Gaussian matrix with column
     phases fixed (unique and uniform given the stream); ``permutation``
-    uses a random column permutation of the identity.
+    uses a random column permutation of the identity. The draw is
+    :func:`draw_pilot_basis`, the rest :func:`pilots_from_basis`.
     """
     if n_pilot < n_tx:
         raise ValueError(f"n_pilot = {n_pilot} must be at least N_t = {n_tx}")
+    return pilots_from_basis(draw_pilot_basis(n_tx, rng, mode), n_pilot, mode)
+
+
+def draw_pilot_basis(n_tx: int, rng: np.random.Generator, mode: str = "unitary-random") -> np.ndarray:
+    """The random N_t x N_t part of a pilot matrix: the complex Gaussian
+    matrix to factorize (``unitary-random``) or the permuted identity
+    (``permutation``)."""
     if mode == "unitary-random":
-        z = complex_gaussian(rng, (n_tx, n_tx))
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r)
-        q = q * (diag / np.abs(diag))
-    elif mode == "permutation":
-        q = np.eye(n_tx, dtype=complex)[:, rng.permutation(n_tx)]
-    else:
-        raise ValueError(f"unknown pilot mode {mode!r}; expected one of {PILOT_MODES}")
-    x_p = np.zeros((n_tx, n_pilot), dtype=complex)
-    x_p[:, :n_tx] = q
+        return complex_gaussian(rng, (n_tx, n_tx))
+    if mode == "permutation":
+        return np.eye(n_tx, dtype=complex)[:, rng.permutation(n_tx)]
+    raise ValueError(f"unknown pilot mode {mode!r}; expected one of {PILOT_MODES}")
+
+
+def pilots_from_basis(basis: np.ndarray, n_pilot: int, mode: str = "unitary-random") -> np.ndarray:
+    """Pilot matrices (..., N_t, n_pilot) from bases (..., N_t, N_t) drawn by
+    :func:`draw_pilot_basis`; a stack of bases takes one stacked
+    factorization, each matrix bit for bit its own."""
+    q = basis
+    if mode == "unitary-random":
+        q, r = np.linalg.qr(basis)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        q *= (diag / np.abs(diag))[..., None, :]
+    n_tx = basis.shape[-1]
+    x_p = np.zeros(basis.shape[:-1] + (n_pilot,), dtype=complex)
+    x_p[..., :n_tx] = q
     return x_p
 
 
 def _gram_and_correlation(y_p, x_p):
     y_p = np.asarray(y_p, dtype=complex)
     x_p = np.asarray(x_p, dtype=complex)
-    if y_p.ndim != 2 or x_p.ndim != 2 or y_p.shape[1] != x_p.shape[1]:
+    if (y_p.ndim < 2 or y_p.ndim != x_p.ndim or y_p.shape[:-2] != x_p.shape[:-2]
+            or y_p.shape[-1] != x_p.shape[-1]):
         raise ValueError(f"inconsistent pilot shapes {y_p.shape} and {x_p.shape}")
-    return x_p @ x_p.conj().T, y_p @ x_p.conj().T
+    x_h = x_p.conj().swapaxes(-1, -2)
+    return x_p @ x_h, y_p @ x_h
 
 
-def _is_semi_unitary(gram: np.ndarray) -> bool:
-    return bool(np.linalg.norm(gram - np.eye(gram.shape[0])) < SEMI_UNITARY_TOL)
+def _not_semi_unitary(gram: np.ndarray) -> np.ndarray:
+    """A bool per Gram matrix: true where it is not the identity within
+    tolerance. It is 0-d for a single matrix, and indexing with it then
+    views that matrix as a stack of one."""
+    deviation = (gram - np.eye(gram.shape[-1])).view(np.float64)
+    np.square(deviation, out=deviation)
+    return ~(deviation.sum(axis=(-2, -1)) < SEMI_UNITARY_TOL ** 2)
+
+
+def _solve_right(corr: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """corr @ inv(matrix) per stacked matrix, solved without forming the inverse."""
+    return np.linalg.solve(matrix.conj().swapaxes(-1, -2),
+                           corr.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
 
 def estimate_ls(y_p: np.ndarray, x_p: np.ndarray, G: float) -> np.ndarray:
@@ -60,14 +89,18 @@ def estimate_ls(y_p: np.ndarray, x_p: np.ndarray, G: float) -> np.ndarray:
 
     H_hat = (1/sqrt(G)) Y_P X_P^* (X_P X_P^*)^{-1}; when the pilots are
     semi-unitary within tolerance this is just (1/sqrt(G)) Y_P X_P^*.
+    ``y_p`` (..., N_r, n_pilot) and ``x_p`` (..., N_t, n_pilot) may carry
+    the same leading stack axes; each matrix is checked and estimated on
+    its own, bit for bit as in a call of its own.
     """
     if G <= 0:
         raise ValueError(f"G must be positive, got {G}")
     gram, corr = _gram_and_correlation(y_p, x_p)
-    if _is_semi_unitary(gram):
-        return corr / np.sqrt(G)
-    # corr @ inv(gram), solved without forming the inverse
-    return np.linalg.solve(gram.conj().T, corr.conj().T).conj().T / np.sqrt(G)
+    general = _not_semi_unitary(gram)
+    if general.any():
+        corr[general] = _solve_right(corr[general], gram[general])
+    corr /= np.sqrt(G)
+    return corr
 
 
 def estimate_lmmse(y_p: np.ndarray, x_p: np.ndarray, G: float, sigma2: float) -> np.ndarray:
@@ -75,14 +108,17 @@ def estimate_lmmse(y_p: np.ndarray, x_p: np.ndarray, G: float, sigma2: float) ->
 
     H_hat = sqrt(G) Y_P X_P^* (G X_P X_P^* + sigma2 I)^{-1}; with
     semi-unitary pilots this is (sqrt(G) / (G + sigma2)) Y_P X_P^*.
-    Coincides with the LS estimate at sigma2 = 0.
+    Coincides with the LS estimate at sigma2 = 0. Takes stacks like
+    :func:`estimate_ls`.
     """
     if G <= 0:
         raise ValueError(f"G must be positive, got {G}")
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     gram, corr = _gram_and_correlation(y_p, x_p)
-    if _is_semi_unitary(gram):
-        return corr * (np.sqrt(G) / (G + sigma2))
-    regularized = G * gram + sigma2 * np.eye(gram.shape[0])
-    return np.sqrt(G) * np.linalg.solve(regularized.conj().T, corr.conj().T).conj().T
+    h_hat = corr * (np.sqrt(G) / (G + sigma2))
+    general = _not_semi_unitary(gram)
+    if general.any():
+        regularized = G * gram[general] + sigma2 * np.eye(gram.shape[-1])
+        h_hat[general] = np.sqrt(G) * _solve_right(corr[general], regularized)
+    return h_hat

@@ -31,19 +31,22 @@ def equalize_zf(h_hat: np.ndarray, G: float, y) -> np.ndarray:
     """Zero-forcing: left pseudo-inverse of the channel estimate, scaled by 1/sqrt(G).
 
     Returns s_hat = (1/sqrt(G)) (H^* H)^{-1} H^* y, one row per transmit
-    stream: shape (N_t,) or (N_t, n_uses), following y. Requires
-    N_r >= N_t and a full column rank estimate; a rank-deficient H_hat
-    raises ``numpy.linalg.LinAlgError`` (recorded by the harness as an
-    equalization failure, not a crash).
+    stream: shape (N_t,) or (N_t, n_uses), following y. A stack of
+    estimates (..., N_r, N_t) takes a stack of received matrices
+    (..., N_r, n_uses) and solves each system bit for bit as a call of its
+    own. Requires N_r >= N_t and a full column rank estimate; a
+    rank-deficient H_hat raises ``numpy.linalg.LinAlgError`` (recorded by
+    the harness as an equalization failure, not a crash), for a whole
+    stack if one of its estimates is.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
-    n_rx, n_tx = h_hat.shape
+    n_rx, n_tx = h_hat.shape[-2:]
     if n_rx < n_tx:
         raise ValueError(f"zero-forcing needs N_r >= N_t, got shape {h_hat.shape}")
     if G <= 0:
         raise ValueError(f"G must be positive, got {G}")
-    gram = h_hat.conj().T @ h_hat
-    return np.linalg.solve(gram, h_hat.conj().T @ np.asarray(y, dtype=complex)) / np.sqrt(G)
+    h_h = h_hat.conj().swapaxes(-1, -2)
+    return np.linalg.solve(h_h @ h_hat, h_h @ np.asarray(y, dtype=complex)) / np.sqrt(G)
 
 
 def equalize_lmmse(h_hat: np.ndarray, G: float, sigma2: float, y) -> np.ndarray:
@@ -51,17 +54,18 @@ def equalize_lmmse(h_hat: np.ndarray, G: float, sigma2: float, y) -> np.ndarray:
     per-stream transmit power 1/N_t.
 
     Returns s_hat = sqrt(G) (G H^* H + sigma2 N_t I)^{-1} H^* y, shaped like
-    the zero-forcing output; it coincides with zero-forcing at sigma2 = 0
-    and shrinks toward zero as sigma2 grows.
+    the zero-forcing output, stacks included; it coincides with
+    zero-forcing at sigma2 = 0 and shrinks toward zero as sigma2 grows.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
-    n_tx = h_hat.shape[1]
+    n_tx = h_hat.shape[-1]
     if G <= 0:
         raise ValueError(f"G must be positive, got {G}")
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
-    regularized = G * (h_hat.conj().T @ h_hat) + sigma2 * n_tx * np.eye(n_tx)
-    return np.sqrt(G) * np.linalg.solve(regularized, h_hat.conj().T @ np.asarray(y, dtype=complex))
+    h_h = h_hat.conj().swapaxes(-1, -2)
+    regularized = G * (h_h @ h_hat) + sigma2 * n_tx * np.eye(n_tx)
+    return np.sqrt(G) * np.linalg.solve(regularized, h_h @ np.asarray(y, dtype=complex))
 
 
 def detect_ml(s_hat, table: ConstellationTable) -> np.ndarray:

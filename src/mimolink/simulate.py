@@ -8,7 +8,10 @@ fresh channel is drawn per block and fresh noise per channel use.
 Every trial derives its own random stream from (seed, noise index, trial
 index) through SeedSequence spawn keys, so results are independent of
 execution order; rerunning a sweep with the same seed yields a
-byte-identical CSV.
+byte-identical CSV. Trials cross the link in chunks: each draws from its
+own stream into stacked arrays, the link algebra runs once per chunk, and
+run_trial then finishes and measures each trial from its row, so no
+outcome depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .channel import ChannelRealization, LinkGeometry, apply_channel, large_scale_gain, sample_channel
+from .channel import (ChannelRealization, LinkGeometry, apply_channel, large_scale_gain, sample_channel,
+                      sample_noise)
 from .constellation import ConstellationTable, build_constellation, map_bits_to_symbols, symbols_to_bits
-from .estimation import PILOT_MODES, build_pilot_matrix, estimate_lmmse, estimate_ls
+from .estimation import PILOT_MODES, draw_pilot_basis, estimate_lmmse, estimate_ls, pilots_from_basis
 from .framing import CrcSpec, block_total_bits, build_transport_blocks, extract_and_check, load_payload_bits
 from .neural import (
     Hyperparameters,
@@ -332,102 +336,186 @@ class SweepRecord:
     seed: int
 
 
-def _detector_features(config: SimConfig, s_flat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if config.dnn_features == "raw":
-        return np.concatenate([y.real.T, y.imag.T], axis=1)
-    return np.column_stack([s_flat.real, s_flat.imag])
+@dataclass(frozen=True)
+class LinkRow:
+    """One trial's row of a chunk pass, up to detection: what run_trial
+    needs to finish and measure the trial."""
+
+    block: np.ndarray         # on-air bits
+    tx_indices: np.ndarray    # transmitted constellation indices
+    H: np.ndarray             # drawn channel
+    h_hat: np.ndarray         # its estimate
+    s_flat: np.ndarray        # equalized symbols at constellation scale
+    y: np.ndarray             # received data matrix
+    rx_indices: np.ndarray | None  # ML or K-means decisions; None for dnn
+    equalization_failed: bool
 
 
-def _detect_indices(config: SimConfig, s_flat: np.ndarray, y: np.ndarray,
-                    table: ConstellationTable, dnn_model: Network | None) -> np.ndarray:
-    if config.detector == "ml":
-        return detect_ml(s_flat, table)
-    if config.detector == "kmeans":
-        return detect_kmeans(s_flat, table)
-    if dnn_model is None:
-        raise ValueError(
-            "detector 'dnn' needs a trained network; pass dnn_model or use "
-            "train_detector_network() / run_sweep()"
-        )
-    return predict(dnn_model, _detector_features(config, s_flat, y))
+# bound on the entries (16 bytes each) that the stacks of one chunk's draws
+# hold together, which keeps a chunk's working set near 1 MB: trials/s
+# stops rising past about a dozen trials per chunk on the default 16x16
+# link (848 entries a trial), while the 4x16 link of 257 channel uses per
+# block (4320 entries a trial) needs two or three per chunk not to lose speed
+_CHUNK_ENTRIES = 1 << 14
 
 
-def _estimate_channel(config: SimConfig, gain: float, noise_power: float,
-                      rng: np.random.Generator) -> tuple[ChannelRealization, np.ndarray]:
-    """Draw the block's channel, send the pilots over it and estimate it.
-
-    Draw order: channel matrix, pilot construction, pilot noise.
-    """
-    realization = ChannelRealization(sample_channel(config.N_r, config.N_t, rng), gain, noise_power)
-    x_p = build_pilot_matrix(config.N_t, config.n_pilot, rng, config.pilot_mode)
-    y_p = apply_channel(realization, x_p, rng)
-    if config.estimator == "ls":
-        return realization, estimate_ls(y_p, x_p, gain)
-    return realization, estimate_lmmse(y_p, x_p, gain, noise_power)
+def _channel_uses(config: SimConfig, table: ConstellationTable, crc_spec: CrcSpec) -> int:
+    return block_total_bits(config.codeword_size, crc_spec, table.k, config.N_t) // (table.k * config.N_t)
 
 
-def _receive(config: SimConfig, table: ConstellationTable, realization: ChannelRealization,
-             h_hat: np.ndarray, tx_indices: np.ndarray,
-             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Send the block's symbols over the channel (drawing the data noise) and
-    equalize them with the estimate.
+def _chunk_blocks(config: SimConfig, n_uses: int) -> int:
+    """Blocks per chunk: as many as keep the draws within _CHUNK_ENTRIES."""
+    per_block = config.N_r * (config.N_t + config.n_pilot + n_uses) + config.N_t ** 2
+    return max(1, _CHUNK_ENTRIES // per_block)
 
-    Returns the equalized symbols at constellation scale, one per
-    transmitted index, and the received matrix y. A rank-deficient
-    estimate, or equalized symbols that are not all finite, raise
-    ``numpy.linalg.LinAlgError``.
-    """
-    x = table.points[tx_indices].reshape(-1, config.N_t).T / math.sqrt(config.N_t)
-    y = apply_channel(realization, x, rng)
+
+class _LinkDraws:
+    """Preallocated stacks of the random draws of a chunk of blocks."""
+
+    def __init__(self, config: SimConfig, noise_power: float, n_blocks: int, n_uses: int):
+        self.config = config
+        self.noise_power = noise_power
+        self.H = np.empty((n_blocks, config.N_r, config.N_t), dtype=complex)
+        self.pilot_basis = np.empty((n_blocks, config.N_t, config.N_t), dtype=complex)
+        self.pilot_noise = np.empty((n_blocks, config.N_r, config.n_pilot), dtype=complex)
+        self.data_noise = np.empty((n_blocks, config.N_r, n_uses), dtype=complex)
+
+    def draw_pilot_link(self, b: int, rng: np.random.Generator) -> None:
+        """Block b's channel matrix, pilot construction and pilot noise, in that order."""
+        config = self.config
+        self.H[b] = sample_channel(config.N_r, config.N_t, rng)
+        self.pilot_basis[b] = draw_pilot_basis(config.N_t, rng, config.pilot_mode)
+        self.pilot_noise[b] = sample_noise(self.pilot_noise.shape[1:], self.noise_power, rng)
+
+    def draw_data_noise(self, b: int, rng: np.random.Generator) -> None:
+        self.data_noise[b] = sample_noise(self.data_noise.shape[1:], self.noise_power, rng)
+
+
+def _equalize(config: SimConfig, h_hat: np.ndarray, gain: float, noise_power: float,
+              y: np.ndarray) -> np.ndarray:
     if config.equalizer == "zf":
-        s_hat = equalize_zf(h_hat, realization.G, y)
+        return equalize_zf(h_hat, gain, y)
+    return equalize_lmmse(h_hat, gain, noise_power, y)
+
+
+def _link_pass(config: SimConfig, table: ConstellationTable, gain: float, draws: _LinkDraws,
+               tx_indices: np.ndarray):
+    """Send a chunk of blocks through the link: pilots, estimation, data
+    symbols and equalization, each stage one stacked call.
+
+    ``tx_indices`` is (n_blocks, n_symbols). Returns the estimates, the
+    equalized symbols at constellation scale (n_blocks, n_symbols), the
+    received data matrices and a bool per block that is true where the
+    estimate is rank-deficient or the equalized symbols are not all
+    finite; such a block's symbols are zeroed.
+    """
+    channel = ChannelRealization(draws.H, gain, draws.noise_power)
+    x_p = pilots_from_basis(draws.pilot_basis, config.n_pilot, config.pilot_mode)
+    y_p = apply_channel(channel, x_p, draws.pilot_noise)
+    if config.estimator == "ls":
+        h_hat = estimate_ls(y_p, x_p, gain)
     else:
-        s_hat = equalize_lmmse(h_hat, realization.G, realization.sigma2, y)
-    if not np.isfinite(s_hat).all():
-        raise np.linalg.LinAlgError("equalized symbols are not all finite")
-    return (s_hat * math.sqrt(config.N_t)).T.ravel(), y
+        h_hat = estimate_lmmse(y_p, x_p, gain, draws.noise_power)
+
+    n_blocks = tx_indices.shape[0]
+    x = table.points[tx_indices].reshape(n_blocks, -1, config.N_t).swapaxes(-1, -2) / math.sqrt(config.N_t)
+    y = apply_channel(channel, x, draws.data_noise)
+    try:
+        s_hat = _equalize(config, h_hat, gain, draws.noise_power, y)
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole stacked solve: solve each on its own
+        s_hat = np.empty(x.shape, dtype=complex)
+        for b in range(n_blocks):
+            try:
+                s_hat[b] = _equalize(config, h_hat[b], gain, draws.noise_power, y[b])
+            except np.linalg.LinAlgError:
+                s_hat[b] = np.nan
+    failed = ~np.isfinite(s_hat).all(axis=(-2, -1))
+    s_flat = (s_hat * math.sqrt(config.N_t)).swapaxes(-1, -2).reshape(n_blocks, -1)
+    s_flat[failed] = 0
+    return h_hat, s_flat, y, failed
+
+
+def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_indices,
+                 payloads, table: ConstellationTable, crc_spec: CrcSpec, gain: float) -> list[LinkRow]:
+    """Run a chunk of trials through the link and detect them (ML or K-means).
+
+    Each trial draws from its own substream, in the order payload bits
+    (where its payload is None), channel matrix, pilot construction,
+    pilot noise, data noise.
+    """
+    n_uses = _channel_uses(config, table, crc_spec)
+    draws = _LinkDraws(config, noise_power, len(trial_indices), n_uses)
+    blocks = np.empty((len(trial_indices), n_uses * config.N_t * table.k), dtype=np.uint8)
+    for b, (trial_index, payload) in enumerate(zip(trial_indices, payloads)):
+        rng = substream(config.seed, _TRIAL_NS, noise_index, trial_index)
+        if payload is None:
+            payload = rng.integers(0, 2, size=config.codeword_size, dtype=np.uint8)
+        blocks[b] = build_transport_blocks(payload, config.codeword_size, crc_spec, table.k, config.N_t)
+        draws.draw_pilot_link(b, rng)
+        draws.draw_data_noise(b, rng)
+    tx_indices = map_bits_to_symbols(blocks, table).reshape(len(blocks), -1)
+    h_hat, s_flat, y, failed = _link_pass(config, table, gain, draws, tx_indices)
+    rx_indices = [None] * len(blocks)
+    if config.detector == "ml":
+        rx_indices = detect_ml(s_flat, table).reshape(s_flat.shape)
+    elif config.detector == "kmeans":
+        rx_indices = detect_kmeans(s_flat, table).reshape(s_flat.shape)
+    return [LinkRow(*row) for row in zip(blocks, tx_indices, draws.H, h_hat, s_flat, y, rx_indices, failed)]
+
+
+def _detector_features(config: SimConfig, s_flat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One feature row per symbol, for a block or a stack of blocks."""
+    if config.dnn_features == "raw":
+        return np.concatenate([y.real, y.imag], axis=-2).swapaxes(-1, -2).reshape(-1, 2 * config.N_r)
+    s = s_flat.ravel()
+    return np.column_stack([s.real, s.imag])
 
 
 def run_trial(config: SimConfig, noise_power: float, trial_index: int,
               noise_index: int = 0, *, table: ConstellationTable | None = None,
               crc_spec: CrcSpec | None = None, payload_bits=None,
-              dnn_model: Network | None = None) -> TrialOutcome:
+              dnn_model: Network | None = None, link: LinkRow | None = None) -> TrialOutcome:
     """Transmit one transport block end to end and measure it.
 
     Randomness comes from the substream (seed, noise_index, trial_index);
     within a trial the draw order is fixed: payload bits (when not
     supplied), channel matrix, pilot construction, pilot noise, data noise.
     ``build_transport_blocks`` frames ``payload_bits`` and checks its size.
+    ``link`` is this trial's row of a chunk pass, as run_sweep hands it
+    over (the row already holds the framed payload); without it the trial
+    runs the same pass as a chunk of one. Either way the trial then
+    detects with the network (dnn), demaps, checks the CRC and measures.
     """
+    if config.detector == "dnn" and dnn_model is None:
+        raise ValueError(
+            "detector 'dnn' needs a trained network; pass dnn_model or use "
+            "train_detector_network() / run_sweep()"
+        )
     if table is None:
         table = build_constellation(config.constellation, config.M_constellation)
     if crc_spec is None:
         crc_spec = CrcSpec(config.crc_generator)
-    rng = substream(config.seed, _TRIAL_NS, noise_index, trial_index)
-    if payload_bits is None:
-        payload_bits = rng.integers(0, 2, size=config.codeword_size, dtype=np.uint8)
-    block = build_transport_blocks(payload_bits, config.codeword_size, crc_spec, table.k, config.N_t)
-
-    realization, h_hat = _estimate_channel(config, link_gain(config), noise_power, rng)
+    if link is None:
+        [link] = _trial_links(config, noise_power, noise_index, [trial_index], [payload_bits],
+                              table, crc_spec, link_gain(config))
     # the column-major error vector fixes the summation order of the MSE
-    est_mse = metrics.estimation_mse(metrics.error_vector(realization.H, h_hat),
+    est_mse = metrics.estimation_mse(metrics.error_vector(link.H, link.h_hat),
                                      config.N_r, config.N_t)
-
-    tx_indices = map_bits_to_symbols(block, table)
-    try:
-        s_flat, y = _receive(config, table, realization, h_hat, tx_indices, rng)
-    except np.linalg.LinAlgError:
-        # rank-deficient estimate: count the whole block as lost
+    if link.equalization_failed:
+        # rank-deficient estimate or non-finite symbols: count the whole block as lost
         return TrialOutcome(estimation_mse=est_mse, ser=1.0, ber=1.0,
                             crc_ok=False, equalization_failed=True)
 
-    rx_indices = _detect_indices(config, s_flat, y, table, dnn_model)
+    rx_indices = link.rx_indices
+    if rx_indices is None:
+        rx_indices = predict(dnn_model, _detector_features(config, link.s_flat, link.y))
     payload_rx, crc_ok = extract_and_check(symbols_to_bits(rx_indices, table), config.codeword_size,
                                            crc_spec, table.k, config.N_t)
     return TrialOutcome(
         estimation_mse=est_mse,
-        ser=metrics.ser(tx_indices, rx_indices),
-        ber=metrics.ber(block[:config.codeword_size], payload_rx),
+        ser=metrics.ser(link.tx_indices, rx_indices),
+        ber=metrics.ber(link.block[:config.codeword_size], payload_rx),
         crc_ok=crc_ok,
         equalization_failed=False,
     )
@@ -438,34 +526,40 @@ def train_detector_network(config: SimConfig, noise_power: float, noise_index: i
     """Train the neural detector for one noise point.
 
     Training data is generated with a dedicated substream, one fresh
-    channel per block, through the same pilot/estimate/equalize pipeline
-    the trials use; per block the draw order is channel matrix, pilot
-    construction, pilot noise, transmitted indices, data noise. Labels
-    follow ``config.dnn_labels``: the transmitted indices ("truth") or the
-    ML detector's decisions ("ml").
+    channel per block, through the same chunk pass the trials use; per
+    block the draw order is channel matrix, pilot construction, pilot
+    noise, transmitted indices, data noise. A block whose equalization
+    fails is skipped and the next one drawn. Labels follow
+    ``config.dnn_labels``: the transmitted indices ("truth") or the ML
+    detector's decisions ("ml").
     """
     if table is None:
         table = build_constellation(config.constellation, config.M_constellation)
     data_rng = substream(config.seed, _TRAINING_NS, noise_index, 0)
     gain = link_gain(config)
-    symbols_per_block = block_total_bits(config.codeword_size, CrcSpec(config.crc_generator),
-                                         table.k, config.N_t) // table.k
+    n_uses = _channel_uses(config, table, CrcSpec(config.crc_generator))
+    symbols_per_block = n_uses * config.N_t
 
     features, labels = [], []
     collected = 0
     while collected < config.dnn_train_samples:
-        realization, h_hat = _estimate_channel(config, gain, noise_power, data_rng)
-        tx_indices = data_rng.integers(0, table.M, size=symbols_per_block)
-        try:
-            s_flat, y = _receive(config, table, realization, h_hat, tx_indices, data_rng)
-        except np.linalg.LinAlgError:
-            continue
+        n_blocks = min(math.ceil((config.dnn_train_samples - collected) / symbols_per_block),
+                       _chunk_blocks(config, n_uses))
+        draws = _LinkDraws(config, noise_power, n_blocks, n_uses)
+        tx_indices = np.empty((n_blocks, symbols_per_block), dtype=np.int64)
+        for b in range(n_blocks):
+            draws.draw_pilot_link(b, data_rng)
+            tx_indices[b] = data_rng.integers(0, table.M, size=symbols_per_block)
+            draws.draw_data_noise(b, data_rng)
+        _, s_flat, y, failed = _link_pass(config, table, gain, draws, tx_indices)
+        if failed.any():
+            s_flat, y, tx_indices = s_flat[~failed], y[~failed], tx_indices[~failed]
         features.append(_detector_features(config, s_flat, y))
         if config.dnn_labels == "truth":
-            labels.append(tx_indices)
+            labels.append(tx_indices.ravel())
         else:
             labels.append(detect_ml(s_flat, table))
-        collected += symbols_per_block
+        collected += tx_indices.size
 
     X = np.concatenate(features)[:config.dnn_train_samples]
     y_train = np.concatenate(labels)[:config.dnn_train_samples]
@@ -491,6 +585,8 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
     validate_config(config)
     table = build_constellation(config.constellation, config.M_constellation)
     crc_spec = CrcSpec(config.crc_generator)
+    gain = link_gain(config)
+    per_chunk = _chunk_blocks(config, _channel_uses(config, table, crc_spec))
 
     payload_chunks = None
     if config.payload is not None:
@@ -516,13 +612,16 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
                 trial_config = replace(config, detector="ml")
                 training_diverged = True
 
-        outcomes = [
-            run_trial(trial_config, sigma2, trial_index, noise_index, table=table,
-                      crc_spec=crc_spec, dnn_model=dnn_model,
-                      payload_bits=None if payload_chunks is None
-                      else payload_chunks[trial_index % len(payload_chunks)])
-            for trial_index in range(config.n_transmissions)
-        ]
+        outcomes = []
+        for start in range(0, config.n_transmissions, per_chunk):
+            trials = range(start, min(start + per_chunk, config.n_transmissions))
+            payloads = [None if payload_chunks is None else payload_chunks[t % len(payload_chunks)]
+                        for t in trials]
+            links = _trial_links(trial_config, sigma2, noise_index, trials, payloads,
+                                 table, crc_spec, gain)
+            outcomes += [run_trial(trial_config, sigma2, t, noise_index, table=table, crc_spec=crc_spec,
+                                   dnn_model=dnn_model, link=link)
+                         for t, link in zip(trials, links)]
 
         # ordered reduction keyed by trial index; a detector's
         # classification error is its symbol error rate

@@ -188,6 +188,28 @@ class TestApplyChannel:
             apply_channel(realization, np.zeros(2), np.random.default_rng(12)),
             sample_noise(3, 0.3, np.random.default_rng(12)))
 
+    def test_stack_matches_per_matrix_calls(self):
+        """A stack of channels with noise drawn beforehand: each slice is
+        its own call bit for bit, whether the noise is passed or drawn."""
+        rng = np.random.default_rng(13)
+        h = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+        x = rng.standard_normal((4, 2, 5)) + 1j * rng.standard_normal((4, 2, 5))
+        noise = np.stack([sample_noise((3, 5), 0.3, np.random.default_rng(20 + b)) for b in range(4)])
+        y = apply_channel(self._realization(h, gain=2.0, sigma2=0.3), x, noise)
+        for b in range(4):
+            np.testing.assert_array_equal(
+                y[b], apply_channel(self._realization(h[b], gain=2.0, sigma2=0.3), x[b],
+                                    np.random.default_rng(20 + b)))
+
+    def test_stack_shape_mismatch_rejected(self):
+        realization = self._realization(np.ones((4, 3, 2)))
+        rng = np.random.default_rng(14)
+        for x in (np.zeros((4, 2)), np.zeros((3, 2, 5)), np.zeros((4, 3, 5))):
+            with pytest.raises(ValueError, match="shape"):
+                apply_channel(realization, x, rng)
+        with pytest.raises(ValueError, match="noise"):
+            apply_channel(realization, np.zeros((4, 2, 5)), np.zeros((4, 3, 4)))
+
     def test_sigma2_from_density_times_bandwidth(self):
         geo = LinkGeometry(f_c=1.8e9, d=10, eta=2, B=1e6, N0=4e-15)
         assert abs(geo.N0 * geo.B - 4e-9) < 1e-24

@@ -4,11 +4,23 @@ import numpy as np
 import pytest
 
 from mimolink.channel import ChannelRealization, apply_channel, sample_channel
-from mimolink.estimation import build_pilot_matrix, estimate_lmmse, estimate_ls
+from mimolink.estimation import (build_pilot_matrix, draw_pilot_basis, estimate_lmmse, estimate_ls,
+                                 pilots_from_basis)
 
 
 def realization(h, gain=1.0, sigma2=0.0):
     return ChannelRealization(np.asarray(h, dtype=complex), gain, sigma2)
+
+
+def mixed_pilot_stack(rng, n_rx=3, n_tx=2, n_pilot=5):
+    """Received and sent pilots for a stack of four blocks: two with
+    semi-unitary pilots, two with general ones (the solve path)."""
+    x_p = np.stack([build_pilot_matrix(n_tx, n_pilot, rng),
+                    rng.standard_normal((n_tx, n_pilot)) + 1j * rng.standard_normal((n_tx, n_pilot)),
+                    build_pilot_matrix(n_tx, n_pilot, rng, "permutation"),
+                    rng.standard_normal((n_tx, n_pilot)) + 1j * rng.standard_normal((n_tx, n_pilot))])
+    y_p = rng.standard_normal((4, n_rx, n_pilot)) + 1j * rng.standard_normal((4, n_rx, n_pilot))
+    return y_p, x_p
 
 
 class TestPilotMatrix:
@@ -36,6 +48,19 @@ class TestPilotMatrix:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="zadoff"):
             build_pilot_matrix(2, 2, np.random.default_rng(0), "zadoff")
+
+    @pytest.mark.parametrize("mode", ["unitary-random", "permutation"])
+    def test_stacked_bases_match_per_matrix_calls(self, mode):
+        rng = np.random.default_rng(6)
+        bases = np.stack([draw_pilot_basis(4, rng, mode) for _ in range(5)])
+        stacked = pilots_from_basis(bases, 6, mode)
+        assert stacked.shape == (5, 4, 6)
+        for basis, x_p in zip(bases, stacked):
+            np.testing.assert_array_equal(x_p, pilots_from_basis(basis, 6, mode))
+        # build_pilot_matrix is the draw and the construction on one stream
+        np.testing.assert_array_equal(
+            build_pilot_matrix(4, 6, np.random.default_rng(7), mode),
+            pilots_from_basis(draw_pilot_basis(4, np.random.default_rng(7), mode), 6, mode))
 
     def test_deterministic_given_stream(self):
         a = build_pilot_matrix(4, 8, np.random.default_rng(5))
@@ -121,6 +146,19 @@ class TestLeastSquares:
         oracle = y_p @ x_p.conj().T @ np.linalg.inv(gram)
         np.testing.assert_allclose(estimate_ls(y_p, x_p, 1.0), oracle, atol=1e-11)
 
+    def test_stacked_matches_per_matrix_calls(self):
+        y_p, x_p = mixed_pilot_stack(np.random.default_rng(16))
+        stacked = estimate_ls(y_p, x_p, 2.0)
+        for b in range(len(y_p)):
+            np.testing.assert_array_equal(stacked[b], estimate_ls(y_p[b], x_p[b], 2.0))
+
+    def test_mismatched_stacks_rejected(self):
+        y_p, x_p = mixed_pilot_stack(np.random.default_rng(17))
+        with pytest.raises(ValueError, match="inconsistent"):
+            estimate_ls(y_p[:3], x_p, 1.0)
+        with pytest.raises(ValueError, match="inconsistent"):
+            estimate_ls(y_p, x_p[0], 1.0)
+
     def test_singular_gram_raises(self):
         x_p = np.zeros((2, 4), dtype=complex)
         x_p[0, 0] = 1.0  # second pilot row is all zero -> singular Gram
@@ -176,6 +214,12 @@ class TestLmmse:
             ls_total += np.mean(np.abs(h - estimate_ls(y_p, x_p, 1.0)) ** 2)
             lmmse_total += np.mean(np.abs(h - estimate_lmmse(y_p, x_p, 1.0, sigma2)) ** 2)
         assert lmmse_total < ls_total
+
+    def test_stacked_matches_per_matrix_calls(self):
+        y_p, x_p = mixed_pilot_stack(np.random.default_rng(18))
+        stacked = estimate_lmmse(y_p, x_p, 2.0, 0.3)
+        for b in range(len(y_p)):
+            np.testing.assert_array_equal(stacked[b], estimate_lmmse(y_p[b], x_p[b], 2.0, 0.3))
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):

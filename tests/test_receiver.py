@@ -71,6 +71,18 @@ class TestZeroForcing:
         for col in range(10):
             np.testing.assert_allclose(batched[:, col], equalize_zf(h, 1.0, ys[:, col]), atol=1e-12)
 
+    def test_stacked_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(9)
+        h = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+        y = rng.standard_normal((5, 4, 7)) + 1j * rng.standard_normal((5, 4, 7))
+        stacked = equalize_zf(h, 2.0, y)
+        assert stacked.shape == (5, 3, 7)
+        for b in range(5):
+            np.testing.assert_array_equal(stacked[b], equalize_zf(h[b], 2.0, y[b]))
+        h[2, :, 1] = 0  # one rank-deficient estimate fails the whole stack
+        with pytest.raises(np.linalg.LinAlgError):
+            equalize_zf(h, 2.0, y)
+
     def test_rank_deficient_estimate_raises_linalgerror(self):
         h = np.zeros((4, 2), dtype=complex)
         h[:, 0] = 1.0  # second column zero -> singular Gram
@@ -122,6 +134,14 @@ class TestLmmseEqualizer:
             lmmse_errors += np.count_nonzero(detect_ml(s_lm, table) != tx)
             total += tx.size
         assert lmmse_errors / total <= zf_errors / total + 0.01
+
+    def test_stacked_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(10)
+        h = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+        y = rng.standard_normal((5, 4, 7)) + 1j * rng.standard_normal((5, 4, 7))
+        stacked = equalize_lmmse(h, 2.0, 0.1, y)
+        for b in range(5):
+            np.testing.assert_array_equal(stacked[b], equalize_lmmse(h[b], 2.0, 0.1, y[b]))
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mimolink.simulate as sim
+from mimolink import metrics
 from mimolink.framing import CrcSpec, block_total_bits
 from mimolink.neural import TrainingDivergedError
 from mimolink.simulate import (
@@ -17,6 +18,7 @@ from mimolink.simulate import (
     DEFAULT_NOISE_GRID,
     ConfigError,
     SimConfig,
+    SweepRecord,
     load_config,
     run_sweep,
     run_trial,
@@ -273,14 +275,15 @@ class TestRunTrial:
 
     def test_equalization_failure_is_a_block_failure(self, monkeypatch):
         """A rank-deficient estimate fails the block, not the run."""
-        monkeypatch.setattr(sim, "estimate_ls", lambda y, x, g: np.zeros((FAST.N_r, FAST.N_t)))
+        monkeypatch.setattr(sim, "estimate_ls", lambda y, x, g: np.zeros(y.shape[:-1] + (FAST.N_t,)))
         outcome = run_trial(FAST, 1e-3, 0)
         assert outcome.equalization_failed
         assert not outcome.crc_ok
         assert outcome.ser == 1.0
 
     def test_non_finite_equalizer_output_is_a_block_failure(self, monkeypatch):
-        monkeypatch.setattr(sim, "equalize_zf", lambda h, g, y: np.full((FAST.N_t, y.shape[1]), np.nan + 0j))
+        monkeypatch.setattr(sim, "equalize_zf", lambda h, g, y: np.full(h.shape[:-2] + (FAST.N_t, y.shape[-1]),
+                                                                         np.nan + 0j))
         outcome = run_trial(FAST, 1e-3, 0)
         assert outcome.equalization_failed
         assert not outcome.crc_ok
@@ -342,14 +345,15 @@ class TestRunSweep:
     def test_equalization_failures_fail_every_rate(self, monkeypatch):
         """A noise point whose every estimate is rank-deficient reports all
         rates at 1."""
-        monkeypatch.setattr(sim, "estimate_ls", lambda y, x, g: np.zeros((FAST.N_r, FAST.N_t)))
+        monkeypatch.setattr(sim, "estimate_ls", lambda y, x, g: np.zeros(y.shape[:-1] + (FAST.N_t,)))
         [record] = run_sweep(replace(FAST, noise_power=(1e-3,), n_transmissions=5))
         assert (record.bler, record.ser, record.ber, record.classification_error) == (1.0, 1.0, 1.0, 1.0)
 
     def test_non_finite_equalizer_output_fails_every_rate(self, monkeypatch):
         """Non-finite equalized symbols count as failed blocks, never as a
         BLER-0 row."""
-        monkeypatch.setattr(sim, "equalize_zf", lambda h, g, y: np.full((FAST.N_t, y.shape[1]), np.nan + 0j))
+        monkeypatch.setattr(sim, "equalize_zf", lambda h, g, y: np.full(h.shape[:-2] + (FAST.N_t, y.shape[-1]),
+                                                                         np.nan + 0j))
         [record] = run_sweep(replace(FAST, noise_power=(1e-3,), n_transmissions=5))
         assert (record.bler, record.ser, record.ber) == (1.0, 1.0, 1.0)
 
@@ -408,13 +412,18 @@ class TestRunSweep:
         assert any("falling back" in message for message in caplog.messages)
 
     def test_training_skips_blocks_with_non_finite_equalizer_output(self, monkeypatch):
-        calls = []
+        blocks = []
         equalize = sim.equalize_zf
 
         def every_other_block_nan(h_hat, G, y):
-            calls.append(1)
+            # one call equalizes a stack of blocks: count blocks, not calls
             s_hat = equalize(h_hat, G, y)
-            return s_hat * np.nan if len(calls) % 2 else s_hat
+            stack = s_hat.reshape((-1,) + s_hat.shape[-2:])
+            for block in stack:
+                blocks.append(1)
+                if len(blocks) % 2:
+                    block[...] = np.nan
+            return s_hat
 
         monkeypatch.setattr(sim, "equalize_zf", every_other_block_nan)
         config = replace(
@@ -423,12 +432,143 @@ class TestRunSweep:
         )
         model = train_detector_network(config, 1e-3, 0)
         # 9 symbols per block: the NaN blocks were drawn and skipped
-        assert len(calls) > 2 * 600 // 9
+        assert len(blocks) > 2 * 600 // 9
         assert all(np.isfinite(p).all() for p in model.weights + model.biases)
 
     def test_invalid_config_propagates(self):
         with pytest.raises(ConfigError):
             run_sweep(replace(FAST, n_transmissions=0))
+
+
+def standalone_records(config, models):
+    """Records reduced, in trial order, from one standalone run_trial call per trial."""
+    table = sim.build_constellation(config.constellation, config.M_constellation)
+    records = []
+    for noise_index, sigma2 in enumerate(config.noise_power):
+        outcomes = [run_trial(config, sigma2, trial, noise_index, dnn_model=models[noise_index])
+                    for trial in range(config.n_transmissions)]
+        ser = float(np.mean([o.ser for o in outcomes]))
+        records.append(SweepRecord(
+            noise_power=sigma2,
+            snr_tx_db=metrics.tx_snr_db(sigma2, config.N_t),
+            ebn0_tx_db=metrics.tx_ebn0_db(sigma2, config.N_t, table.k),
+            channel_mse=float(np.mean([o.estimation_mse for o in outcomes])),
+            bler=metrics.bler([o.crc_ok for o in outcomes]),
+            ser=ser,
+            ber=float(np.mean([o.ber for o in outcomes])),
+            classification_error=ser,
+            detector=config.detector,
+            estimator=config.estimator,
+            seed=config.seed,
+        ))
+    return records
+
+
+# one channel use per block (2 payload + 2 CRC bits on 2 QPSK streams), and
+# FAST's three uses per block
+ONE_USE = SimConfig(N_t=2, N_r=2, constellation="QPSK", M_constellation=4, n_pilot=2,
+                    codeword_size=2, noise_power=(1e-2, 1e-1), n_transmissions=1)
+SMALL_DNN = dict(dnn_train_samples=120, dnn_epochs=3, dnn_width=8)
+
+
+class TestChunking:
+    """Trials cross the link in chunks; the chunk size must not show in any record."""
+
+    @pytest.mark.parametrize("detector", ["ml", "kmeans", "dnn"])
+    @pytest.mark.parametrize("base", [ONE_USE, FAST], ids=["one-use", "three-use"])
+    def test_sweep_equals_standalone_trials_around_the_chunk_size(self, monkeypatch, base, detector):
+        config = replace(base, detector=detector, **SMALL_DNN)
+        # trained under the default chunk bound: the sweep below retrains
+        # under a small one, so the training data pass is covered too
+        models = [sim.train_detector_network(config, sigma2, i) if detector == "dnn" else None
+                  for i, sigma2 in enumerate(config.noise_power)]
+        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 64)
+        table = sim.build_constellation(config.constellation, config.M_constellation)
+        chunk = sim._chunk_blocks(config, sim._channel_uses(config, table, CrcSpec(config.crc_generator)))
+        assert chunk >= 2
+        for n in (chunk - 1, chunk, chunk + 1):
+            sized = replace(config, n_transmissions=n)
+            assert run_sweep(sized) == standalone_records(sized, models), n
+
+
+class TestFailureInChunk:
+    """A block that fails equalization inside a chunk fails alone."""
+
+    SINGULAR, NON_FINITE = 3, 5
+
+    def _inject_faults(self, monkeypatch):
+        """In the first stack of more than NON_FINITE blocks, zero the
+        SINGULAR block's estimate (rank-deficient, so the stacked solve
+        raises) and turn one equalized entry of the NON_FINITE block into
+        NaN, recognising that block by its estimate in the stacked call and
+        in the per-block fallback alike."""
+        estimate, equalize = sim.estimate_ls, sim.equalize_zf
+        marked = []
+
+        def faulty_estimate(y_p, x_p, G):
+            h_hat = estimate(y_p, x_p, G)
+            if not marked and h_hat.ndim == 3 and len(h_hat) > self.NON_FINITE:
+                h_hat[self.SINGULAR] = 0
+                marked.append(h_hat[self.NON_FINITE].copy())
+            return h_hat
+
+        def faulty_equalize(h_hat, G, y):
+            s_hat = equalize(h_hat, G, y)
+            for mark in marked:
+                hits = (h_hat.reshape((-1,) + mark.shape) == mark).all(axis=(-2, -1))
+                s_hat.reshape((-1,) + s_hat.shape[-2:])[hits, 0, 0] = np.nan
+            return s_hat
+
+        monkeypatch.setattr(sim, "estimate_ls", faulty_estimate)
+        monkeypatch.setattr(sim, "equalize_zf", faulty_equalize)
+        return marked
+
+    def test_only_the_two_trials_fail(self, monkeypatch):
+        config = replace(FAST, noise_power=(1e-3,), n_transmissions=10)
+        standalone = [run_trial(config, 1e-3, trial, 0) for trial in range(10)]
+        assert not any(o.equalization_failed for o in standalone)
+
+        outcomes = {}
+        trial = sim.run_trial
+
+        def recording_trial(config, noise_power, trial_index, noise_index=0, **kwargs):
+            outcomes[trial_index] = trial(config, noise_power, trial_index, noise_index, **kwargs)
+            return outcomes[trial_index]
+
+        monkeypatch.setattr(sim, "run_trial", recording_trial)
+        marked = self._inject_faults(monkeypatch)
+        [record] = run_sweep(config)
+        assert marked, "the sweep ran no stack of more than NON_FINITE blocks"
+        assert sorted(outcomes) == list(range(10))
+        failed = [t for t, o in outcomes.items() if o.equalization_failed]
+        assert failed == [self.SINGULAR, self.NON_FINITE]
+        for t in failed:
+            assert (outcomes[t].ser, outcomes[t].ber, outcomes[t].crc_ok) == (1.0, 1.0, False)
+        for t, outcome in outcomes.items():
+            if t not in failed:
+                assert outcome == standalone[t], t
+        assert record.bler == metrics.bler([o.crc_ok for _, o in sorted(outcomes.items())])
+
+    def test_training_skips_the_two_blocks_and_draws_the_next(self, monkeypatch):
+        config = replace(FAST, detector="dnn", dnn_train_samples=60)
+        k = int(math.log2(config.M_constellation))
+        per_block = block_total_bits(config.codeword_size, CrcSpec(config.crc_generator), k, config.N_t) // k
+        captured = []
+        monkeypatch.setattr(sim, "train", lambda network, X, y, hyper: captured.append((X, y)))
+
+        # without faults, two blocks' worth more data, in the same draw order
+        sim.train_detector_network(replace(config, dnn_train_samples=60 + 2 * per_block), 1e-2, 0)
+        X_all, y_all = captured.pop()
+        kept = np.ones(len(y_all), dtype=bool)
+        for block in (self.SINGULAR, self.NON_FINITE):
+            kept[block * per_block:(block + 1) * per_block] = False
+
+        marked = self._inject_faults(monkeypatch)
+        sim.train_detector_network(config, 1e-2, 0)
+        assert marked
+        X, y = captured.pop()
+        np.testing.assert_array_equal(X, X_all[kept][:60])
+        np.testing.assert_array_equal(y, y_all[kept][:60])
 
 
 class TestUndetectedErrorRate:
