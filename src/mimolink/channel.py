@@ -66,27 +66,66 @@ def large_scale_gain(geometry: LinkGeometry) -> float:
     return fspl_ref * (REFERENCE_DISTANCE_M / geometry.d) ** geometry.eta
 
 
-def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """I.i.d. draws from the zero-mean unit-variance complex normal law."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def sample_channel(n_rx: int, n_tx: int, rng: np.random.Generator) -> np.ndarray:
-    """Rayleigh fading matrix rescaled so that ||H||_F^2 = n_rx * n_tx exactly."""
+def _lead_shape(normals: np.ndarray, shape: tuple) -> tuple:
+    """Leading stack axes of draws made beforehand, laid out (..., 2, *shape)."""
+    lead = normals.shape[:normals.ndim - len(shape) - 1]
+    if normals.shape != lead + (2,) + shape:
+        raise ValueError(f"draws have shape {normals.shape}, expected (..., 2) + {shape}")
+    return lead
+
+
+def complex_gaussian(rng, shape) -> np.ndarray:
+    """I.i.d. draws from the zero-mean unit-variance complex normal law.
+
+    ``rng`` is the stream to draw the real parts and then the imaginary
+    parts from, or those standard normal draws made beforehand as an
+    array (..., 2, *shape), which gives a stack (..., *shape). Either way
+    each entry is (a + 1j b) / sqrt(2) bit for bit.
+    """
+    shape = np.broadcast_shapes(shape)
+    normals = rng.standard_normal((2,) + shape) if isinstance(rng, np.random.Generator) else rng
+    out = np.empty(_lead_shape(normals, shape) + shape, dtype=complex)
+    re, im = np.moveaxis(normals, -1 - len(shape), 0)
+    np.multiply(re, _SQRT_HALF, out=out.real)
+    np.multiply(im, _SQRT_HALF, out=out.imag)
+    return out
+
+
+def sample_channel(n_rx: int, n_tx: int, rng) -> np.ndarray:
+    """Rayleigh fading matrix rescaled so that ||H||_F^2 = n_rx * n_tx exactly.
+
+    ``rng`` is the stream to draw from, or the standard normal draws made
+    beforehand (..., 2, n_rx, n_tx) as :func:`complex_gaussian` takes
+    them; their stack of matrices is normalized one matrix at a time.
+    """
     if n_rx < 1 or n_tx < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({n_rx}, {n_tx})")
-    raw = complex_gaussian(rng, (n_rx, n_tx))
-    return raw * (np.sqrt(n_rx * n_tx) / np.linalg.norm(raw))
+    h = complex_gaussian(rng, (n_rx, n_tx))
+    for matrix in h.reshape(-1, n_rx, n_tx):
+        matrix *= np.sqrt(n_rx * n_tx) / np.linalg.norm(matrix)
+    return h
 
 
-def sample_noise(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+def sample_noise(shape, sigma2: float, rng) -> np.ndarray:
     """Complex noise of the given shape (an int is a vector length), per-entry
-    variance sigma2: sqrt(sigma2) CN(0, 1), or zeros without a draw at sigma2 = 0."""
+    variance sigma2: sqrt(sigma2) CN(0, 1), or zeros without a draw at sigma2 = 0.
+
+    ``rng`` is the stream to draw from, or the standard normal draws made
+    beforehand (..., 2, *shape) as :func:`complex_gaussian` takes them,
+    which gives a stack (..., *shape); at sigma2 = 0 they are not read.
+    """
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     if sigma2 == 0:
-        return np.zeros(shape, dtype=complex)
-    return np.sqrt(sigma2) * complex_gaussian(rng, shape)
+        shape = np.broadcast_shapes(shape)
+        lead = () if isinstance(rng, np.random.Generator) else _lead_shape(rng, shape)
+        return np.zeros(lead + shape, dtype=complex)
+    noise = complex_gaussian(rng, shape)
+    noise *= np.sqrt(sigma2)
+    return noise
 
 
 def apply_channel(realization: ChannelRealization, x, noise) -> np.ndarray:

@@ -33,10 +33,12 @@ def build_pilot_matrix(n_tx: int, n_pilot: int, rng: np.random.Generator,
     return pilots_from_basis(draw_pilot_basis(n_tx, rng, mode), n_pilot, mode)
 
 
-def draw_pilot_basis(n_tx: int, rng: np.random.Generator, mode: str = "unitary-random") -> np.ndarray:
+def draw_pilot_basis(n_tx: int, rng, mode: str = "unitary-random") -> np.ndarray:
     """The random N_t x N_t part of a pilot matrix: the complex Gaussian
     matrix to factorize (``unitary-random``) or the permuted identity
-    (``permutation``)."""
+    (``permutation``). For ``unitary-random``, ``rng`` may also be the
+    standard normal draws made beforehand, as :func:`complex_gaussian`
+    takes them."""
     if mode == "unitary-random":
         return complex_gaussian(rng, (n_tx, n_tx))
     if mode == "permutation":

@@ -283,6 +283,8 @@ def _parse_network(lines: list[str]) -> Network:
         b = np.fromiter(map(float, lines[2 + 2 * layer].split()), dtype=float)
         if w.size != fan_in * fan_out or b.size != fan_out:
             raise ValueError(f"malformed layer {layer}")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"layer {layer} has a non-finite weight or bias")
         weights.append(w.reshape(fan_in, fan_out))
         biases.append(b)
     return Network(spec, weights, biases, np.random.default_rng(spec.seed))

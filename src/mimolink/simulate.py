@@ -8,8 +8,9 @@ fresh channel is drawn per block and fresh noise per channel use.
 Every trial derives its own random stream from (seed, noise index, trial
 index) through SeedSequence spawn keys, so results are independent of
 execution order; rerunning a sweep with the same seed yields a
-byte-identical CSV. Trials cross the link in chunks: each draws from its
-own stream into stacked arrays, the link algebra runs once per chunk, and
+byte-identical CSV. Trials cross the link in chunks: each draws its
+normals from its own stream into its row of the chunk's buffer, the
+complex stacks and the link algebra are formed once per chunk, and
 run_trial then finishes and measures each trial from its row, so no
 outcome depends on the chunk size.
 """
@@ -370,25 +371,66 @@ def _chunk_blocks(config: SimConfig, n_uses: int) -> int:
 
 
 class _LinkDraws:
-    """Preallocated stacks of the random draws of a chunk of blocks."""
+    """The random draws of a chunk of blocks, one row of standard normals each.
 
-    def __init__(self, config: SimConfig, noise_power: float, n_blocks: int, n_uses: int):
+    A block fills its row in its draw order: channel matrix, pilot basis
+    (unitary-random pilots), pilot noise, data noise, each as real parts
+    then imaginary parts. Each run of normal draws is one standard_normal
+    call; the permutation of permutation pilots (after the channel) and
+    the transmitted indices of training data (after the pilot noise, when
+    ``n_classes`` is given) end a run. At noise power 0 the noise columns
+    are not drawn. :meth:`stacks` assembles the complex stacks once per
+    chunk.
+    """
+
+    def __init__(self, config: SimConfig, noise_power: float, n_blocks: int, n_uses: int,
+                 n_classes: int | None = None):
+        if not (math.isfinite(noise_power) and noise_power >= 0):
+            raise ValueError(f"noise_power must be finite and >= 0, got {noise_power}")
         self.config = config
         self.noise_power = noise_power
-        self.H = np.empty((n_blocks, config.N_r, config.N_t), dtype=complex)
-        self.pilot_basis = np.empty((n_blocks, config.N_t, config.N_t), dtype=complex)
-        self.pilot_noise = np.empty((n_blocks, config.N_r, config.n_pilot), dtype=complex)
-        self.data_noise = np.empty((n_blocks, config.N_r, n_uses), dtype=complex)
+        unitary = config.pilot_mode == "unitary-random"
+        # channel, pilot basis, pilot noise, data noise
+        self.shapes = ((config.N_r, config.N_t), (config.N_t, config.N_t) if unitary else (0,),
+                       (config.N_r, config.n_pilot), (config.N_r, n_uses))
+        self.bounds = np.cumsum([0] + [2 * math.prod(shape) for shape in self.shapes]).tolist()
+        self.drawn = self.bounds[-1] if noise_power > 0 else self.bounds[2]
+        self.normals = np.empty((n_blocks, self.bounds[-1]))
+        self.pilot_basis = None if unitary else np.empty((n_blocks, config.N_t, config.N_t), dtype=complex)
+        self.n_classes = n_classes
+        self.tx_indices = None
+        if n_classes is not None:
+            self.tx_indices = np.empty((n_blocks, n_uses * config.N_t), dtype=np.int64)
 
-    def draw_pilot_link(self, b: int, rng: np.random.Generator) -> None:
-        """Block b's channel matrix, pilot construction and pilot noise, in that order."""
-        config = self.config
-        self.H[b] = sample_channel(config.N_r, config.N_t, rng)
-        self.pilot_basis[b] = draw_pilot_basis(config.N_t, rng, config.pilot_mode)
-        self.pilot_noise[b] = sample_noise(self.pilot_noise.shape[1:], self.noise_power, rng)
+    def draw(self, b: int, rng: np.random.Generator) -> None:
+        """Block b's draws from ``rng``, in its order."""
+        row, channel_end, pilot_noise_end = self.normals[b], self.bounds[1], self.bounds[3]
+        start = 0
+        if self.pilot_basis is not None:
+            rng.standard_normal(out=row[:channel_end])
+            self.pilot_basis[b] = draw_pilot_basis(self.config.N_t, rng, self.config.pilot_mode)
+            start = channel_end
+        if self.tx_indices is not None:
+            # at noise power 0 the run ends before the pilot noise columns
+            rng.standard_normal(out=row[start:min(pilot_noise_end, self.drawn)])
+            self.tx_indices[b] = rng.integers(0, self.n_classes, size=self.tx_indices.shape[1])
+            start = pilot_noise_end
+        rng.standard_normal(out=row[start:self.drawn])
 
-    def draw_data_noise(self, b: int, rng: np.random.Generator) -> None:
-        self.data_noise[b] = sample_noise(self.data_noise.shape[1:], self.noise_power, rng)
+    def stacks(self):
+        """The chunk's channel, pilot basis, pilot noise and data noise stacks."""
+        config, n_blocks = self.config, len(self.normals)
+        channel, basis, pilot_noise, data_noise = (
+            self.normals[:, lo:hi].reshape((n_blocks, 2) + shape)
+            for lo, hi, shape in zip(self.bounds, self.bounds[1:], self.shapes))
+        if self.pilot_basis is None:
+            basis = draw_pilot_basis(config.N_t, basis, config.pilot_mode)
+        else:
+            basis = self.pilot_basis
+        _, _, pilot_shape, data_shape = self.shapes
+        return (sample_channel(config.N_r, config.N_t, channel), basis,
+                sample_noise(pilot_shape, self.noise_power, pilot_noise),
+                sample_noise(data_shape, self.noise_power, data_noise))
 
 
 def _equalize(config: SimConfig, h_hat: np.ndarray, gain: float, noise_power: float,
@@ -403,15 +445,16 @@ def _link_pass(config: SimConfig, table: ConstellationTable, gain: float, draws:
     """Send a chunk of blocks through the link: pilots, estimation, data
     symbols and equalization, each stage one stacked call.
 
-    ``tx_indices`` is (n_blocks, n_symbols). Returns the estimates, the
-    equalized symbols at constellation scale (n_blocks, n_symbols), the
-    received data matrices and a bool per block that is true where the
-    estimate is rank-deficient or the equalized symbols are not all
-    finite; such a block's symbols are zeroed.
+    ``tx_indices`` is (n_blocks, n_symbols). Returns the channels, their
+    estimates, the equalized symbols at constellation scale (n_blocks,
+    n_symbols), the received data matrices and a bool per block that is
+    true where the estimate is rank-deficient or the equalized symbols
+    are not all finite; such a block's symbols are zeroed.
     """
-    channel = ChannelRealization(draws.H, gain, draws.noise_power)
-    x_p = pilots_from_basis(draws.pilot_basis, config.n_pilot, config.pilot_mode)
-    y_p = apply_channel(channel, x_p, draws.pilot_noise)
+    H, pilot_basis, pilot_noise, data_noise = draws.stacks()
+    channel = ChannelRealization(H, gain, draws.noise_power)
+    x_p = pilots_from_basis(pilot_basis, config.n_pilot, config.pilot_mode)
+    y_p = apply_channel(channel, x_p, pilot_noise)
     if config.estimator == "ls":
         h_hat = estimate_ls(y_p, x_p, gain)
     else:
@@ -419,7 +462,7 @@ def _link_pass(config: SimConfig, table: ConstellationTable, gain: float, draws:
 
     n_blocks = tx_indices.shape[0]
     x = table.points[tx_indices].reshape(n_blocks, -1, config.N_t).swapaxes(-1, -2) / math.sqrt(config.N_t)
-    y = apply_channel(channel, x, draws.data_noise)
+    y = apply_channel(channel, x, data_noise)
     try:
         s_hat = _equalize(config, h_hat, gain, draws.noise_power, y)
     except np.linalg.LinAlgError:
@@ -433,7 +476,7 @@ def _link_pass(config: SimConfig, table: ConstellationTable, gain: float, draws:
     failed = ~np.isfinite(s_hat).all(axis=(-2, -1))
     s_flat = (s_hat * math.sqrt(config.N_t)).swapaxes(-1, -2).reshape(n_blocks, -1)
     s_flat[failed] = 0
-    return h_hat, s_flat, y, failed
+    return H, h_hat, s_flat, y, failed
 
 
 def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_indices,
@@ -452,16 +495,15 @@ def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_
         if payload is None:
             payload = rng.integers(0, 2, size=config.codeword_size, dtype=np.uint8)
         blocks[b] = build_transport_blocks(payload, config.codeword_size, crc_spec, table.k, config.N_t)
-        draws.draw_pilot_link(b, rng)
-        draws.draw_data_noise(b, rng)
+        draws.draw(b, rng)
     tx_indices = map_bits_to_symbols(blocks, table).reshape(len(blocks), -1)
-    h_hat, s_flat, y, failed = _link_pass(config, table, gain, draws, tx_indices)
+    H, h_hat, s_flat, y, failed = _link_pass(config, table, gain, draws, tx_indices)
     rx_indices = [None] * len(blocks)
     if config.detector == "ml":
         rx_indices = detect_ml(s_flat, table).reshape(s_flat.shape)
     elif config.detector == "kmeans":
         rx_indices = detect_kmeans(s_flat, table).reshape(s_flat.shape)
-    return [LinkRow(*row) for row in zip(blocks, tx_indices, draws.H, h_hat, s_flat, y, rx_indices, failed)]
+    return [LinkRow(*row) for row in zip(blocks, tx_indices, H, h_hat, s_flat, y, rx_indices, failed)]
 
 
 def _detector_features(config: SimConfig, s_flat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -545,13 +587,11 @@ def train_detector_network(config: SimConfig, noise_power: float, noise_index: i
     while collected < config.dnn_train_samples:
         n_blocks = min(math.ceil((config.dnn_train_samples - collected) / symbols_per_block),
                        _chunk_blocks(config, n_uses))
-        draws = _LinkDraws(config, noise_power, n_blocks, n_uses)
-        tx_indices = np.empty((n_blocks, symbols_per_block), dtype=np.int64)
+        draws = _LinkDraws(config, noise_power, n_blocks, n_uses, n_classes=table.M)
         for b in range(n_blocks):
-            draws.draw_pilot_link(b, data_rng)
-            tx_indices[b] = data_rng.integers(0, table.M, size=symbols_per_block)
-            draws.draw_data_noise(b, data_rng)
-        _, s_flat, y, failed = _link_pass(config, table, gain, draws, tx_indices)
+            draws.draw(b, data_rng)
+        tx_indices = draws.tx_indices
+        _, _, s_flat, y, failed = _link_pass(config, table, gain, draws, tx_indices)
         if failed.any():
             s_flat, y, tx_indices = s_flat[~failed], y[~failed], tx_indices[~failed]
         features.append(_detector_features(config, s_flat, y))

@@ -54,6 +54,60 @@ class TestLargeScaleGain:
             LinkGeometry(f_c=1e9, d=10, eta=2, B=0)
 
 
+def old_complex_gaussian(rng, shape):
+    """The complex draw as first written: two draws, a complex sum and a division."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+class TestDrawsMadeBeforehand:
+    """Each draw function takes a stream or the standard normals drawn
+    beforehand, laid out (..., 2, *shape); both give the first written
+    formulas bit for bit."""
+
+    @pytest.mark.parametrize("shape", [5, (3, 4), (16, 16)])
+    def test_stream_draw_equals_the_first_formulas(self, shape):
+        def pair(seed):
+            return np.random.default_rng(seed), np.random.default_rng(seed)
+
+        new, old = pair(30)
+        assert complex_gaussian(new, shape).tobytes() == old_complex_gaussian(old, shape).tobytes()
+        new, old = pair(31)
+        assert sample_noise(shape, 0.37, new).tobytes() == (np.sqrt(0.37) * old_complex_gaussian(old, shape)).tobytes()
+        if isinstance(shape, tuple):
+            new, old = pair(32)
+            raw = old_complex_gaussian(old, shape)
+            expected = raw * (np.sqrt(raw.size) / np.linalg.norm(raw))
+            assert sample_channel(*shape, new).tobytes() == expected.tobytes()
+
+    def test_stack_of_draws_equals_one_stream_call_per_matrix(self):
+        """Matrix k of the stack holds the normals of stream 40 + k, so it
+        must equal that stream's own call: normalized on its own."""
+        seeds = np.arange(40, 52).reshape(3, 4)
+        normals = np.stack([np.random.default_rng(seed).standard_normal((2, 5, 2))
+                            for seed in seeds.ravel()]).reshape(3, 4, 2, 5, 2)
+        channels = sample_channel(5, 2, normals)
+        noise = sample_noise((5, 2), 0.2, normals)
+        assert channels.shape == noise.shape == (3, 4, 5, 2)
+        for index, seed in np.ndenumerate(seeds):
+            expected = sample_channel(5, 2, np.random.default_rng(seed))
+            assert channels[index].tobytes() == expected.tobytes()
+            expected = sample_noise((5, 2), 0.2, np.random.default_rng(seed))
+            assert noise[index].tobytes() == expected.tobytes()
+
+    def test_zero_power_reads_no_draws(self):
+        normals = np.full((4, 2, 3), np.nan)
+        np.testing.assert_array_equal(sample_noise(3, 0.0, normals), np.zeros((4, 3)))
+
+    def test_misshapen_draws_rejected(self):
+        for normals in (np.zeros((4, 3, 3)), np.zeros((4, 2, 3, 2)), np.zeros(3)):
+            with pytest.raises(ValueError, match="draws"):
+                sample_noise((3, 3), 0.5, normals)
+        with pytest.raises(ValueError, match="draws"):
+            sample_noise(3, 0.0, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="draws"):
+            sample_channel(2, 2, np.zeros((2, 2, 2, 3)))
+
+
 class TestSampleChannel:
     @pytest.mark.parametrize("n_rx,n_tx", [(1, 1), (2, 2), (4, 2), (16, 16), (3, 7)])
     def test_frobenius_normalization_exact(self, n_rx, n_tx):

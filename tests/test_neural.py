@@ -344,3 +344,17 @@ class TestPredictAndPersistence:
         path.write_text("".join(line + "\n" for line in body), encoding="utf-8")
         with pytest.raises(ValueError, match="net.txt"):
             load_network(path)
+
+    @pytest.mark.parametrize("line,token", [(1, "nan"), (3, "inf"), (4, "-inf"), (6, "nan")])
+    def test_non_finite_parameter_rejected_naming_the_path_and_layer(self, tmp_path, line, token):
+        """A NaN weight would make predict return class 0 for every row."""
+        net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=4, seed=14))
+        path = tmp_path / "net.txt"
+        save_network(net, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        tokens = lines[line].split()
+        tokens[-1] = token
+        lines[line] = " ".join(tokens)
+        path.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"net\.txt.*layer {(line - 1) // 2}\b.*non-finite"):
+            load_network(path)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import mimolink.simulate as sim
 from mimolink import metrics
+from mimolink.channel import sample_channel, sample_noise
+from mimolink.estimation import draw_pilot_basis
 from mimolink.framing import CrcSpec, block_total_bits
 from mimolink.neural import TrainingDivergedError
 from mimolink.simulate import (
@@ -273,6 +275,21 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="dnn"):
             run_trial(replace(FAST, detector="dnn"), 1e-3, 0)
 
+    @pytest.mark.parametrize("noise_power", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_bad_noise_power_rejected_naming_it(self, noise_power):
+        """Outside the sweep nothing else checks the noise power: NaN and
+        inf would otherwise come back as a failed block, not an error."""
+        with pytest.raises(ValueError, match="noise_power"):
+            run_trial(FAST, noise_power, 0)
+        with pytest.raises(ValueError, match="noise_power"):
+            train_detector_network(replace(FAST, detector="dnn", **SMALL_DNN), noise_power)
+
+    def test_zero_noise_power_draws_no_noise(self):
+        outcome = run_trial(FAST, 0.0, 0)
+        assert (outcome.ser, outcome.ber, outcome.crc_ok) == (0.0, 0.0, True)
+        assert outcome.estimation_mse < 1e-25
+        train_detector_network(replace(FAST, detector="dnn", **SMALL_DNN), 0.0)
+
     def test_equalization_failure_is_a_block_failure(self, monkeypatch):
         """A rank-deficient estimate fails the block, not the run."""
         monkeypatch.setattr(sim, "estimate_ls", lambda y, x, g: np.zeros(y.shape[:-1] + (FAST.N_t,)))
@@ -469,13 +486,55 @@ def standalone_records(config, models):
 ONE_USE = SimConfig(N_t=2, N_r=2, constellation="QPSK", M_constellation=4, n_pilot=2,
                     codeword_size=2, noise_power=(1e-2, 1e-1), n_transmissions=1)
 SMALL_DNN = dict(dnn_train_samples=120, dnn_epochs=3, dnn_width=8)
+# permutation pilots draw a permutation between the channel and the pilot
+# noise, so each trial fills its row of normals in two calls
+PERMUTATION_LMMSE = replace(FAST, pilot_mode="permutation", estimator="lmmse", equalizer="lmmse")
+
+
+class TestDrawLayout:
+    """A chunk's stacks are, block for block and bit for bit, what the public
+    draw calls return on the block's stream in the old order: sample_channel,
+    draw_pilot_basis, sample_noise for the pilots (then, for training data,
+    the transmitted indices), sample_noise for the data."""
+
+    @pytest.mark.parametrize("training", [False, True], ids=["trial", "training"])
+    @pytest.mark.parametrize("sigma2", [1e-2, 0.0])
+    @pytest.mark.parametrize("pilot_mode", ["unitary-random", "permutation"])
+    def test_stacks_equal_the_public_calls(self, pilot_mode, sigma2, training):
+        config = replace(FAST, pilot_mode=pilot_mode)
+        n_blocks, n_uses, n_symbols = 4, 3, 3 * FAST.N_t
+        draws = sim._LinkDraws(config, sigma2, n_blocks, n_uses,
+                               n_classes=config.M_constellation if training else None)
+        streams = [substream(config.seed, 0, 0, b) for b in range(n_blocks)]
+        for b, rng in enumerate(streams):
+            rng.integers(0, 2, size=config.codeword_size)  # a trial's payload bits come first
+            draws.draw(b, rng)
+        stacks = draws.stacks()
+
+        for b, drawn in enumerate(streams):
+            rng = substream(config.seed, 0, 0, b)
+            rng.integers(0, 2, size=config.codeword_size)
+            expected = [sample_channel(config.N_r, config.N_t, rng),
+                        draw_pilot_basis(config.N_t, rng, pilot_mode),
+                        sample_noise((config.N_r, config.n_pilot), sigma2, rng)]
+            if training:
+                indices = rng.integers(0, config.M_constellation, size=n_symbols)
+                assert draws.tx_indices[b].tobytes() == indices.tobytes()
+            expected.append(sample_noise((config.N_r, n_uses), sigma2, rng))
+            for name, stack, want in zip(("H", "pilot basis", "pilot noise", "data noise"), stacks, expected):
+                assert stack[b].tobytes() == want.tobytes(), (name, b)
+            # the block consumed exactly what the public calls did
+            assert drawn.bit_generator.state == rng.bit_generator.state, b
+        if sigma2 == 0:
+            assert not stacks[2].any() and not stacks[3].any()
 
 
 class TestChunking:
     """Trials cross the link in chunks; the chunk size must not show in any record."""
 
     @pytest.mark.parametrize("detector", ["ml", "kmeans", "dnn"])
-    @pytest.mark.parametrize("base", [ONE_USE, FAST], ids=["one-use", "three-use"])
+    @pytest.mark.parametrize("base", [ONE_USE, FAST, PERMUTATION_LMMSE],
+                             ids=["one-use", "three-use", "permutation-lmmse"])
     def test_sweep_equals_standalone_trials_around_the_chunk_size(self, monkeypatch, base, detector):
         config = replace(base, detector=detector, **SMALL_DNN)
         # trained under the default chunk bound: the sweep below retrains
