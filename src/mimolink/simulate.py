@@ -10,7 +10,7 @@ index) through SeedSequence spawn keys, so results are independent of
 execution order; rerunning a sweep with the same seed yields a
 byte-identical CSV. Trials cross the link in chunks: each draws its
 normals from its own stream into its row of the chunk's buffer, the
-complex stacks and the link algebra are formed once per chunk, and
+complex stacks, the link algebra and detection run once per chunk, and
 run_trial then finishes and measures each trial from its row, so no
 outcome depends on the chunk size.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import ast
 import logging
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -53,20 +54,6 @@ LABEL_SOURCES = ("truth", "ml")
 
 # chosen to span the BLER waterfall of the default 16x16 64-QAM link
 DEFAULT_NOISE_GRID = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2)
-
-CSV_COLUMNS = (
-    "noise_power",
-    "snr_tx_db",
-    "ebn0_tx_db",
-    "channel_mse",
-    "bler",
-    "ser",
-    "ber",
-    "classification_error",
-    "detector",
-    "estimator",
-    "seed",
-)
 
 # spawn-key namespaces: trials vs. per-noise-point detector training
 _TRIAL_NS = 0
@@ -119,14 +106,17 @@ class SimConfig:
     def __post_init__(self):
         # sweeps run (and are seeded) in ascending noise order
         raw = self.noise_power
-        if np.isscalar(raw):
-            raw = (raw,)
+        raw = (raw,) if np.isscalar(raw) or raw is None else tuple(raw)
+        if not all(isinstance(v, numbers.Real) for v in raw):
+            raise ConfigError(f"noise_power = {self.noise_power!r} is not a list of numbers")
         object.__setattr__(self, "noise_power", tuple(sorted(float(v) for v in raw)))
 
 
 # annotation text of each field ("int", "float | None", "tuple", ...): it
-# drives both the coercion of config text and the finiteness check
+# drives the coercion of config text and the type and finiteness checks
 _FIELD_KINDS = {f.name: f.type for f in fields(SimConfig)}
+_KIND_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+               "str": (str, "a string"), "tuple": (tuple, "a list of numbers")}
 
 
 def _geometry(config: SimConfig) -> LinkGeometry:
@@ -148,6 +138,9 @@ def validate_config(config: SimConfig) -> None:
     """Raise :class:`ConfigError` naming the first offending parameter."""
     for name, kind in _FIELD_KINDS.items():
         value = getattr(config, name)
+        expected, description = _KIND_TYPES[kind.removesuffix(" | None")]
+        if not (isinstance(value, expected) or (value is None and kind.endswith(" | None"))):
+            raise ConfigError(f"{name} = {value!r} is not {description}")
         if kind == "tuple" or kind.startswith("float"):
             values = value if kind == "tuple" else (value,)
             if not all(v is None or math.isfinite(v) for v in values):
@@ -337,18 +330,19 @@ class SweepRecord:
     seed: int
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+
+
 @dataclass(frozen=True)
 class LinkRow:
-    """One trial's row of a chunk pass, up to detection: what run_trial
+    """One trial's row of a chunk pass, through detection: what run_trial
     needs to finish and measure the trial."""
 
     block: np.ndarray         # on-air bits
     tx_indices: np.ndarray    # transmitted constellation indices
     H: np.ndarray             # drawn channel
     h_hat: np.ndarray         # its estimate
-    s_flat: np.ndarray        # equalized symbols at constellation scale
-    y: np.ndarray             # received data matrix
-    rx_indices: np.ndarray | None  # ML or K-means decisions; None for dnn
+    rx_indices: np.ndarray    # detected constellation indices
     equalization_failed: bool
 
 
@@ -480,13 +474,19 @@ def _link_pass(config: SimConfig, table: ConstellationTable, gain: float, draws:
 
 
 def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_indices,
-                 payloads, table: ConstellationTable, crc_spec: CrcSpec, gain: float) -> list[LinkRow]:
-    """Run a chunk of trials through the link and detect them (ML or K-means).
+                 payloads, table: ConstellationTable, crc_spec: CrcSpec, gain: float,
+                 dnn_model: Network | None = None) -> list[LinkRow]:
+    """Run a chunk of trials through the link and detect their symbols.
 
     Each trial draws from its own substream, in the order payload bits
     (where its payload is None), channel matrix, pilot construction,
     pilot noise, data noise.
     """
+    if config.detector == "dnn" and dnn_model is None:
+        raise ValueError(
+            "detector 'dnn' needs a trained network; pass dnn_model or use "
+            "train_detector_network() / run_sweep()"
+        )
     n_uses = _channel_uses(config, table, crc_spec)
     draws = _LinkDraws(config, noise_power, len(trial_indices), n_uses)
     blocks = np.empty((len(trial_indices), n_uses * config.N_t * table.k), dtype=np.uint8)
@@ -498,16 +498,18 @@ def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_
         draws.draw(b, rng)
     tx_indices = map_bits_to_symbols(blocks, table).reshape(len(blocks), -1)
     H, h_hat, s_flat, y, failed = _link_pass(config, table, gain, draws, tx_indices)
-    rx_indices = [None] * len(blocks)
     if config.detector == "ml":
-        rx_indices = detect_ml(s_flat, table).reshape(s_flat.shape)
+        rx_indices = detect_ml(s_flat, table)
     elif config.detector == "kmeans":
-        rx_indices = detect_kmeans(s_flat, table).reshape(s_flat.shape)
-    return [LinkRow(*row) for row in zip(blocks, tx_indices, H, h_hat, s_flat, y, rx_indices, failed)]
+        rx_indices = detect_kmeans(s_flat, table)
+    else:
+        rx_indices = predict(dnn_model, _detector_features(config, s_flat, y))
+    rx_indices = rx_indices.reshape(s_flat.shape)
+    return [LinkRow(*row) for row in zip(blocks, tx_indices, H, h_hat, rx_indices, failed)]
 
 
 def _detector_features(config: SimConfig, s_flat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One feature row per symbol, for a block or a stack of blocks."""
+    """One feature row per symbol of a stack of blocks."""
     if config.dnn_features == "raw":
         return np.concatenate([y.real, y.imag], axis=-2).swapaxes(-1, -2).reshape(-1, 2 * config.N_r)
     s = s_flat.ravel()
@@ -525,22 +527,17 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     supplied), channel matrix, pilot construction, pilot noise, data noise.
     ``build_transport_blocks`` frames ``payload_bits`` and checks its size.
     ``link`` is this trial's row of a chunk pass, as run_sweep hands it
-    over (the row already holds the framed payload); without it the trial
-    runs the same pass as a chunk of one. Either way the trial then
-    detects with the network (dnn), demaps, checks the CRC and measures.
+    over (the row already holds the framed payload and the decisions);
+    without it the trial runs the same pass as a chunk of one. Either way
+    the trial then demaps, checks the CRC and measures.
     """
-    if config.detector == "dnn" and dnn_model is None:
-        raise ValueError(
-            "detector 'dnn' needs a trained network; pass dnn_model or use "
-            "train_detector_network() / run_sweep()"
-        )
     if table is None:
         table = build_constellation(config.constellation, config.M_constellation)
     if crc_spec is None:
         crc_spec = CrcSpec(config.crc_generator)
     if link is None:
         [link] = _trial_links(config, noise_power, noise_index, [trial_index], [payload_bits],
-                              table, crc_spec, link_gain(config))
+                              table, crc_spec, link_gain(config), dnn_model)
     # the column-major error vector fixes the summation order of the MSE
     est_mse = metrics.estimation_mse(metrics.error_vector(link.H, link.h_hat),
                                      config.N_r, config.N_t)
@@ -549,14 +546,11 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
         return TrialOutcome(estimation_mse=est_mse, ser=1.0, ber=1.0,
                             crc_ok=False, equalization_failed=True)
 
-    rx_indices = link.rx_indices
-    if rx_indices is None:
-        rx_indices = predict(dnn_model, _detector_features(config, link.s_flat, link.y))
-    payload_rx, crc_ok = extract_and_check(symbols_to_bits(rx_indices, table), config.codeword_size,
+    payload_rx, crc_ok = extract_and_check(symbols_to_bits(link.rx_indices, table), config.codeword_size,
                                            crc_spec, table.k, config.N_t)
     return TrialOutcome(
         estimation_mse=est_mse,
-        ser=metrics.ser(link.tx_indices, rx_indices),
+        ser=metrics.ser(link.tx_indices, link.rx_indices),
         ber=metrics.ber(link.block[:config.codeword_size], payload_rx),
         crc_ok=crc_ok,
         equalization_failed=False,
@@ -658,9 +652,9 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
             payloads = [None if payload_chunks is None else payload_chunks[t % len(payload_chunks)]
                         for t in trials]
             links = _trial_links(trial_config, sigma2, noise_index, trials, payloads,
-                                 table, crc_spec, gain)
+                                 table, crc_spec, gain, dnn_model)
             outcomes += [run_trial(trial_config, sigma2, t, noise_index, table=table, crc_spec=crc_spec,
-                                   dnn_model=dnn_model, link=link)
+                                   link=link)
                          for t, link in zip(trials, links)]
 
         # ordered reduction keyed by trial index; a detector's

@@ -184,6 +184,28 @@ def test_non_integral_text_override_rejected_naming_the_key(key, value):
         load_config(None, {key: value})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_transmissions", 2.0),
+    ("seed", 1.5),
+    ("N_t", "2"),
+    ("N_t", 2.5),
+    ("crc_generator", 111),
+    ("f_c", "1e9"),
+    ("payload", 5),
+    ("noise_power", ("a",)),
+])
+def test_wrong_type_in_a_direct_config_rejected_naming_the_key(key, value):
+    """A SimConfig built without load_config fails at the config boundary,
+    naming the key, not deep inside the sweep."""
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        run_sweep(SimConfig(**{key: value}))
+
+
+def test_numpy_integers_accepted_in_a_direct_config():
+    config = replace(FAST, N_t=np.int64(2), seed=np.uint32(7), n_transmissions=np.int16(3))
+    assert run_sweep(config) == run_sweep(replace(FAST, N_t=2, seed=7, n_transmissions=3))
+
+
 _EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e-12,
              1.0, 1e12, 1e300, 1.7976931348623157e308]
 _FLOATS = st.one_of(st.sampled_from(_EXTREMES), st.floats())
@@ -489,6 +511,9 @@ SMALL_DNN = dict(dnn_train_samples=120, dnn_epochs=3, dnn_width=8)
 # permutation pilots draw a permutation between the channel and the pilot
 # noise, so each trial fills its row of normals in two calls
 PERMUTATION_LMMSE = replace(FAST, pilot_mode="permutation", estimator="lmmse", equalizer="lmmse")
+# a SISO link whose network reads the raw received samples [Re y, Im y]
+SISO_RAW = SimConfig(N_t=1, N_r=4, constellation="QPSK", M_constellation=4, n_pilot=2,
+                     codeword_size=2, noise_power=(1e-2, 1e-1), n_transmissions=1, dnn_features="raw")
 
 
 class TestDrawLayout:
@@ -533,8 +558,8 @@ class TestChunking:
     """Trials cross the link in chunks; the chunk size must not show in any record."""
 
     @pytest.mark.parametrize("detector", ["ml", "kmeans", "dnn"])
-    @pytest.mark.parametrize("base", [ONE_USE, FAST, PERMUTATION_LMMSE],
-                             ids=["one-use", "three-use", "permutation-lmmse"])
+    @pytest.mark.parametrize("base", [ONE_USE, FAST, PERMUTATION_LMMSE, SISO_RAW],
+                             ids=["one-use", "three-use", "permutation-lmmse", "siso-raw"])
     def test_sweep_equals_standalone_trials_around_the_chunk_size(self, monkeypatch, base, detector):
         config = replace(base, detector=detector, **SMALL_DNN)
         # trained under the default chunk bound: the sweep below retrains
@@ -548,6 +573,27 @@ class TestChunking:
         for n in (chunk - 1, chunk, chunk + 1):
             sized = replace(config, n_transmissions=n)
             assert run_sweep(sized) == standalone_records(sized, models), n
+
+    def test_full_width_dnn_chunk_equals_standalone_trials(self, monkeypatch):
+        """At the default chunk bound an 8x8 QPSK link carries 78 blocks a
+        chunk: one inference over the chunk's stacked features decides each
+        block as an inference over that block alone."""
+        config = SimConfig(N_t=8, N_r=8, constellation="QPSK", M_constellation=4, n_pilot=8,
+                           noise_power=(5e-2,), detector="dnn", dnn_labels="ml",
+                           dnn_train_samples=1000, dnn_epochs=20)
+        table = sim.build_constellation(config.constellation, config.M_constellation)
+        n_uses = sim._channel_uses(config, table, CrcSpec(config.crc_generator))
+        chunk = sim._chunk_blocks(config, n_uses)
+        assert chunk == 78
+        config = replace(config, n_transmissions=chunk)
+        models = [sim.train_detector_network(config, 5e-2, 0)]
+        rows = []
+        predict = sim.predict
+        monkeypatch.setattr(sim, "predict", lambda network, X: rows.append(len(X)) or predict(network, X))
+        [record] = run_sweep(config)
+        assert rows == [chunk * n_uses * config.N_t]
+        assert record.ser < 0.5  # the network decides, it does not guess
+        assert [record] == standalone_records(config, models)
 
 
 class TestFailureInChunk:
