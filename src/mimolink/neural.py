@@ -7,6 +7,12 @@ integer class indices in [0, M) throughout: the loss and the gradient
 index each row's true-class probability directly. Everything
 is deterministic given the seed: initialization, the validation split, and
 the per-epoch shuffles all come from the network's own stream.
+
+Training checks its inputs once. Each mini-batch step then runs in place,
+through the same forward and backpropagation code as :func:`gradient`,
+and does the same floating-point operations in the same order as a form
+with one temporary per operation, so the weights come out bit for bit
+the same.
 """
 
 from __future__ import annotations
@@ -101,14 +107,21 @@ def init_network(spec: NetworkSpec) -> Network:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-z) as one ufunc that cannot overflow in either tail
-    return 0.5 + 0.5 * np.tanh(0.5 * z)
+    """1 / (1 + e^-z) in place, returning ``z``, as 0.5 + 0.5 tanh(z / 2),
+    which cannot overflow in either tail."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z *= 0.5
+    z += 0.5
+    return z
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax in place, returning ``z``."""
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    return z
 
 
 def _as_feature_matrix(network: Network, X) -> np.ndarray:
@@ -121,14 +134,19 @@ def _as_feature_matrix(network: Network, X) -> np.ndarray:
 
 
 def _forward_cached(network: Network, X: np.ndarray):
-    """Per-layer inputs plus the softmax output, for backpropagation."""
+    """Per-layer inputs plus the softmax output, for backpropagation.
+
+    Each layer's buffer is the fresh matmul product, worked in place from
+    there, so ``X`` itself is only read."""
     activations = [X]
     a = X
     for w, b in zip(network.weights[:-1], network.biases[:-1]):
-        a = _sigmoid(a @ w + b)
-        activations.append(a)
-    probs = _softmax(a @ network.weights[-1] + network.biases[-1])
-    return activations, probs
+        a = a @ w
+        a += b
+        activations.append(_sigmoid(a))
+    z = a @ network.weights[-1]
+    z += network.biases[-1]
+    return activations, _softmax(z)
 
 
 def forward(network: Network, X) -> np.ndarray:
@@ -147,24 +165,26 @@ def _checked_labels(labels, n_rows: int, n_classes: int) -> np.ndarray:
     return labels
 
 
+def _mean_loss(p_true: np.ndarray) -> float:
+    """Mean of -log p over true-class probabilities clamped to the window."""
+    return float(np.mean(-np.log(np.clip(p_true, PROB_CLAMP_LO, PROB_CLAMP_HI))))
+
+
 def cross_entropy(probabilities: np.ndarray, labels) -> float:
     """Mean of -log p[row, label] with p clamped to [1e-12, 1 - 1e-12]."""
     p = np.asarray(probabilities, dtype=float)
     labels = _checked_labels(labels, p.shape[0], p.shape[1])
-    p_true = np.clip(p[np.arange(labels.size), labels], PROB_CLAMP_LO, PROB_CLAMP_HI)
-    return float(np.mean(-np.log(p_true)))
+    return _mean_loss(p[np.arange(labels.size), labels])
 
 
-def gradient(network: Network, X, labels):
-    """Exact gradient of the clamped cross-entropy for every weight and bias.
+def _backprop(network: Network, X: np.ndarray, labels: np.ndarray):
+    """Forward pass and backpropagation on rows already checked.
 
-    Returns ``(weight_grads, bias_grads)`` aligned with the network's
-    parameter lists. Rows whose true-class probability sits outside the
-    clamp window carry no gradient, matching the clamped loss.
+    Works in place on the forward buffers (the softmax output becomes the
+    output delta, a spent activation holds 1 - a), so ``X`` is only read;
+    every returned gradient is a fresh array the caller may overwrite.
     """
-    X = _as_feature_matrix(network, X)
     n = X.shape[0]
-    labels = _checked_labels(labels, n, network.spec.output_dim)
     activations, probs = _forward_cached(network, X)
     rows = np.arange(n)
     p_true = probs[rows, labels]
@@ -178,19 +198,40 @@ def gradient(network: Network, X, labels):
     weight_grads = [None] * n_layers
     bias_grads = [None] * n_layers
     for layer in range(n_layers - 1, -1, -1):
-        weight_grads[layer] = activations[layer].T @ delta
-        bias_grads[layer] = delta.sum(axis=0)
+        a = activations[layer]
+        weight_grads[layer] = a.T @ delta
+        bias_grads[layer] = np.add.reduce(delta, axis=0)
         if layer:
-            upstream = delta @ network.weights[layer].T
-            a = activations[layer]
-            delta = upstream * a * (1.0 - a)
+            # delta * a * (1 - a), the sigmoid's derivative, left to right
+            delta = delta @ network.weights[layer].T
+            delta *= a
+            np.subtract(1.0, a, out=a)
+            delta *= a
     return weight_grads, bias_grads
+
+
+def gradient(network: Network, X, labels):
+    """Exact gradient of the clamped cross-entropy for every weight and bias.
+
+    Returns ``(weight_grads, bias_grads)`` aligned with the network's
+    parameter lists. Rows whose true-class probability sits outside the
+    clamp window carry no gradient, matching the clamped loss.
+    """
+    X = _as_feature_matrix(network, X)
+    labels = _checked_labels(labels, X.shape[0], network.spec.output_dim)
+    return _backprop(network, X, labels)
 
 
 def train(network: Network, features, labels, hyper: Hyperparameters) -> TrainingHistory:
     """Mini-batch gradient descent with early stopping on validation loss.
 
     ``features`` holds one row per sample and ``labels`` its class index.
+    Both are checked once, before the network's stream is drawn from; a
+    bad width or label raises ``ValueError`` and leaves the network as it
+    was. Each epoch gathers its shuffled rows once and steps through
+    contiguous mini-batches, every step worked in place (``w -= lr * g`` as
+    ``g *= lr; w -= g``), with the same arithmetic in the same order as
+    :func:`gradient` followed by that update.
     The validation split and per-epoch shuffles use the network's stream,
     so (seed, data) fully determine the loss history. Training stops when
     the validation loss fails to improve for ``patience`` epochs; raises
@@ -199,6 +240,7 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a nonempty 2-D feature matrix")
+    X = _as_feature_matrix(network, X)
     labels = _checked_labels(labels, X.shape[0], network.spec.output_dim)
 
     rng = network.rng
@@ -211,20 +253,27 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
     if val_idx.size == 0:
         val_idx = train_idx  # too little data to hold out; validate on train
 
+    rows = np.arange(n)
+    lr, batch_size = hyper.learning_rate, hyper.batch_size
     history = TrainingHistory()
     best_val = math.inf
     stale_epochs = 0
     for epoch in range(hyper.epochs):
         order = train_idx[rng.permutation(train_idx.size)]
-        for start in range(0, order.size, hyper.batch_size):
-            batch = order[start:start + hyper.batch_size]
-            weight_grads, bias_grads = gradient(network, X[batch], labels[batch])
-            for layer in range(len(network.weights)):
-                network.weights[layer] -= hyper.learning_rate * weight_grads[layer]
-                network.biases[layer] -= hyper.learning_rate * bias_grads[layer]
-        probs = forward(network, X)
-        train_loss = cross_entropy(probs[train_idx], labels[train_idx])
-        val_loss = cross_entropy(probs[val_idx], labels[val_idx])
+        X_epoch, labels_epoch = X[order], labels[order]
+        for start in range(0, order.size, batch_size):
+            stop = start + batch_size
+            weight_grads, bias_grads = _backprop(network, X_epoch[start:stop],
+                                                 labels_epoch[start:stop])
+            for w, b, gw, gb in zip(network.weights, network.biases, weight_grads, bias_grads):
+                gw *= lr
+                w -= gw
+                gb *= lr
+                b -= gb
+        _, probs = _forward_cached(network, X)
+        p_true = probs[rows, labels]
+        train_loss = _mean_loss(p_true[train_idx])
+        val_loss = _mean_loss(p_true[val_idx])
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
         history.train_loss.append(train_loss)

@@ -110,6 +110,15 @@ class SimConfig:
         if not all(isinstance(v, numbers.Real) for v in raw):
             raise ConfigError(f"noise_power = {self.noise_power!r} is not a list of numbers")
         object.__setattr__(self, "noise_power", tuple(sorted(float(v) for v in raw)))
+        # a NumPy float32 f_c would make the gain float32 too; a non-number
+        # is left for validate_config to reject by name
+        for name, kind in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            if kind.startswith("float") and isinstance(value, numbers.Real):
+                try:
+                    object.__setattr__(self, name, float(value))
+                except OverflowError:
+                    raise ConfigError(f"{name} must be finite, got {value}") from None
 
 
 # annotation text of each field ("int", "float | None", "tuple", ...): it

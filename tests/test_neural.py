@@ -1,5 +1,6 @@
 """Tests for the from-scratch neural symbol classifier."""
 
+import copy
 import math
 import warnings
 
@@ -20,7 +21,12 @@ from mimolink.neural import (
     predict,
     save_network,
     train,
+    TrainingHistory,
+    _as_feature_matrix,
+    _checked_labels,
     _sigmoid,
+    PROB_CLAMP_HI,
+    PROB_CLAMP_LO,
 )
 from mimolink.receiver import detect_ml
 
@@ -89,11 +95,12 @@ class TestForward:
 
     def test_sigmoid_matches_expit_without_warnings(self):
         """0.5 + 0.5 tanh(z / 2) is the logistic function to within 2.3e-16,
-        stays in [0, 1], and neither overflows nor warns in either tail."""
+        stays in [0, 1], and neither overflows nor warns in either tail.
+        It works in place, so it gets a copy of z."""
         z = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [-np.inf, np.inf]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _sigmoid(z)
+            got = _sigmoid(z.copy())
         assert np.max(np.abs(got - expit(z))) <= 2.3e-16
         assert np.all((got >= 0.0) & (got <= 1.0))
 
@@ -358,3 +365,169 @@ class TestPredictAndPersistence:
         path.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
         with pytest.raises(ValueError, match=rf"net\.txt.*layer {(line - 1) // 2}\b.*non-finite"):
             load_network(path)
+
+
+# Reference: the training step as it stood before it was made to work in
+# place, kept verbatim (one temporary per operation, checks on every
+# mini-batch) apart from input and divergence checks that cannot fire on
+# the cases below. The in-place step must reproduce it bit for bit.
+
+def _ref_sigmoid(z):
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
+
+
+def _ref_softmax(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_forward_cached(network, X):
+    activations = [X]
+    a = X
+    for w, b in zip(network.weights[:-1], network.biases[:-1]):
+        a = _ref_sigmoid(a @ w + b)
+        activations.append(a)
+    probs = _ref_softmax(a @ network.weights[-1] + network.biases[-1])
+    return activations, probs
+
+
+def _ref_cross_entropy(probabilities, labels):
+    p = np.asarray(probabilities, dtype=float)
+    labels = _checked_labels(labels, p.shape[0], p.shape[1])
+    p_true = np.clip(p[np.arange(labels.size), labels], PROB_CLAMP_LO, PROB_CLAMP_HI)
+    return float(np.mean(-np.log(p_true)))
+
+
+def _ref_gradient(network, X, labels):
+    X = _as_feature_matrix(network, X)
+    n = X.shape[0]
+    labels = _checked_labels(labels, n, network.spec.output_dim)
+    activations, probs = _ref_forward_cached(network, X)
+    rows = np.arange(n)
+    p_true = probs[rows, labels]
+    active = (p_true > PROB_CLAMP_LO) & (p_true < PROB_CLAMP_HI)
+    delta = probs
+    delta[rows, labels] -= 1.0
+    delta *= active[:, None]
+    delta /= n
+
+    n_layers = len(network.weights)
+    weight_grads = [None] * n_layers
+    bias_grads = [None] * n_layers
+    for layer in range(n_layers - 1, -1, -1):
+        weight_grads[layer] = activations[layer].T @ delta
+        bias_grads[layer] = delta.sum(axis=0)
+        if layer:
+            upstream = delta @ network.weights[layer].T
+            a = activations[layer]
+            delta = upstream * a * (1.0 - a)
+    return weight_grads, bias_grads
+
+
+def _ref_train(network, features, labels, hyper):
+    X = np.asarray(features, dtype=float)
+    labels = _checked_labels(labels, X.shape[0], network.spec.output_dim)
+    rng = network.rng
+    n = X.shape[0]
+    n_val = int(n * hyper.validation_fraction)
+    permutation = rng.permutation(n)
+    val_idx, train_idx = permutation[:n_val], permutation[n_val:]
+    if val_idx.size == 0:
+        val_idx = train_idx
+    history = TrainingHistory()
+    best_val = math.inf
+    stale_epochs = 0
+    for epoch in range(hyper.epochs):
+        order = train_idx[rng.permutation(train_idx.size)]
+        for start in range(0, order.size, hyper.batch_size):
+            batch = order[start:start + hyper.batch_size]
+            weight_grads, bias_grads = _ref_gradient(network, X[batch], labels[batch])
+            for layer in range(len(network.weights)):
+                network.weights[layer] -= hyper.learning_rate * weight_grads[layer]
+                network.biases[layer] -= hyper.learning_rate * bias_grads[layer]
+        _, probs = _ref_forward_cached(network, _as_feature_matrix(network, X))
+        train_loss = _ref_cross_entropy(probs[train_idx], labels[train_idx])
+        val_loss = _ref_cross_entropy(probs[val_idx], labels[val_idx])
+        history.train_loss.append(train_loss)
+        history.val_loss.append(val_loss)
+        if val_loss < best_val:
+            best_val = val_loss
+            stale_epochs = 0
+        else:
+            stale_epochs += 1
+            if stale_epochs >= hyper.patience:
+                break
+    return history
+
+
+def _oracle_case(name):
+    """(network, features, labels, hyperparameters) for one reference case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    depth, n, m, epochs, patience = {
+        "depth 1": (1, 256, 4, 6, 100),
+        "depth 3": (3, 256, 4, 6, 100),
+        "partial last batch": (2, 203, 8, 5, 100),
+        "saturated rows": (2, 300, 4, 4, 100),
+        "stopped by patience": (1, 120, 2, 200, 3),
+        "validation falls back to train": (2, 4, 4, 7, 100),
+    }[name]
+    net = init_network(NetworkSpec(depth=depth, width=8, input_dim=3, output_dim=m,
+                                   seed=int(rng.integers(1 << 31))))
+    x = rng.standard_normal((n, 3))
+    labels = rng.integers(0, m, size=n)
+    hyper = Hyperparameters(epochs=epochs, patience=patience)
+    if name == "saturated rows":
+        x[::3] *= 1e3  # saturates the hidden units of every third row
+        net.weights[-1] *= 40.0  # so their softmax leaves the clamp window
+    if name == "stopped by patience":
+        hyper = Hyperparameters(epochs=epochs, patience=patience, learning_rate=0.5)
+    return net, x, labels, hyper
+
+
+ORACLE_CASES = ["depth 1", "depth 3", "partial last batch", "saturated rows",
+                "stopped by patience", "validation falls back to train"]
+
+
+class TestTrainingMatchesReference:
+    """The in-place step gives the reference step's bits, not just close values."""
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_train_reproduces_reference_bit_for_bit(self, name):
+        net, x, labels, hyper = _oracle_case(name)
+        ref = copy.deepcopy(net)
+        history = train(net, x, labels, hyper)
+        ref_history = _ref_train(ref, x, labels, hyper)
+        for got, expected in zip(net.weights + net.biases, ref.weights + ref.biases):
+            np.testing.assert_array_equal(got, expected)
+        assert history.train_loss == ref_history.train_loss
+        assert history.val_loss == ref_history.val_loss
+        if name == "stopped by patience":
+            assert history.epochs_run < hyper.epochs
+        if name == "validation falls back to train":
+            assert int(x.shape[0] * hyper.validation_fraction) == 0
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_gradient_reproduces_reference_bit_for_bit(self, name):
+        net, x, labels, _ = _oracle_case(name)
+        before = x.copy()
+        got_w, got_b = gradient(net, x, labels)
+        ref_w, ref_b = _ref_gradient(net, x, labels)
+        for got, expected in zip(got_w + got_b, ref_w + ref_b):
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(x, before)  # the features are only read
+
+    def test_saturated_case_masks_some_rows_but_not_all(self):
+        net, x, labels, _ = _oracle_case("saturated rows")
+        p_true = forward(net, x)[np.arange(labels.size), labels]
+        active = (p_true > PROB_CLAMP_LO) & (p_true < PROB_CLAMP_HI)
+        assert 0 < active.sum() < active.size
+
+    def test_wrong_width_rejected_before_the_stream_is_drawn(self):
+        net = init_network(NetworkSpec(depth=2, width=4, input_dim=3, output_dim=4, seed=5))
+        state = copy.deepcopy(net.rng.bit_generator.state)
+        params = flatten_params(net).copy()
+        with pytest.raises(ValueError, match="does not match input_dim"):
+            train(net, np.zeros((100, 2)), np.zeros(100, int), Hyperparameters(epochs=1))
+        assert net.rng.bit_generator.state == state
+        np.testing.assert_array_equal(flatten_params(net), params)

@@ -206,6 +206,24 @@ def test_numpy_integers_accepted_in_a_direct_config():
     assert run_sweep(config) == run_sweep(replace(FAST, N_t=2, seed=7, n_transmissions=3))
 
 
+def test_numpy_floats_become_python_floats_in_a_direct_config():
+    """A float32 f_c once made the log-distance gain float32, whose range
+    check then overflowed in a cast (an error under -W error)."""
+    config = SimConfig(f_c=np.float32(1.8e9), G_override=None)
+    sim.validate_config(config)
+    gain = sim.link_gain(config)
+    assert type(gain) is float
+    assert gain == sim.link_gain(SimConfig(f_c=float(np.float32(1.8e9)), G_override=None))
+    config = SimConfig(dnn_learning_rate=np.float32(0.05), G_override=np.float32(0.5))
+    assert type(config.dnn_learning_rate) is float and type(config.G_override) is float
+    assert config.dnn_learning_rate == float(np.float32(0.05)) and config.G_override == 0.5
+
+
+def test_float_field_too_large_for_a_float_rejected_naming_the_key():
+    with pytest.raises(ConfigError, match=r"\bf_c\b"):
+        SimConfig(f_c=10**400)
+
+
 _EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e-12,
              1.0, 1e12, 1e300, 1.7976931348623157e308]
 _FLOATS = st.one_of(st.sampled_from(_EXTREMES), st.floats())
