@@ -31,7 +31,7 @@ def tx_snr_db(sigma2: float, n_tx: int) -> float:
     """Transmit-side SNR: -10 log10(sigma2 * N_t)."""
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    return -10.0 * np.log10(sigma2 * n_tx)
+    return float(-10.0 * np.log10(sigma2 * n_tx))
 
 
 def tx_ebn0_db(sigma2: float, n_tx: int, k: int) -> float:
@@ -40,7 +40,7 @@ def tx_ebn0_db(sigma2: float, n_tx: int, k: int) -> float:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    return -10.0 * np.log10(k * sigma2 * n_tx)
+    return float(-10.0 * np.log10(k * sigma2 * n_tx))
 
 
 def bler(crc_ok_flags) -> float:

@@ -104,28 +104,43 @@ class SimConfig:
     dnn_labels: str = "truth"
 
     def __post_init__(self):
-        # sweeps run (and are seeded) in ascending noise order
-        raw = self.noise_power
-        raw = (raw,) if np.isscalar(raw) or raw is None else tuple(raw)
-        if not all(isinstance(v, numbers.Real) for v in raw):
-            raise ConfigError(f"noise_power = {self.noise_power!r} is not a list of numbers")
-        object.__setattr__(self, "noise_power", tuple(sorted(float(v) for v in raw)))
-        # a NumPy float32 f_c would make the gain float32 too; a non-number
-        # is left for validate_config to reject by name
+        # a SimConfig that exists holds each field as its kind and is valid
         for name, kind in _FIELD_KINDS.items():
-            value = getattr(self, name)
-            if kind.startswith("float") and isinstance(value, numbers.Real):
-                try:
-                    object.__setattr__(self, name, float(value))
-                except OverflowError:
-                    raise ConfigError(f"{name} must be finite, got {value}") from None
+            object.__setattr__(self, name, _field_value(name, kind, getattr(self, name)))
+        validate_config(self)
 
 
 # annotation text of each field ("int", "float | None", "tuple", ...): it
-# drives the coercion of config text and the type and finiteness checks
+# drives the reading of config text and the conversion of each field
 _FIELD_KINDS = {f.name: f.type for f in fields(SimConfig)}
-_KIND_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
-               "str": (str, "a string"), "tuple": (tuple, "a list of numbers")}
+_KIND_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a finite number"),
+               "str": (str, "a string"), "tuple": (tuple, "a list of finite numbers")}
+
+
+def _field_value(name: str, kind: str, value):
+    """``value`` as a field of ``kind`` holds it: None where the kind allows
+    it, an exact int, a finite Python float (a NumPy float32 f_c would make
+    the gain float32 too), a str, or for noise_power the sorted floats of
+    one number or a sequence (sweeps run, and are seeded, in ascending
+    noise order). A bool is no number. Else raise ConfigError naming ``name``.
+    """
+    if value is None and kind.endswith(" | None"):
+        return None
+    kind = kind.removesuffix(" | None")
+    expected, description = _KIND_TYPES[kind]
+    try:
+        if kind == "tuple":
+            entries = (value,) if np.isscalar(value) else value
+            return tuple(sorted(_field_value(name, "float", v) for v in entries))
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise TypeError
+        if kind == "float":
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError
+        return int(value) if kind == "int" else value  # int() is exact above 2**53
+    except (TypeError, ValueError, OverflowError):  # ConfigError is a ValueError
+        raise ConfigError(f"{name} = {value!r} is not {description}") from None
 
 
 def _geometry(config: SimConfig) -> LinkGeometry:
@@ -144,16 +159,8 @@ def _hyperparameters(config: SimConfig) -> Hyperparameters:
 
 
 def validate_config(config: SimConfig) -> None:
-    """Raise :class:`ConfigError` naming the first offending parameter."""
-    for name, kind in _FIELD_KINDS.items():
-        value = getattr(config, name)
-        expected, description = _KIND_TYPES[kind.removesuffix(" | None")]
-        if not (isinstance(value, expected) or (value is None and kind.endswith(" | None"))):
-            raise ConfigError(f"{name} = {value!r} is not {description}")
-        if kind == "tuple" or kind.startswith("float"):
-            values = value if kind == "tuple" else (value,)
-            if not all(v is None or math.isfinite(v) for v in values):
-                raise ConfigError(f"{name} must be finite, got {value}")
+    """Raise :class:`ConfigError` naming the first parameter out of range or
+    inconsistent with another; SimConfig runs it once fields hold their kinds."""
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
     for name in ("N_t", "N_r", "codeword_size", "n_transmissions", "workers",
@@ -215,46 +222,33 @@ def validate_config(config: SimConfig) -> None:
                               f"or f_c, d, eta): G / noise_power must lie within +-3000 dB")
 
 
-def _coerce(name: str, value):
+def _read_value(name: str, value):
+    """Key ``name``'s value as load_config reads it, from text or as given.
+
+    Text is a Python literal, else the text itself: a str key keeps its text
+    unless it is a quoted string, an optional key reads none (in any case)
+    or an empty value as None, and any other quoted value or noise_power
+    entry is read once more. An integer key takes an integral float (1e3,
+    2.0). SimConfig converts and checks the result.
+    """
     kind = _FIELD_KINDS[name]
-    if kind == "tuple":
-        if isinstance(value, str):
-            value = _parse_value(value)
-        if np.isscalar(value):
-            value = (value,)
+    if isinstance(value, str):
+        text = value
         try:
-            return tuple(float(v) for v in value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name} = {value!r} is not a list of numbers") from exc
-    if kind.endswith(" | None"):
-        if value is None or (isinstance(value, str) and value.lower() in ("none", "")):
+            value = ast.literal_eval(text)
+        except (ValueError, SyntaxError):
+            pass  # bare words such as QAM or output.csv
+        if kind.endswith(" | None") and str(value).lower() in ("none", ""):
             return None
-        kind = kind.removesuffix(" | None")
-    if kind == "int":
-        if isinstance(value, str):
-            value = _parse_value(value)
-        if isinstance(value, (int, np.integer)):
-            return int(value)  # exact however large; float() would round above 2**53
-        try:
-            as_float = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name} = {value!r} is not an integer") from exc
-        if not math.isfinite(as_float) or as_float != int(as_float):
-            raise ConfigError(f"{name} = {value!r} is not an integer")
-        return int(as_float)
-    if kind == "float":
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name} = {value!r} is not a number") from exc
-    return str(value)
-
-
-def _parse_value(text: str):
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        return text  # bare strings like QAM or output.csv
+        if kind.startswith("str"):
+            return value if isinstance(value, str) else text
+        if isinstance(value, str) and value != text:
+            return _read_value(name, value)
+        if kind == "tuple" and isinstance(value, (list, tuple)):
+            value = [_read_value(name, v) if isinstance(v, str) else v for v in value]
+    if kind == "int" and isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    return value
 
 
 def _read_config_file(path) -> dict:
@@ -266,7 +260,7 @@ def _read_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        raw[key.strip()] = _parse_value(value.strip())
+        raw[key.strip()] = value.strip()
     return raw
 
 
@@ -275,28 +269,30 @@ def load_config(path=None, overrides: dict | None = None) -> SimConfig:
 
     An empty (or absent) file yields the defaults. Unknown keys are
     rejected rather than silently ignored; overrides set to None are
-    skipped. When ``N0`` is given (in the file or as an override) without
-    an explicit ``noise_power``, the single noise power N0 * B is used; an
-    explicit ``noise_power`` always wins.
+    skipped, and string overrides are read as file text is. When ``N0``
+    is given (in the file or as an override) without an explicit
+    ``noise_power``, the single noise power N0 * B is used; an explicit
+    ``noise_power`` always wins.
     """
     raw = _read_config_file(path) if path is not None else {}
     raw.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     unknown = sorted(set(raw) - _FIELD_KINDS.keys())
     if unknown:
         raise ConfigError(f"unknown parameter(s): {', '.join(unknown)}")
-    values = {key: _coerce(key, value) for key, value in raw.items()}
+    values = {key: _read_value(key, value) for key, value in raw.items()}
     derived = values.get("N0") is not None and "noise_power" not in values
     if derived:
-        values["noise_power"] = (values["N0"] * values.get("B", SimConfig.B),)
-    config = SimConfig(**values)
+        try:
+            values["noise_power"] = (float(values["N0"]) * float(values.get("B", SimConfig.B)),)
+        except (TypeError, ValueError, OverflowError):
+            derived = False  # not numbers: SimConfig rejects N0 or B by name
     try:
-        validate_config(config)
+        return SimConfig(**values)
     except ConfigError as exc:
         if derived and str(exc).startswith("noise_power"):
-            raise ConfigError(f"N0 = {config.N0} gives the noise power N0 * B = "
-                              f"{config.noise_power[0]}, which is rejected: {exc}") from None
+            raise ConfigError(f"N0 = {values['N0']} gives the noise power N0 * B = "
+                              f"{values['noise_power'][0]}, which is rejected: {exc}") from None
         raise
-    return config
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -625,7 +621,6 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
     ML detection for the radio measures and its record carries
     classification_error = 1.
     """
-    validate_config(config)
     table = build_constellation(config.constellation, config.M_constellation)
     crc_spec = CrcSpec(config.crc_generator)
     gain = link_gain(config)

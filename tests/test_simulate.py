@@ -72,6 +72,14 @@ class TestLoadConfig:
         assert load_config(path).noise_power == (5e-3,)
         path.write_text("noise_power = [1e-2, 1e-4, 1e-3]\n")
         assert load_config(path).noise_power == (1e-4, 1e-3, 1e-2)
+        path.write_text("noise_power = ['1e-2', 1e-4]\n")
+        assert load_config(path).noise_power == (1e-4, 1e-2)
+
+    def test_string_keys_keep_their_text(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("output = 1e3\ncrc_generator = 111\npayload = 'bits.txt'\n")
+        config = load_config(path)
+        assert (config.output, config.crc_generator, config.payload) == ("1e3", "111", "bits.txt")
 
     def test_power_of_two_constraint_message(self, tmp_path):
         path = tmp_path / "m.cfg"
@@ -159,9 +167,12 @@ class TestLoadConfig:
     ("G_override = 1e-300\nnoise_power = 1e10", "G_override"),
     ("G_override = -1", "G_override"),
     ("G_override = 1.7e308\nnoise_power = 1e304", "G_override"),
+    pytest.param("f_c = 1" + "0" * 400, "f_c", id="f_c-int-beyond-float-range"),
+    pytest.param("noise_power = [1" + "0" * 400 + "]", "noise_power", id="noise_power-int-beyond-float-range"),
+    ("seed = True", "seed"),
 ])
 def test_out_of_range_values_rejected_naming_the_key(tmp_path, text, key):
-    """Non-finite or out-of-range values fail at load time, naming the key."""
+    """Non-finite, out-of-range or boolean values fail at load time, naming the key."""
     path = tmp_path / "bad.cfg"
     path.write_text(text + "\n")
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
@@ -193,12 +204,23 @@ def test_non_integral_text_override_rejected_naming_the_key(key, value):
     ("f_c", "1e9"),
     ("payload", 5),
     ("noise_power", ("a",)),
+    ("noise_power", (10**400,)),
+    ("seed", True),
+    ("N_t", True),
+    ("noise_power", True),
+    ("N_t", 0),
 ])
 def test_wrong_type_in_a_direct_config_rejected_naming_the_key(key, value):
-    """A SimConfig built without load_config fails at the config boundary,
-    naming the key, not deep inside the sweep."""
+    """A SimConfig built without load_config fails at construction, naming
+    the key, not deep inside the sweep."""
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
-        run_sweep(SimConfig(**{key: value}))
+        SimConfig(**{key: value})
+
+
+@pytest.mark.parametrize("value", [2.0, np.float64(2.0), np.float32(2.0), "2.0", "2e0"])
+def test_integral_float_override_for_an_integer_key(value):
+    n_transmissions = load_config(None, {"n_transmissions": value}).n_transmissions
+    assert n_transmissions == 2 and type(n_transmissions) is int
 
 
 def test_numpy_integers_accepted_in_a_direct_config():
@@ -352,6 +374,12 @@ class TestRunSweep:
         records = run_sweep(FAST)
         assert len(records) == 2
         assert [r.noise_power for r in records] == sorted(FAST.noise_power)
+
+    def test_float_fields_hold_python_floats(self):
+        float_fields = [f.name for f in sim.fields(SweepRecord) if f.type == "float"]
+        assert "snr_tx_db" in float_fields and "ebn0_tx_db" in float_fields
+        for record in run_sweep(FAST):
+            assert all(type(getattr(record, name)) is float for name in float_fields), record
 
     def test_snr_column_is_definition_passthrough(self):
         for record in run_sweep(FAST):
