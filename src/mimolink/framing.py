@@ -95,18 +95,24 @@ def crc_compute(bits, spec: CrcSpec) -> np.ndarray:
     message is cut into w-bit chunks from the end (the first chunk takes
     the rest), and the remainder so far is carried past each further
     chunk by the first r table rows. An empty message yields the all-zero
-    CRC.
+    CRC. A (B, n) stack of messages yields a (B, r) stack of CRCs, each
+    row the CRC of its own message; any other shape is one message.
     """
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    bits = np.asarray(bits, dtype=np.uint8)
+    stack = bits if bits.ndim == 2 else bits.reshape(1, -1)
     table = _remainder_table(spec.generator)
     w, r = table.shape
-    head = bits.size - (bits.size - 1) // w * w if bits.size else 0
-    crc = bits[:head] @ table[w - head:]
-    if bits.size > head:
+    n_rows, n = stack.shape
+    head = n - (n - 1) // w * w if n else 0
+    crc = stack[:, :head] @ table[w - head:]
+    if n > head:
+        # one product for every further chunk of every row
         carry = table[:r]
-        for chunk_crc in bits[head:].reshape(-1, w) @ table:
-            crc = (crc % 2) @ carry + chunk_crc
-    return (crc % 2).astype(np.uint8)
+        chunk_crcs = (stack[:, head:].reshape(-1, w) @ table).reshape(n_rows, (n - head) // w, r)
+        for i in range(chunk_crcs.shape[1]):
+            crc = (crc % 2) @ carry + chunk_crcs[:, i]
+    crc = (crc % 2).astype(np.uint8)
+    return crc if bits.ndim == 2 else crc[0]
 
 
 def crc_verify(payload_bits, crc_bits, spec: CrcSpec) -> bool:
@@ -128,16 +134,20 @@ def build_transport_blocks(payload_bits, codeword_size: int, spec: CrcSpec, k: i
 
     The payload holds 1..``codeword_size`` bits; a shorter one is
     zero-padded to ``codeword_size`` before its CRC is computed, so every
-    block has the same on-air length.
+    block has the same on-air length. A (B, n) stack of payloads yields a
+    (B, total) stack of blocks, row for row the blocks of one call each.
     """
-    payload = np.asarray(payload_bits, dtype=np.uint8).ravel()
-    if not 0 < payload.size <= codeword_size:
+    payload = np.asarray(payload_bits, dtype=np.uint8)
+    stack = payload if payload.ndim == 2 else payload.reshape(1, -1)
+    n_rows, n = stack.shape
+    if not 0 < n <= codeword_size:
         raise ValueError(f"a transport block holds 1..codeword_size = {codeword_size} "
-                         f"payload bits, got {payload.size}")
-    block = np.zeros(block_total_bits(codeword_size, spec, k, n_tx), dtype=np.uint8)
-    block[:payload.size] = payload
-    block[block.size - spec.crc_length:] = crc_compute(block[:codeword_size], spec)
-    return block
+                         f"payload bits, got {n}")
+    total = block_total_bits(codeword_size, spec, k, n_tx)
+    blocks = np.zeros((n_rows, total), dtype=np.uint8)
+    blocks[:, :n] = stack
+    blocks[:, total - spec.crc_length:] = crc_compute(blocks[:, :codeword_size], spec)
+    return blocks if payload.ndim == 2 else blocks[0]
 
 
 def extract_and_check(received_bits, codeword_size: int, spec: CrcSpec, k: int, n_tx: int):

@@ -8,16 +8,18 @@ fresh channel is drawn per block and fresh noise per channel use.
 Every trial derives its own random stream from (seed, noise index, trial
 index) through SeedSequence spawn keys, so results are independent of
 execution order; rerunning a sweep with the same seed yields a
-byte-identical CSV. Trials cross the link in chunks: each draws its
-normals from its own stream into its row of the chunk's buffer, the
-complex stacks, the link algebra and detection run once per chunk, and
-run_trial then finishes and measures each trial from its row, so no
-outcome depends on the chunk size.
+byte-identical CSV. Trials cross the link in chunks. The trial loop only
+draws: each trial opens its stream and draws its payload bits and its
+normals into its rows of the chunk's buffers. Framing, the complex
+stacks, the link algebra and detection then run once per chunk, and
+run_trial finishes and measures each trial from its row, so no outcome
+depends on the chunk size.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import logging
 import math
 import numbers
@@ -140,7 +142,18 @@ def _field_value(name: str, kind: str, value):
                 raise ValueError
         return int(value) if kind == "int" else value  # int() is exact above 2**53
     except (TypeError, ValueError, OverflowError):  # ConfigError is a ValueError
-        raise ConfigError(f"{name} = {value!r} is not {description}") from None
+        raise ConfigError(f"{name} = {_shown(value)} is not {description}") from None
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message; an integer past the digit limit
+    of int-to-str conversion (4300 by default) shows as its size in bits."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, numbers.Integral):
+            return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
+        return "[" + ", ".join(map(_shown, value)) + "]"
 
 
 def _geometry(config: SimConfig) -> LinkGeometry:
@@ -162,11 +175,11 @@ def validate_config(config: SimConfig) -> None:
     """Raise :class:`ConfigError` naming the first parameter out of range or
     inconsistent with another; SimConfig runs it once fields hold their kinds."""
     if config.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed}")
+        raise ConfigError(f"seed must be >= 0, got {_shown(config.seed)}")
     for name in ("N_t", "N_r", "codeword_size", "n_transmissions", "workers",
                  "dnn_depth", "dnn_width", "dnn_train_samples"):
         if getattr(config, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(config, name)}")
+            raise ConfigError(f"{name} must be >= 1, got {_shown(getattr(config, name))}")
     for name, choices in (("pilot_mode", PILOT_MODES), ("detector", DETECTORS),
                           ("estimator", ESTIMATORS), ("equalizer", EQUALIZERS),
                           ("dnn_features", FEATURE_MODES), ("dnn_labels", LABEL_SOURCES)):
@@ -176,21 +189,21 @@ def validate_config(config: SimConfig) -> None:
         k = build_constellation(config.constellation, config.M_constellation).k
     except ValueError as exc:
         raise ConfigError(f"constellation = {config.constellation!r}, "
-                          f"M_constellation = {config.M_constellation}: {exc}") from exc
+                          f"M_constellation = {_shown(config.M_constellation)}: {exc}") from exc
     try:
         crc = CrcSpec(config.crc_generator)
     except ValueError as exc:
         raise ConfigError(f"crc_generator invalid: {exc}") from exc
     if crc.crc_length != config.crc_length:
         raise ConfigError(
-            f"crc_length = {config.crc_length} does not match generator "
+            f"crc_length = {_shown(config.crc_length)} does not match generator "
             f"{config.crc_generator!r} (degree {crc.crc_length})"
         )
     if config.n_pilot < config.N_t:
-        raise ConfigError(f"n_pilot = {config.n_pilot} must be at least N_t = {config.N_t}")
+        raise ConfigError(f"n_pilot = {_shown(config.n_pilot)} must be at least N_t = {_shown(config.N_t)}")
     if config.equalizer == "zf" and config.N_r < config.N_t:
         raise ConfigError(
-            f"equalizer 'zf' needs N_r >= N_t, got N_r={config.N_r}, N_t={config.N_t}"
+            f"equalizer 'zf' needs N_r >= N_t, got N_r={_shown(config.N_r)}, N_t={_shown(config.N_t)}"
         )
     if config.dnn_features == "raw" and config.N_t != 1:
         raise ConfigError("dnn_features = 'raw' is only supported for N_t = 1")
@@ -295,9 +308,149 @@ def load_config(path=None, overrides: dict | None = None) -> SimConfig:
         raise
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent deterministic stream for (seed, path) via spawn keys."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
+    """Independent deterministic stream for (seed, path) via spawn keys.
+
+    The stream is ``default_rng(SeedSequence(seed, spawn_key=path))`` bit
+    for bit, and so are its ``spawn`` children. SeedSequence hashes its
+    words in order, so the pool before the last key word is cached per
+    (seed, path[:-1]) and a call only mixes in its last word. A key out of
+    that form (an empty path, a last entry that is not an int below 2**32,
+    or an entry that is not a non-negative integer) goes to SeedSequence.
+    """
+    word = path[-1] if path else None
+    if type(word) is int and 0 <= word <= _MASK32:
+        try:
+            last_mix = _prefix_pool(seed, *path[:-1])
+        except TypeError:  # an unhashable entry, such as a list of words
+            last_mix = None
+        if last_mix is not None:
+            state = _trial_state(word, last_mix)
+            return np.random.Generator(np.random.PCG64(_TrialSeed(seed, path, state)))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+
+
+def _hash_constants(const: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """A hash constant's (old, new) values over its next n uses: each use
+    XORs the old value into a word and multiplies the word by the new one."""
+    pairs = []
+    for _ in range(n):
+        pairs.append((const, const * mult & _MASK32))
+        const = pairs[-1][1]
+    return pairs
+
+
+# generate_state(4, uint64) hashes eight words, pool word i % 4 into word i
+_STATE_CONSTANTS = tuple(_hash_constants(_INIT_B, _MULT_B, 8))
+
+
+def _words(n: int) -> list[int]:
+    """SeedSequence's 32-bit words of a non-negative integer, least significant first."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _prefix_pool(seed, *prefix):
+    """SeedSequence's pool for (seed, prefix + (word,)) before the last
+    word, as :func:`_trial_state` takes it: per pool word, MIX_MULT_L times
+    the word, then the (old, new) hash constants of the last word's mix
+    into it and of its two state words. None if seed or an entry is not a
+    non-negative integer.
+    """
+    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in (seed, *prefix)):
+        return None
+    # with a spawn key, the seed's words are zero-padded to the pool size
+    entropy = _words(int(seed))
+    entropy += [0] * (4 - len(entropy))
+    for n in prefix:
+        entropy += _words(int(n))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    # a BitGenerator takes any registered seed sequence; registering on first
+    # use keeps numpy.random out of the package import
+    from numpy.random.bit_generator import ISpawnableSeedSequence
+    ISpawnableSeedSequence.register(_TrialSeed)
+    last_word = _hash_constants(const, _MULT_A, 4)
+    return tuple((_MIX_MULT_L * pool[i] & _MASK32, *last_word[i],
+                  *_STATE_CONSTANTS[i], *_STATE_CONSTANTS[i + 4]) for i in range(4))
+
+
+def _trial_state(word: int, last_mix) -> list[int]:
+    """SeedSequence.generate_state(4, uint64) after the last ``word``: its
+    eight 32-bit words cycle through the pool, and pairs join low word first."""
+    low, high = [], []
+    for mixed, old, new, low_old, low_new, high_old, high_new in last_mix:
+        value = (word ^ old) * new & _MASK32
+        value = (mixed - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
+        value ^= value >> 16
+        low_word = (value ^ low_old) * low_new & _MASK32
+        high_word = (value ^ high_old) * high_new & _MASK32
+        low.append(low_word ^ low_word >> 16)
+        high.append(high_word ^ high_word >> 16)
+    return [low[0] | low[1] << 32, low[2] | low[3] << 32, high[0] | high[1] << 32, high[2] | high[3] << 32]
+
+
+class _TrialSeed:
+    """A substream's seed sequence as PCG64 reads it: the four state words
+    of SeedSequence(seed, spawn_key=path). Spawning, other state sizes,
+    other attributes and pickling go to that SeedSequence, built on first use.
+    """
+
+    __slots__ = ("_seed", "_path", "_state", "_sequence")
+
+    def __init__(self, seed, path, state):
+        self._seed, self._path, self._state, self._sequence = seed, path, state, None
+
+    def _seed_sequence(self):
+        if self._sequence is None:
+            self._sequence = np.random.SeedSequence(self._seed, spawn_key=self._path)
+        return self._sequence
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:
+            return np.array(self._state, dtype=np.uint64)
+        return self._seed_sequence().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._seed_sequence().spawn(n_children)
+
+    def __getattr__(self, name):  # entropy, spawn_key, pool, n_children_spawned, ...
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._seed_sequence(), name)
+
+    def __reduce__(self):
+        return self._seed_sequence().__reduce__()
 
 
 def link_gain(config: SimConfig) -> float:
@@ -484,8 +637,9 @@ def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_
     """Run a chunk of trials through the link and detect their symbols.
 
     Each trial draws from its own substream, in the order payload bits
-    (where its payload is None), channel matrix, pilot construction,
-    pilot noise, data noise.
+    (where ``payloads`` is None), channel matrix, pilot construction,
+    pilot noise, data noise; else ``payloads`` is the chunk's (n_trials, n)
+    payload stack. The chunk's blocks are then framed in one call.
     """
     if config.detector == "dnn" and dnn_model is None:
         raise ValueError(
@@ -494,13 +648,15 @@ def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_
         )
     n_uses = _channel_uses(config, table, crc_spec)
     draws = _LinkDraws(config, noise_power, len(trial_indices), n_uses)
-    blocks = np.empty((len(trial_indices), n_uses * config.N_t * table.k), dtype=np.uint8)
-    for b, (trial_index, payload) in enumerate(zip(trial_indices, payloads)):
+    payload_bits = payloads
+    if payloads is None:
+        payload_bits = np.empty((len(trial_indices), config.codeword_size), dtype=np.uint8)
+    for b, trial_index in enumerate(trial_indices):
         rng = substream(config.seed, _TRIAL_NS, noise_index, trial_index)
-        if payload is None:
-            payload = rng.integers(0, 2, size=config.codeword_size, dtype=np.uint8)
-        blocks[b] = build_transport_blocks(payload, config.codeword_size, crc_spec, table.k, config.N_t)
+        if payloads is None:
+            payload_bits[b] = rng.integers(0, 2, size=config.codeword_size, dtype=np.uint8)
         draws.draw(b, rng)
+    blocks = build_transport_blocks(payload_bits, config.codeword_size, crc_spec, table.k, config.N_t)
     tx_indices = map_bits_to_symbols(blocks, table).reshape(len(blocks), -1)
     H, h_hat, s_flat, y, failed = _link_pass(config, table, gain, draws, tx_indices)
     if config.detector == "ml":
@@ -541,7 +697,8 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     if crc_spec is None:
         crc_spec = CrcSpec(config.crc_generator)
     if link is None:
-        [link] = _trial_links(config, noise_power, noise_index, [trial_index], [payload_bits],
+        payloads = None if payload_bits is None else np.asarray(payload_bits, dtype=np.uint8).reshape(1, -1)
+        [link] = _trial_links(config, noise_power, noise_index, [trial_index], payloads,
                               table, crc_spec, link_gain(config), dnn_model)
     # the column-major error vector fixes the summation order of the MSE
     est_mse = metrics.estimation_mse(metrics.error_vector(link.H, link.h_hat),
@@ -631,8 +788,8 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
         bits = load_payload_bits(config.payload)
         if bits.size == 0:
             raise ConfigError(f"payload file {config.payload!r} contains no data")
-        payload_chunks = [bits[i:i + config.codeword_size]
-                          for i in range(0, bits.size, config.codeword_size)]
+        # the short last chunk gets the zero padding that framing would give it
+        payload_chunks = np.pad(bits, (0, -bits.size % config.codeword_size)).reshape(-1, config.codeword_size)
 
     records = []
     for noise_index, sigma2 in enumerate(config.noise_power):
@@ -653,8 +810,9 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
         outcomes = []
         for start in range(0, config.n_transmissions, per_chunk):
             trials = range(start, min(start + per_chunk, config.n_transmissions))
-            payloads = [None if payload_chunks is None else payload_chunks[t % len(payload_chunks)]
-                        for t in trials]
+            payloads = None
+            if payload_chunks is not None:
+                payloads = payload_chunks[np.remainder(trials, len(payload_chunks))]
             links = _trial_links(trial_config, sigma2, noise_index, trials, payloads,
                                  table, crc_spec, gain, dnn_model)
             outcomes += [run_trial(trial_config, sigma2, t, noise_index, table=table, crc_spec=crc_spec,

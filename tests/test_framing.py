@@ -18,6 +18,7 @@ from mimolink.framing import (
 from mimolink.framing import _remainder_table
 
 DEFAULT_SPEC = CrcSpec("111")  # x^2 + x + 1
+CCITT_SPEC = CrcSpec("10001000000100001")  # CRC-16, x^16 + x^12 + x^5 + 1
 
 
 def gf2_remainder(message_bits, generator_bits):
@@ -227,6 +228,42 @@ class TestTransportBlocks:
         payload, ok = extract_and_check(block, codeword_size, DEFAULT_SPEC, k, n_tx)
         assert ok
         np.testing.assert_array_equal(payload, bits)
+
+
+class TestStacks:
+    """A (B, n) stack is framed and checked row for row as B one-row calls."""
+
+    @pytest.mark.parametrize("n", [4096, 1025, 1, 0])
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, CCITT_SPEC], ids=["crc2", "crc16"])
+    def test_crc_of_a_stack_equals_per_row_crcs(self, spec, n):
+        """4096 bits carry the remainder past three further table chunks,
+        1025 bits start with a one-bit head."""
+        stack = np.random.default_rng(n).integers(0, 2, size=(5, n)).astype(np.uint8)
+        crcs = crc_compute(stack, spec)
+        assert crcs.shape == (5, spec.crc_length) and crcs.dtype == np.uint8
+        for row, crc in zip(stack, crcs):
+            single = crc_compute(row, spec)
+            assert single.shape == (spec.crc_length,)
+            np.testing.assert_array_equal(crc, single)
+        assert crc_compute(stack[:0], spec).shape == (0, spec.crc_length)
+
+    @pytest.mark.parametrize("n", [16, 11, 1])
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, CCITT_SPEC], ids=["crc2", "crc16"])
+    def test_blocks_of_a_stack_equal_per_row_blocks(self, spec, n):
+        stack = np.random.default_rng(n).integers(0, 2, size=(4, n)).astype(np.uint8)
+        blocks = build_transport_blocks(stack, 16, spec, 6, 2)
+        total = block_total_bits(16, spec, 6, 2)
+        assert blocks.shape == (4, total) and blocks.dtype == np.uint8
+        for row, block in zip(stack, blocks):
+            single = build_transport_blocks(row, 16, spec, 6, 2)
+            assert single.shape == (total,)
+            np.testing.assert_array_equal(block, single)
+
+    @pytest.mark.parametrize("shape", [(0,), (17,), (3, 0), (3, 17)])
+    def test_payload_size_error_names_the_size(self, shape):
+        with pytest.raises(ValueError, match=rf"^a transport block holds 1\.\.codeword_size = 16 "
+                                             rf"payload bits, got {shape[-1]}$"):
+            build_transport_blocks(np.zeros(shape, dtype=np.uint8), 16, DEFAULT_SPEC, 6, 1)
 
 
 class TestExtractAndCheck:

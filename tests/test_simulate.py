@@ -1,6 +1,10 @@
 """Tests for configuration, the trial pipeline, sweeps, and CSV emission."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -209,6 +213,11 @@ def test_non_integral_text_override_rejected_naming_the_key(key, value):
     ("N_t", True),
     ("noise_power", True),
     ("N_t", 0),
+    # past 4300 digits an int has no str: the message gives its size in bits
+    pytest.param("f_c", 10**5000, id="f_c-5001-digits"),
+    pytest.param("seed", -10**5000, id="seed-5001-digits-negative"),
+    pytest.param("N_t", 10**5000, id="N_t-5001-digits"),
+    pytest.param("noise_power", (10**5000,), id="noise_power-5001-digits"),
 ])
 def test_wrong_type_in_a_direct_config_rejected_naming_the_key(key, value):
     """A SimConfig built without load_config fails at construction, naming
@@ -281,7 +290,82 @@ def test_config_boundary_property(tmp_path, values):
         assert all(0.0 <= v <= 1.0 for v in values[3:]), record
 
 
+def numpy_stream(seed, *path):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+
+
 class TestSubstream:
+    """substream caches SeedSequence's hash of all but the last key word;
+    its streams must be numpy's own for every key."""
+
+    # paths of length 1, 2 and 3: namespaces 0 and 1, noise indices up to
+    # two words, NumPy integers
+    PREFIXES = [(), (0,), (1,), *[(ns, noise) for ns in (0, 1) for noise in (0, 5, 2**32 + 1)],
+                (np.uint32(1), np.int64(5))]
+    # 2**32 - 1 is the largest one-word trial; 2**32 and a NumPy integer go to SeedSequence
+    TRIALS = [*range(1000), 2**32 - 1, 2**32, np.int64(3)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3, np.uint64(9)])
+    def test_streams_equal_numpys_seed_sequence(self, seed):
+        for prefix in self.PREFIXES:
+            for trial in self.TRIALS:
+                path = (*prefix, trial)
+                got, want = substream(seed, *path), numpy_stream(seed, *path)
+                assert got.bit_generator.state == want.bit_generator.state, path
+                assert got.standard_normal(64).tobytes() == want.standard_normal(64).tobytes(), path
+
+    @pytest.mark.skipif(not hasattr(np.random.Generator, "spawn"), reason="Generator.spawn needs numpy 1.25")
+    @pytest.mark.parametrize("path", [(0, 5, 7), (3,), (0, 2**32 + 1, 2**32)])
+    def test_spawned_children_and_seed_sequence_equal_numpys(self, path):
+        got, want = substream(7, *path), numpy_stream(7, *path)
+        for _ in range(2):  # the second spawn continues the child count
+            assert ([child.bit_generator.state for child in got.spawn(3)]
+                    == [child.bit_generator.state for child in want.spawn(3)])
+        got_seq, want_seq = got.bit_generator.seed_seq, want.bit_generator.seed_seq
+        assert got_seq.spawn_key == want_seq.spawn_key == path
+        assert got_seq.n_children_spawned == want_seq.n_children_spawned == 6
+        for n_words, dtype in [(4, np.uint64), (1, np.uint32), (8, np.uint64), (4, np.uint32)]:
+            assert got_seq.generate_state(n_words, dtype).tobytes() == \
+                want_seq.generate_state(n_words, dtype).tobytes()
+        restored = pickle.loads(pickle.dumps(got))
+        assert restored.bit_generator.state == got.bit_generator.state
+        assert [c.bit_generator.state for c in restored.spawn(2)] == \
+            [c.bit_generator.state for c in want.spawn(2)]
+
+    @pytest.mark.parametrize("key, error", [((-1, 0, 0, 1), ValueError), ((7, -1, 1), ValueError),
+                                            ((7, 0, 0, -1), ValueError), ((7, 0.0, 1), TypeError),
+                                            ((7.0, 0, 1), TypeError)])
+    def test_bad_keys_raise_as_numpy_does(self, key, error):
+        with pytest.raises(error):
+            numpy_stream(*key)
+        with pytest.raises(error):
+            substream(*key)
+
+    def test_a_sequence_entry_is_read_as_numpy_reads_it(self):
+        assert substream(7, [0, 1], 2).bit_generator.state == numpy_stream(7, [0, 1], 2).bit_generator.state
+
+    def test_repeated_keys_give_independent_generators(self):
+        """Calls that share a cached prefix share no generator state."""
+        a, b, c = substream(7, 0, 2, 3), substream(7, 0, 2, 3), substream(7, 0, 2, 4)
+        assert a is not b and a.bit_generator is not b.bit_generator
+        first = a.standard_normal(16)
+        np.testing.assert_array_equal(b.standard_normal(16), first)
+        assert a.bit_generator.state == b.bit_generator.state
+        assert c.bit_generator.state == numpy_stream(7, 0, 2, 4).bit_generator.state
+
+    def test_package_import_leaves_numpy_random_unloaded(self):
+        """Importing numpy.random costs about 15 ms; substream loads it on
+        first use, not the package import."""
+        code = ("import sys, numpy; own = 'numpy.random' in sys.modules; import mimolink; "
+                "print(own, 'numpy.random' in sys.modules)")
+        src = str(Path(sim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        own, loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                     capture_output=True, text=True).stdout.split()
+        if own == "True":
+            pytest.skip("this numpy imports numpy.random itself")
+        assert loaded == "False"
+
     def test_distinct_paths_give_distinct_streams(self):
         a = substream(7, 0, 0, 0).integers(0, 1 << 30, 8)
         b = substream(7, 0, 0, 1).integers(0, 1 << 30, 8)
