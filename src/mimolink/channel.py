@@ -99,13 +99,15 @@ def sample_channel(n_rx: int, n_tx: int, rng) -> np.ndarray:
 
     ``rng`` is the stream to draw from, or the standard normal draws made
     beforehand (..., 2, n_rx, n_tx) as :func:`complex_gaussian` takes
-    them; their stack of matrices is normalized one matrix at a time.
+    them, which gives a stack, each matrix scaled bit for bit as on its own.
     """
     if n_rx < 1 or n_tx < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({n_rx}, {n_tx})")
     h = complex_gaussian(rng, (n_rx, n_tx))
-    for matrix in h.reshape(-1, n_rx, n_tx):
-        matrix *= np.sqrt(n_rx * n_tx) / np.linalg.norm(matrix)
+    # np.linalg.norm's squared norm: a ddot per strided part (copies or einsum round otherwise)
+    re, im = (part.reshape(-1, 1, n_rx * n_tx) for part in (h.real, h.imag))
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    h *= (np.sqrt(n_rx * n_tx) / np.sqrt(sq)).reshape(h.shape[:-2] + (1, 1))
     return h
 
 

@@ -11,20 +11,21 @@ import numpy as np
 
 
 def error_vector(H: np.ndarray, H_hat: np.ndarray) -> np.ndarray:
-    """e = vec(H) - vec(H_hat), column-major vectorization."""
-    H = np.asarray(H)
-    H_hat = np.asarray(H_hat)
+    """e = vec(H) - vec(H_hat), column-major; a stack (..., N_r, N_t) gives rows (..., N_r * N_t)."""
+    H, H_hat = np.asarray(H), np.asarray(H_hat)
     if H.shape != H_hat.shape:
         raise ValueError(f"shape mismatch: {H.shape} vs {H_hat.shape}")
-    return H.flatten(order="F") - H_hat.flatten(order="F")
+    H, H_hat = np.atleast_2d(H, H_hat)
+    return (H.swapaxes(-1, -2) - H_hat.swapaxes(-1, -2)).reshape(H.shape[:-2] + (-1,))
 
 
-def estimation_mse(e: np.ndarray, n_rx: int, n_tx: int) -> float:
-    """Squared Euclidean norm of e divided by the element count N_r * N_t."""
-    e = np.asarray(e).ravel()
-    if e.size != n_rx * n_tx:
-        raise ValueError(f"error vector has {e.size} entries, expected {n_rx * n_tx}")
-    return float(np.sum(np.abs(e) ** 2) / (n_rx * n_tx))
+def estimation_mse(e: np.ndarray, n_rx: int, n_tx: int) -> float | np.ndarray:
+    """Squared Euclidean norm of e divided by the element count N_r * N_t; a
+    stack of rows (..., N_r * N_t) gives one MSE per row, as its own call would."""
+    e = np.ascontiguousarray(e)  # row sums of another layout round otherwise
+    if e.shape[-1] != n_rx * n_tx:
+        raise ValueError(f"error vector has {e.shape[-1]} entries, expected {n_rx * n_tx}")
+    return np.sum(np.abs(e) ** 2, axis=-1) / (n_rx * n_tx)
 
 
 def tx_snr_db(sigma2: float, n_tx: int) -> float:

@@ -11,9 +11,9 @@ execution order; rerunning a sweep with the same seed yields a
 byte-identical CSV. Trials cross the link in chunks. The trial loop only
 draws: each trial opens its stream and draws its payload bits and its
 normals into its rows of the chunk's buffers. Framing, the complex
-stacks, the link algebra and detection then run once per chunk, and
-run_trial finishes and measures each trial from its row, so no outcome
-depends on the chunk size.
+stacks, the link algebra, detection, demapping and the estimation MSE
+then run once per chunk, and run_trial checks the CRC and measures each
+trial from its row, so no outcome depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import logging
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -227,6 +228,8 @@ def validate_config(config: SimConfig) -> None:
                           f"it must lie within 1e-300..1e300 (+-3000 dB)")
     if not config.noise_power or any(v <= 0 for v in config.noise_power):
         raise ConfigError(f"noise_power must be a nonempty list of positive values, got {config.noise_power}")
+    if config.N_t > sys.float_info.max:  # sigma2 * N_t below would raise OverflowError
+        raise ConfigError(f"N_t = {_shown(config.N_t)} is beyond float range")
     for sigma2 in config.noise_power:
         # the SNR columns take log10(sigma2 * N_t * k), and the receiver
         # squares sums of amplitudes of order sqrt(sigma2 / G)
@@ -493,14 +496,14 @@ CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 @dataclass(frozen=True)
 class LinkRow:
-    """One trial's row of a chunk pass, through detection: what run_trial
-    needs to finish and measure the trial."""
+    """One trial's row of a chunk pass, through demapping and the estimation
+    MSE: what run_trial needs to finish and measure the trial."""
 
     block: np.ndarray         # on-air bits
     tx_indices: np.ndarray    # transmitted constellation indices
-    H: np.ndarray             # drawn channel
-    h_hat: np.ndarray         # its estimate
+    est_mse: float            # channel estimation MSE
     rx_indices: np.ndarray    # detected constellation indices
+    rx_bits: np.ndarray       # their labels
     equalization_failed: bool
 
 
@@ -634,7 +637,7 @@ def _link_pass(config: SimConfig, table: ConstellationTable, gain: float, draws:
 def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_indices,
                  payloads, table: ConstellationTable, crc_spec: CrcSpec, gain: float,
                  dnn_model: Network | None = None) -> list[LinkRow]:
-    """Run a chunk of trials through the link and detect their symbols.
+    """Run a chunk of trials through the link; detect, demap and score it.
 
     Each trial draws from its own substream, in the order payload bits
     (where ``payloads`` is None), channel matrix, pilot construction,
@@ -666,7 +669,9 @@ def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_
     else:
         rx_indices = predict(dnn_model, _detector_features(config, s_flat, y))
     rx_indices = rx_indices.reshape(s_flat.shape)
-    return [LinkRow(*row) for row in zip(blocks, tx_indices, H, h_hat, rx_indices, failed)]
+    rx_bits = symbols_to_bits(rx_indices, table).reshape(len(blocks), -1)
+    est_mse = metrics.estimation_mse(metrics.error_vector(H, h_hat), config.N_r, config.N_t)
+    return [LinkRow(*row) for row in zip(blocks, tx_indices, est_mse.tolist(), rx_indices, rx_bits, failed)]
 
 
 def _detector_features(config: SimConfig, s_flat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -688,9 +693,9 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     supplied), channel matrix, pilot construction, pilot noise, data noise.
     ``build_transport_blocks`` frames ``payload_bits`` and checks its size.
     ``link`` is this trial's row of a chunk pass, as run_sweep hands it
-    over (the row already holds the framed payload and the decisions);
-    without it the trial runs the same pass as a chunk of one. Either way
-    the trial then demaps, checks the CRC and measures.
+    over (the row already holds the framed payload, the decisions, their
+    bits and the estimation MSE); without it the trial runs the same pass
+    as a chunk of one. Either way the trial then checks the CRC and measures.
     """
     if table is None:
         table = build_constellation(config.constellation, config.M_constellation)
@@ -700,23 +705,15 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
         payloads = None if payload_bits is None else np.asarray(payload_bits, dtype=np.uint8).reshape(1, -1)
         [link] = _trial_links(config, noise_power, noise_index, [trial_index], payloads,
                               table, crc_spec, link_gain(config), dnn_model)
-    # the column-major error vector fixes the summation order of the MSE
-    est_mse = metrics.estimation_mse(metrics.error_vector(link.H, link.h_hat),
-                                     config.N_r, config.N_t)
     if link.equalization_failed:
         # rank-deficient estimate or non-finite symbols: count the whole block as lost
-        return TrialOutcome(estimation_mse=est_mse, ser=1.0, ber=1.0,
+        return TrialOutcome(estimation_mse=link.est_mse, ser=1.0, ber=1.0,
                             crc_ok=False, equalization_failed=True)
 
-    payload_rx, crc_ok = extract_and_check(symbols_to_bits(link.rx_indices, table), config.codeword_size,
-                                           crc_spec, table.k, config.N_t)
-    return TrialOutcome(
-        estimation_mse=est_mse,
-        ser=metrics.ser(link.tx_indices, link.rx_indices),
-        ber=metrics.ber(link.block[:config.codeword_size], payload_rx),
-        crc_ok=crc_ok,
-        equalization_failed=False,
-    )
+    payload_rx, crc_ok = extract_and_check(link.rx_bits, config.codeword_size, crc_spec, table.k, config.N_t)
+    return TrialOutcome(estimation_mse=link.est_mse, ser=metrics.ser(link.tx_indices, link.rx_indices),
+                        ber=metrics.ber(link.block[:config.codeword_size], payload_rx),
+                        crc_ok=crc_ok, equalization_failed=False)
 
 
 def train_detector_network(config: SimConfig, noise_power: float, noise_index: int = 0,

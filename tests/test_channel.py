@@ -79,19 +79,27 @@ class TestDrawsMadeBeforehand:
             expected = raw * (np.sqrt(raw.size) / np.linalg.norm(raw))
             assert sample_channel(*shape, new).tobytes() == expected.tobytes()
 
-    def test_stack_of_draws_equals_one_stream_call_per_matrix(self):
+    @pytest.mark.parametrize("lead, shape", [((3, 4), (5, 2)), ((19,), (16, 16)), ((3,), (16, 4)),
+                                             ((2, 4), (1, 3)), ((1,), (16, 16))],
+                             ids=["3x4-of-5x2", "19-of-16x16", "3-of-16x4", "2x4-of-1x3", "1-of-16x16"])
+    def test_stack_of_draws_equals_one_stream_call_per_matrix(self, lead, shape):
         """Matrix k of the stack holds the normals of stream 40 + k, so it
-        must equal that stream's own call: normalized on its own."""
-        seeds = np.arange(40, 52).reshape(3, 4)
-        normals = np.stack([np.random.default_rng(seed).standard_normal((2, 5, 2))
-                            for seed in seeds.ravel()]).reshape(3, 4, 2, 5, 2)
-        channels = sample_channel(5, 2, normals)
-        noise = sample_noise((5, 2), 0.2, normals)
-        assert channels.shape == noise.shape == (3, 4, 5, 2)
+        must equal that stream's own call, and the channel must equal the
+        first written normalization: each matrix scaled by its own
+        np.linalg.norm. The stack takes its squared norms in one product."""
+        seeds = np.arange(40, 40 + math.prod(lead)).reshape(lead)
+        normals = np.stack([np.random.default_rng(seed).standard_normal((2,) + shape)
+                            for seed in seeds.ravel()]).reshape(lead + (2,) + shape)
+        channels = sample_channel(*shape, normals)
+        noise = sample_noise(shape, 0.2, normals)
+        assert channels.shape == noise.shape == lead + shape
         for index, seed in np.ndenumerate(seeds):
-            expected = sample_channel(5, 2, np.random.default_rng(seed))
+            raw = old_complex_gaussian(np.random.default_rng(seed), shape)
+            first_written = raw * (np.sqrt(raw.size) / np.linalg.norm(raw))
+            assert channels[index].view(float).tobytes() == first_written.view(float).tobytes()
+            expected = sample_channel(*shape, np.random.default_rng(seed))
             assert channels[index].tobytes() == expected.tobytes()
-            expected = sample_noise((5, 2), 0.2, np.random.default_rng(seed))
+            expected = sample_noise(shape, 0.2, np.random.default_rng(seed))
             assert noise[index].tobytes() == expected.tobytes()
 
     def test_zero_power_reads_no_draws(self):

@@ -118,6 +118,17 @@ class TestBitSymbolMapping:
         bits = symbols_to_bits([0], table)
         assert "".join(map(str, bits)) == table.labels[0]
 
+    @pytest.mark.parametrize("scheme, m", ALL_TABLES)
+    def test_stack_of_indices_gives_one_row_per_call(self, scheme, m):
+        """A (B, n) stack of indices demaps, reshaped to B rows, into the
+        bits of one call per row."""
+        table = build_constellation(scheme, m)
+        stack = np.random.default_rng(m).integers(0, m, size=(7, 12))
+        rows = symbols_to_bits(stack, table).reshape(len(stack), -1)
+        assert rows.shape == (7, 12 * table.k)
+        for row, indices in zip(rows, stack):
+            np.testing.assert_array_equal(row, symbols_to_bits(indices, table))
+
     def test_index_out_of_range_rejected(self):
         table = build_constellation("QPSK", 4)
         with pytest.raises(ValueError, match="4"):

@@ -40,6 +40,28 @@ class TestErrorVector:
         with pytest.raises(ValueError):
             error_vector(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(19, 16, 16), (3, 16, 4), (2, 4, 1, 3), (1, 2, 2), (5, 1, 1)])
+    def test_stack_equals_one_call_per_matrix(self, shape):
+        """A stack gives one column-major error row and one MSE per matrix,
+        each bit for bit the call on that matrix alone and the first written
+        formulas: vec() by flatten(order="F"), one np.sum per vector. Rows
+        in another memory layout give the same MSEs."""
+        rng = np.random.default_rng(sum(shape))
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h_hat = h + 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        n_rx, n_tx = shape[-2:]
+        rows = error_vector(h, h_hat)
+        mse = estimation_mse(rows, n_rx, n_tx)
+        assert rows.shape == shape[:-2] + (n_rx * n_tx,) and mse.shape == shape[:-2]
+        assert estimation_mse(np.asfortranarray(rows), n_rx, n_tx).tobytes() == mse.tobytes()
+        for index in np.ndindex(shape[:-2]):
+            first_written = h[index].flatten(order="F") - h_hat[index].flatten(order="F")
+            alone = error_vector(h[index], h_hat[index])
+            assert rows[index].view(float).tobytes() == alone.view(float).tobytes()
+            assert alone.view(float).tobytes() == first_written.view(float).tobytes()
+            assert mse[index] == estimation_mse(alone, n_rx, n_tx)
+            assert mse[index] == float(np.sum(np.abs(first_written) ** 2) / (n_rx * n_tx))
+
 
 class TestEstimationMse:
     def test_zero_vector(self):

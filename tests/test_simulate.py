@@ -173,6 +173,8 @@ class TestLoadConfig:
     ("G_override = 1.7e308\nnoise_power = 1e304", "G_override"),
     pytest.param("f_c = 1" + "0" * 400, "f_c", id="f_c-int-beyond-float-range"),
     pytest.param("noise_power = [1" + "0" * 400 + "]", "noise_power", id="noise_power-int-beyond-float-range"),
+    pytest.param("equalizer = lmmse\n" + "".join(f"{key} = 1{'0' * 400}\n" for key in ("N_t", "N_r", "n_pilot")),
+                 "N_t", id="N_t-int-beyond-float-range"),
     ("seed = True", "seed"),
 ])
 def test_out_of_range_values_rejected_naming_the_key(tmp_path, text, key):
