@@ -28,8 +28,6 @@ def build_pilot_matrix(n_tx: int, n_pilot: int, rng: np.random.Generator,
     uses a random column permutation of the identity. The draw is
     :func:`draw_pilot_basis`, the rest :func:`pilots_from_basis`.
     """
-    if n_pilot < n_tx:
-        raise ValueError(f"n_pilot = {n_pilot} must be at least N_t = {n_tx}")
     return pilots_from_basis(draw_pilot_basis(n_tx, rng, mode), n_pilot, mode)
 
 
@@ -50,12 +48,14 @@ def pilots_from_basis(basis: np.ndarray, n_pilot: int, mode: str = "unitary-rand
     """Pilot matrices (..., N_t, n_pilot) from bases (..., N_t, N_t) drawn by
     :func:`draw_pilot_basis`; a stack of bases takes one stacked
     factorization, each matrix bit for bit its own."""
+    n_tx = basis.shape[-1]
+    if n_pilot < n_tx:
+        raise ValueError(f"n_pilot = {n_pilot} must be at least N_t = {n_tx}")
     q = basis
     if mode == "unitary-random":
         q, r = np.linalg.qr(basis)
         diag = np.diagonal(r, axis1=-2, axis2=-1)
         q *= (diag / np.abs(diag))[..., None, :]
-    n_tx = basis.shape[-1]
     x_p = np.zeros(basis.shape[:-1] + (n_pilot,), dtype=complex)
     x_p[..., :n_tx] = q
     return x_p

@@ -52,7 +52,6 @@ log = logging.getLogger(__name__)
 DETECTORS = ("ml", "kmeans", "dnn")
 ESTIMATORS = ("ls", "lmmse")
 EQUALIZERS = ("zf", "lmmse")
-FEATURE_MODES = ("equalized", "raw")
 LABEL_SOURCES = ("truth", "ml")
 
 # chosen to span the BLER waterfall of the default 16x16 64-QAM link
@@ -81,7 +80,7 @@ class SimConfig:
     crc_generator: str = "111"
     n_pilot: int = 20
     pilot_mode: str = "unitary-random"
-    noise_power: tuple = DEFAULT_NOISE_GRID
+    noise_power: tuple | None = None
     f_c: float = 1.8e9
     d: float = 100.0
     eta: float = 2.0
@@ -103,17 +102,26 @@ class SimConfig:
     dnn_validation_fraction: float = 0.2
     dnn_patience: int = 10
     dnn_train_samples: int = 10000
-    dnn_features: str = "equalized"
     dnn_labels: str = "truth"
 
     def __post_init__(self):
-        # a SimConfig that exists holds each field as its kind and is valid
+        # a SimConfig that exists holds each field as its kind and is valid;
+        # without noise_power it runs the single point N0 * B, or the default grid
         for name, kind in _FIELD_KINDS.items():
             object.__setattr__(self, name, _field_value(name, kind, getattr(self, name)))
-        validate_config(self)
+        derived = self.noise_power is None and self.N0 is not None
+        if self.noise_power is None:
+            object.__setattr__(self, "noise_power", (self.N0 * self.B,) if derived else DEFAULT_NOISE_GRID)
+        try:
+            validate_config(self)
+        except ConfigError as exc:
+            if derived and str(exc).startswith("noise_power"):
+                raise ConfigError(f"N0 = {self.N0} gives the noise power N0 * B = "
+                                  f"{self.noise_power[0]}, which is rejected: {exc}") from None
+            raise
 
 
-# annotation text of each field ("int", "float | None", "tuple", ...): it
+# annotation text of each field ("int", "float | None", "tuple | None", ...): it
 # drives the reading of config text and the conversion of each field
 _FIELD_KINDS = {f.name: f.type for f in fields(SimConfig)}
 _KIND_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a finite number"),
@@ -183,7 +191,7 @@ def validate_config(config: SimConfig) -> None:
             raise ConfigError(f"{name} must be >= 1, got {_shown(getattr(config, name))}")
     for name, choices in (("pilot_mode", PILOT_MODES), ("detector", DETECTORS),
                           ("estimator", ESTIMATORS), ("equalizer", EQUALIZERS),
-                          ("dnn_features", FEATURE_MODES), ("dnn_labels", LABEL_SOURCES)):
+                          ("dnn_labels", LABEL_SOURCES)):
         if getattr(config, name) not in choices:
             raise ConfigError(f"{name} = {getattr(config, name)!r}; expected one of {choices}")
     try:
@@ -206,8 +214,6 @@ def validate_config(config: SimConfig) -> None:
         raise ConfigError(
             f"equalizer 'zf' needs N_r >= N_t, got N_r={_shown(config.N_r)}, N_t={_shown(config.N_t)}"
         )
-    if config.dnn_features == "raw" and config.N_t != 1:
-        raise ConfigError("dnn_features = 'raw' is only supported for N_t = 1")
     try:
         _hyperparameters(config)
     except ValueError as exc:
@@ -260,7 +266,7 @@ def _read_value(name: str, value):
             return value if isinstance(value, str) else text
         if isinstance(value, str) and value != text:
             return _read_value(name, value)
-        if kind == "tuple" and isinstance(value, (list, tuple)):
+        if kind.startswith("tuple") and isinstance(value, (list, tuple)):
             value = [_read_value(name, v) if isinstance(v, str) else v for v in value]
     if kind == "int" and isinstance(value, (float, np.floating)) and value.is_integer():
         return int(value)
@@ -285,30 +291,16 @@ def load_config(path=None, overrides: dict | None = None) -> SimConfig:
 
     An empty (or absent) file yields the defaults. Unknown keys are
     rejected rather than silently ignored; overrides set to None are
-    skipped, and string overrides are read as file text is. When ``N0``
-    is given (in the file or as an override) without an explicit
-    ``noise_power``, the single noise power N0 * B is used; an explicit
-    ``noise_power`` always wins.
+    skipped, and string overrides are read as file text is. SimConfig
+    derives the noise power N0 * B when ``N0`` is given without
+    ``noise_power``.
     """
     raw = _read_config_file(path) if path is not None else {}
     raw.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     unknown = sorted(set(raw) - _FIELD_KINDS.keys())
     if unknown:
         raise ConfigError(f"unknown parameter(s): {', '.join(unknown)}")
-    values = {key: _read_value(key, value) for key, value in raw.items()}
-    derived = values.get("N0") is not None and "noise_power" not in values
-    if derived:
-        try:
-            values["noise_power"] = (float(values["N0"]) * float(values.get("B", SimConfig.B)),)
-        except (TypeError, ValueError, OverflowError):
-            derived = False  # not numbers: SimConfig rejects N0 or B by name
-    try:
-        return SimConfig(**values)
-    except ConfigError as exc:
-        if derived and str(exc).startswith("noise_power"):
-            raise ConfigError(f"N0 = {values['N0']} gives the noise power N0 * B = "
-                              f"{values['noise_power'][0]}, which is rejected: {exc}") from None
-        raise
+    return SimConfig(**{key: _read_value(key, value) for key, value in raw.items()})
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -602,9 +594,9 @@ def _link_pass(config: SimConfig, table: ConstellationTable, gain: float, draws:
 
     ``tx_indices`` is (n_blocks, n_symbols). Returns the channels, their
     estimates, the equalized symbols at constellation scale (n_blocks,
-    n_symbols), the received data matrices and a bool per block that is
-    true where the estimate is rank-deficient or the equalized symbols
-    are not all finite; such a block's symbols are zeroed.
+    n_symbols) and a bool per block that is true where the estimate is
+    rank-deficient or the equalized symbols are not all finite; such a
+    block's symbols are zeroed.
     """
     H, pilot_basis, pilot_noise, data_noise = draws.stacks()
     channel = ChannelRealization(H, gain, draws.noise_power)
@@ -631,7 +623,7 @@ def _link_pass(config: SimConfig, table: ConstellationTable, gain: float, draws:
     failed = ~np.isfinite(s_hat).all(axis=(-2, -1))
     s_flat = (s_hat * math.sqrt(config.N_t)).swapaxes(-1, -2).reshape(n_blocks, -1)
     s_flat[failed] = 0
-    return H, h_hat, s_flat, y, failed
+    return H, h_hat, s_flat, failed
 
 
 def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_indices,
@@ -661,23 +653,21 @@ def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_
         draws.draw(b, rng)
     blocks = build_transport_blocks(payload_bits, config.codeword_size, crc_spec, table.k, config.N_t)
     tx_indices = map_bits_to_symbols(blocks, table).reshape(len(blocks), -1)
-    H, h_hat, s_flat, y, failed = _link_pass(config, table, gain, draws, tx_indices)
+    H, h_hat, s_flat, failed = _link_pass(config, table, gain, draws, tx_indices)
     if config.detector == "ml":
         rx_indices = detect_ml(s_flat, table)
     elif config.detector == "kmeans":
         rx_indices = detect_kmeans(s_flat, table)
     else:
-        rx_indices = predict(dnn_model, _detector_features(config, s_flat, y))
+        rx_indices = predict(dnn_model, _detector_features(s_flat))
     rx_indices = rx_indices.reshape(s_flat.shape)
     rx_bits = symbols_to_bits(rx_indices, table).reshape(len(blocks), -1)
     est_mse = metrics.estimation_mse(metrics.error_vector(H, h_hat), config.N_r, config.N_t)
     return [LinkRow(*row) for row in zip(blocks, tx_indices, est_mse.tolist(), rx_indices, rx_bits, failed)]
 
 
-def _detector_features(config: SimConfig, s_flat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One feature row per symbol of a stack of blocks."""
-    if config.dnn_features == "raw":
-        return np.concatenate([y.real, y.imag], axis=-2).swapaxes(-1, -2).reshape(-1, 2 * config.N_r)
+def _detector_features(s_flat: np.ndarray) -> np.ndarray:
+    """One feature row [Re s, Im s] per equalized symbol of a stack of blocks."""
     s = s_flat.ravel()
     return np.column_stack([s.real, s.imag])
 
@@ -744,10 +734,10 @@ def train_detector_network(config: SimConfig, noise_power: float, noise_index: i
         for b in range(n_blocks):
             draws.draw(b, data_rng)
         tx_indices = draws.tx_indices
-        _, _, s_flat, y, failed = _link_pass(config, table, gain, draws, tx_indices)
+        _, _, s_flat, failed = _link_pass(config, table, gain, draws, tx_indices)
         if failed.any():
-            s_flat, y, tx_indices = s_flat[~failed], y[~failed], tx_indices[~failed]
-        features.append(_detector_features(config, s_flat, y))
+            s_flat, tx_indices = s_flat[~failed], tx_indices[~failed]
+        features.append(_detector_features(s_flat))
         if config.dnn_labels == "truth":
             labels.append(tx_indices.ravel())
         else:

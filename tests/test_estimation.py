@@ -45,6 +45,14 @@ class TestPilotMatrix:
         with pytest.raises(ValueError, match="n_pilot"):
             build_pilot_matrix(4, 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stack"])
+    @pytest.mark.parametrize("mode", ["unitary-random", "permutation"])
+    def test_pilot_shortage_from_a_basis_rejected(self, mode, stack):
+        basis = draw_pilot_basis(4, np.random.default_rng(0), mode)
+        bases = np.broadcast_to(basis, stack + basis.shape).copy()
+        with pytest.raises(ValueError, match="n_pilot"):
+            pilots_from_basis(bases, 2, mode)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="zadoff"):
             build_pilot_matrix(2, 2, np.random.default_rng(0), "zadoff")

@@ -97,10 +97,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="n_pilot"):
             load_config(path)
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["n_pilots", "dnn_features"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "u.cfg"
-        path.write_text("n_pilots = 20\n")
-        with pytest.raises(ConfigError, match="n_pilots"):
+        path.write_text(f"{key} = 20\n")
+        with pytest.raises(ConfigError, match=key):
             load_config(path)
 
     def test_overrides_beat_file_values(self, tmp_path):
@@ -118,6 +119,11 @@ class TestLoadConfig:
     def test_n0_override_defines_noise_power(self):
         assert load_config(None, {"N0": 1e-20}).noise_power == (1e-20 * SimConfig.B,)
 
+    def test_direct_config_derives_the_same_noise_power_as_a_file(self):
+        from_file = load_config(None, {"N0": 1e-9, "B": 2e6}).noise_power
+        assert SimConfig(N0=1e-9, B=2e6).noise_power == from_file == (2e-3,)
+        assert SimConfig().noise_power == DEFAULT_NOISE_GRID
+
     def test_explicit_noise_power_wins_over_n0(self, tmp_path):
         path = tmp_path / "n0b.cfg"
         path.write_text("N0 = 1e-9\nB = 2e6\nnoise_power = [7e-3]\n")
@@ -127,12 +133,6 @@ class TestLoadConfig:
         path = tmp_path / "crc.cfg"
         path.write_text("crc_generator = '10011'\n")  # degree 4 vs crc_length 2
         with pytest.raises(ConfigError, match="crc_length"):
-            load_config(path)
-
-    def test_raw_features_require_siso_transmit(self, tmp_path):
-        path = tmp_path / "raw.cfg"
-        path.write_text("dnn_features = raw\n")
-        with pytest.raises(ConfigError, match="raw"):
             load_config(path)
 
     def test_zf_needs_enough_receive_antennas(self, tmp_path):
@@ -549,24 +549,6 @@ class TestRunSweep:
         records = run_sweep(config)
         assert 0.0 <= records[0].classification_error <= 0.5
 
-    def test_dnn_raw_receive_features(self):
-        """Raw-receive feature mode ([Re y, Im y]) runs for N_t = 1.
-
-        Accuracy is near chance here by construction: with a fresh fading
-        draw per block the raw-feature class regions rotate, which is why
-        equalized features are the default.
-        """
-        config = replace(
-            FAST, N_t=1, N_r=2, constellation="QPSK", M_constellation=4, n_pilot=2,
-            detector="dnn", noise_power=(1e-3,), n_transmissions=10,
-            dnn_train_samples=600, dnn_epochs=30, dnn_width=8, dnn_features="raw",
-        )
-        model = train_detector_network(config, 1e-3, 0)
-        assert model.spec.input_dim == 2 * config.N_r
-        records = run_sweep(config)
-        assert 0.0 <= records[0].classification_error <= 1.0
-        assert np.isfinite(records[0].bler)
-
     def test_training_divergence_marks_record_and_continues(self, monkeypatch, caplog):
         def explode(*args, **kwargs):
             raise TrainingDivergedError("loss became non-finite at epoch 3")
@@ -643,9 +625,9 @@ SMALL_DNN = dict(dnn_train_samples=120, dnn_epochs=3, dnn_width=8)
 # permutation pilots draw a permutation between the channel and the pilot
 # noise, so each trial fills its row of normals in two calls
 PERMUTATION_LMMSE = replace(FAST, pilot_mode="permutation", estimator="lmmse", equalizer="lmmse")
-# a SISO link whose network reads the raw received samples [Re y, Im y]
-SISO_RAW = SimConfig(N_t=1, N_r=4, constellation="QPSK", M_constellation=4, n_pilot=2,
-                     codeword_size=2, noise_power=(1e-2, 1e-1), n_transmissions=1, dnn_features="raw")
+# one transmit stream (N_t = 1) on four receive antennas
+SISO = SimConfig(N_t=1, N_r=4, constellation="QPSK", M_constellation=4, n_pilot=2,
+                 codeword_size=2, noise_power=(1e-2, 1e-1), n_transmissions=1)
 
 
 class TestDrawLayout:
@@ -690,8 +672,8 @@ class TestChunking:
     """Trials cross the link in chunks; the chunk size must not show in any record."""
 
     @pytest.mark.parametrize("detector", ["ml", "kmeans", "dnn"])
-    @pytest.mark.parametrize("base", [ONE_USE, FAST, PERMUTATION_LMMSE, SISO_RAW],
-                             ids=["one-use", "three-use", "permutation-lmmse", "siso-raw"])
+    @pytest.mark.parametrize("base", [ONE_USE, FAST, PERMUTATION_LMMSE, SISO],
+                             ids=["one-use", "three-use", "permutation-lmmse", "siso"])
     def test_sweep_equals_standalone_trials_around_the_chunk_size(self, monkeypatch, base, detector):
         config = replace(base, detector=detector, **SMALL_DNN)
         # trained under the default chunk bound: the sweep below retrains
