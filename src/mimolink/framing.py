@@ -115,12 +115,23 @@ def crc_compute(bits, spec: CrcSpec) -> np.ndarray:
     return crc if bits.ndim == 2 else crc[0]
 
 
-def crc_verify(payload_bits, crc_bits, spec: CrcSpec) -> bool:
-    """True iff the received CRC matches a fresh CRC over the payload."""
-    crc_bits = np.asarray(crc_bits, dtype=np.uint8).ravel()
+def crc_verify(payload_bits, crc_bits, spec: CrcSpec) -> bool | np.ndarray:
+    """True iff the received CRC matches a fresh CRC over the payload.
+
+    A (B, n) payload stack takes a (B, r) CRC stack and gives one bool per
+    row, from one :func:`crc_compute` call over the stack.
+    """
+    payload = np.asarray(payload_bits, dtype=np.uint8)
+    crc_bits = np.asarray(crc_bits, dtype=np.uint8)
+    if payload.ndim == 2:
+        if crc_bits.shape != (len(payload), spec.crc_length):
+            raise FramingError(f"expected a ({len(payload)}, {spec.crc_length}) stack of CRC bits, "
+                               f"got shape {crc_bits.shape}")
+        return (crc_compute(payload, spec) == crc_bits).all(axis=1)
+    crc_bits = crc_bits.ravel()
     if crc_bits.size != spec.crc_length:
         raise FramingError(f"expected {spec.crc_length} CRC bits, got {crc_bits.size}")
-    return bool(np.array_equal(crc_compute(payload_bits, spec), crc_bits))
+    return bool(np.array_equal(crc_compute(payload, spec), crc_bits))
 
 
 def block_total_bits(codeword_size: int, spec: CrcSpec, k: int, n_tx: int) -> int:
@@ -155,12 +166,15 @@ def extract_and_check(received_bits, codeword_size: int, spec: CrcSpec, k: int, 
 
     Returns ``(payload_bits, crc_ok)``. Padding is receiver-known filler
     and excluded from the check, so a corrupted pad bit alone still
-    verifies.
+    verifies. A (B, total) stack of blocks gives the (B, codeword_size)
+    payloads and one ``crc_ok`` per row, from one :func:`crc_verify` call.
     """
-    received = np.asarray(received_bits, dtype=np.uint8).ravel()
+    received = np.asarray(received_bits, dtype=np.uint8)
+    if received.ndim != 2:
+        received = received.ravel()
     total = block_total_bits(codeword_size, spec, k, n_tx)
-    if received.size != total:
-        raise FramingError(f"expected {total} bits per block, got {received.size}")
-    payload = received[:codeword_size]
-    crc = received[total - spec.crc_length:]
+    if received.shape[-1] != total:
+        raise FramingError(f"expected {total} bits per block, got {received.shape[-1]}")
+    payload = received[..., :codeword_size]
+    crc = received[..., total - spec.crc_length:]
     return payload, crc_verify(payload, crc, spec)

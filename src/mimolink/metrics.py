@@ -52,9 +52,13 @@ def bler(crc_ok_flags) -> float:
     return float(np.count_nonzero(~flags) / flags.size)
 
 
-def _mismatch_rate(a, b) -> float:
-    a = np.asarray(a).ravel()
-    b = np.asarray(b).ravel()
+def _mismatch_rate(a, b) -> float | np.ndarray:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == 2 and a.shape == b.shape:
+        if a.shape[1] == 0:
+            raise ValueError("rate is undefined over empty sequences")
+        return np.count_nonzero(a != b, axis=1) / a.shape[1]
+    a, b = a.ravel(), b.ravel()
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     if a.size == 0:
@@ -62,12 +66,13 @@ def _mismatch_rate(a, b) -> float:
     return float(np.count_nonzero(a != b) / a.size)
 
 
-def ser(tx_indices, rx_indices) -> float:
-    """Symbol error rate: fraction of detected indices that differ."""
+def ser(tx_indices, rx_indices) -> float | np.ndarray:
+    """Symbol error rate: fraction of detected indices that differ; a pair
+    of equal (B, n) stacks gives one rate per row, as its own call would."""
     return _mismatch_rate(tx_indices, rx_indices)
 
 
-def ber(tx_bits, rx_bits) -> float:
-    """Bit error rate over aligned bit sequences."""
+def ber(tx_bits, rx_bits) -> float | np.ndarray:
+    """Bit error rate over aligned bit sequences; a pair of equal (B, n)
+    stacks gives one rate per row, as its own call would."""
     return _mismatch_rate(tx_bits, rx_bits)
-

@@ -1,5 +1,7 @@
 """Tests for CRC computation and transport-block framing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +260,39 @@ class TestStacks:
             single = build_transport_blocks(row, 16, spec, 6, 2)
             assert single.shape == (total,)
             np.testing.assert_array_equal(block, single)
+
+    @pytest.mark.parametrize("n", [4096, 16])
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, CCITT_SPEC], ids=["crc2", "crc16"])
+    def test_check_of_a_stack_equals_per_row_checks(self, spec, n):
+        """Rows 1 and 3 carry a payload and a CRC bit error; the rest verify."""
+        payloads = np.random.default_rng(n).integers(0, 2, size=(5, n)).astype(np.uint8)
+        blocks = build_transport_blocks(payloads, n, spec, 4, 2)
+        blocks[1, n // 2] ^= 1
+        blocks[3, -1] ^= 1
+        crcs = blocks[:, -spec.crc_length:]
+        verified = crc_verify(blocks[:, :n], crcs, spec)
+        assert verified.shape == (5,) and verified.dtype == bool
+        assert verified.tolist() == [crc_verify(row[:n], crc, spec) for row, crc in zip(blocks, crcs)]
+        assert verified.tolist() == [True, False, True, False, True]
+        received, crc_ok = extract_and_check(blocks, n, spec, 4, 2)
+        assert received.shape == (5, n) and crc_ok.tolist() == verified.tolist()
+        for block, payload, ok in zip(blocks, received, crc_ok):
+            single_payload, single_ok = extract_and_check(block, n, spec, 4, 2)
+            np.testing.assert_array_equal(payload, single_payload)
+            assert ok == single_ok and isinstance(single_ok, bool)
+
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, CCITT_SPEC], ids=["crc2", "crc16"])
+    def test_check_of_an_empty_stack(self, spec):
+        r, total = spec.crc_length, block_total_bits(16, spec, 4, 2)
+        assert crc_verify(np.zeros((0, 16)), np.zeros((0, r)), spec).shape == (0,)
+        payloads, crc_ok = extract_and_check(np.zeros((0, total)), 16, spec, 4, 2)
+        assert payloads.shape == (0, 16) and crc_ok.shape == (0,)
+
+    @pytest.mark.parametrize("crc_shape", [(3, 1), (3, 3), (2, 2), (6,)])
+    def test_crc_stack_of_the_wrong_shape_raises(self, crc_shape):
+        with pytest.raises(FramingError, match=re.escape(f"expected a (3, 2) stack of CRC bits, "
+                                                         f"got shape {crc_shape}")):
+            crc_verify(np.zeros((3, 16)), np.zeros(crc_shape), DEFAULT_SPEC)
 
     @pytest.mark.parametrize("shape", [(0,), (17,), (3, 0), (3, 17)])
     def test_payload_size_error_names_the_size(self, shape):

@@ -148,3 +148,35 @@ class TestRates:
             ber([1, 0], [1])
         with pytest.raises(ValueError):
             ser([], [])
+
+
+class TestRateStacks:
+    """A pair of equal (B, n) stacks gives one rate per row, bit for bit its own call's."""
+
+    @pytest.mark.parametrize("n", [1028, 96, 16, 1])
+    @pytest.mark.parametrize("rate", [ser, ber])
+    def test_stack_equals_one_call_per_row(self, rate, n):
+        # 1028 = 4 * 257: most error counts give an inexact quotient
+        rng = np.random.default_rng(n)
+        a = rng.integers(0, 2, size=(40, n))
+        b = np.where(rng.random((40, n)) < rng.random((40, 1)), 1 - a, a)
+        rates = rate(a, b)
+        assert rates.shape == (40,) and rates.dtype == np.float64
+        singles = [rate(row_a, row_b) for row_a, row_b in zip(a, b)]
+        assert all(type(single) is float for single in singles)
+        assert rates.tolist() == singles
+        assert rate(a[:0], b[:0]).shape == (0,)
+
+    def test_one_dimensional_results_unchanged(self):
+        a = np.arange(1028) % 7
+        b = np.where(np.arange(1028) % 5 == 0, 0, a)
+        for rate in (ser, ber):
+            value = rate(a, b)
+            assert type(value) is float and value == float(np.count_nonzero(a != b) / a.size)
+            # other shapes are still one sequence: raveled, one rate over all entries
+            assert rate(a.reshape(4, 257), b) == value
+            assert rate(a.reshape(2, 2, 257), b.reshape(2, 2, 257)) == value
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            ser(np.zeros((3, 0)), np.zeros((3, 0)))

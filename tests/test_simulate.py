@@ -3,6 +3,7 @@
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -139,6 +140,22 @@ class TestLoadConfig:
         path = tmp_path / "zf.cfg"
         path.write_text("N_t = 4\nN_r = 2\nn_pilot = 4\n")
         with pytest.raises(ConfigError, match="N_r"):
+            load_config(path)
+
+    def test_hash_inside_quotes_is_kept(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text('output = "run#1.csv"   # a comment\n'
+                        "payload = 'bits #2.bin'\n")
+        config = load_config(path)
+        assert config.output == "run#1.csv" and config.payload == "bits #2.bin"
+        path.write_text('output = "a\\"#b.csv"  # a backslash escapes a quote inside quotes\n')
+        assert load_config(path).output == 'a"#b.csv'
+
+    @pytest.mark.parametrize("line", ['output = "run#1.csv', "output = 'run.csv  # no closing quote"])
+    def test_unterminated_quote_names_file_line_and_key(self, tmp_path, line):
+        path = tmp_path / "sim.cfg"
+        path.write_text(f"seed = 3\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: the value of output opens a "):
             load_config(path)
 
     def test_malformed_line_rejected(self, tmp_path):
