@@ -69,6 +69,11 @@ def large_scale_gain(geometry: LinkGeometry) -> float:
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
+def _as_shape(shape) -> tuple:
+    """A shape as a tuple; an integer is a vector length."""
+    return (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+
+
 def _lead_shape(normals: np.ndarray, shape: tuple) -> tuple:
     """Leading stack axes of draws made beforehand, laid out (..., 2, *shape)."""
     lead = normals.shape[:normals.ndim - len(shape) - 1]
@@ -85,12 +90,12 @@ def complex_gaussian(rng, shape) -> np.ndarray:
     array (..., 2, *shape), which gives a stack (..., *shape). Either way
     each entry is (a + 1j b) / sqrt(2) bit for bit.
     """
-    shape = np.broadcast_shapes(shape)
+    shape = _as_shape(shape)
     normals = rng.standard_normal((2,) + shape) if isinstance(rng, np.random.Generator) else rng
     out = np.empty(_lead_shape(normals, shape) + shape, dtype=complex)
-    re, im = np.moveaxis(normals, -1 - len(shape), 0)
-    np.multiply(re, _SQRT_HALF, out=out.real)
-    np.multiply(im, _SQRT_HALF, out=out.imag)
+    tail = (slice(None),) * len(shape)
+    np.multiply(normals[(..., 0) + tail], _SQRT_HALF, out=out.real)
+    np.multiply(normals[(..., 1) + tail], _SQRT_HALF, out=out.imag)
     return out
 
 
@@ -122,7 +127,7 @@ def sample_noise(shape, sigma2: float, rng) -> np.ndarray:
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     if sigma2 == 0:
-        shape = np.broadcast_shapes(shape)
+        shape = _as_shape(shape)
         lead = () if isinstance(rng, np.random.Generator) else _lead_shape(rng, shape)
         return np.zeros(lead + shape, dtype=complex)
     noise = complex_gaussian(rng, shape)

@@ -12,7 +12,15 @@ Training checks its inputs once. Each mini-batch step then runs in place,
 through the same forward and backpropagation code as :func:`gradient`,
 and does the same floating-point operations in the same order as a form
 with one temporary per operation, so the weights come out bit for bit
-the same.
+the same. To keep the numpy calls per step few, training copies every
+weight and bias into one flat buffer and writes every gradient into one
+flat buffer of the same layout, so the update is two calls whatever the
+depth; the network's own arrays get the values back when training ends.
+The output delta subtracts rows of an identity matrix (0.0 or 1.0, the
+same bits as subtracting 1 at each label) and takes the clamp mask only
+when some row falls outside the window; the softmax shifts each row by
+the entry its argmax picks, the row maximum exactly, which costs less
+than ``np.maximum.reduce`` along a short row.
 """
 
 from __future__ import annotations
@@ -63,8 +71,9 @@ class Hyperparameters:
     patience: int = 10
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be nonnegative, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, epochs and patience must all be >= 1")
         if not 0 < self.validation_fraction < 1:
@@ -118,7 +127,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax in place, returning ``z``."""
-    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    z -= z[np.arange(z.shape[0]), z.argmax(axis=1)][:, None]
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=1, keepdims=True)
     return z
@@ -133,25 +142,38 @@ def _as_feature_matrix(network: Network, X) -> np.ndarray:
     return X
 
 
-def _forward_cached(network: Network, X: np.ndarray):
+def _parameter_views(buffer: np.ndarray, dims: list[int]):
+    """Per-layer weight and bias views into one flat buffer laid out
+    W_0, b_0, W_1, b_1, ... with each weight matrix row-major."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(buffer[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(buffer[offset:offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
+def _forward_cached(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray):
     """Per-layer inputs plus the softmax output, for backpropagation.
 
     Each layer's buffer is the fresh matmul product, worked in place from
     there, so ``X`` itself is only read."""
     activations = [X]
     a = X
-    for w, b in zip(network.weights[:-1], network.biases[:-1]):
+    for w, b in zip(weights[:-1], biases[:-1]):
         a = a @ w
         a += b
         activations.append(_sigmoid(a))
-    z = a @ network.weights[-1]
-    z += network.biases[-1]
+    z = a @ weights[-1]
+    z += biases[-1]
     return activations, _softmax(z)
 
 
 def forward(network: Network, X) -> np.ndarray:
     """Per-row class probabilities (softmax output)."""
-    _, probs = _forward_cached(network, _as_feature_matrix(network, X))
+    _, probs = _forward_cached(network.weights, network.biases, _as_feature_matrix(network, X))
     return probs
 
 
@@ -177,49 +199,55 @@ def cross_entropy(probabilities: np.ndarray, labels) -> float:
     return _mean_loss(p[np.arange(labels.size), labels])
 
 
-def _backprop(network: Network, X: np.ndarray, labels: np.ndarray):
+def _backprop(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray,
+              labels: np.ndarray, eye: np.ndarray, weight_grads: list[np.ndarray],
+              bias_grads: list[np.ndarray]) -> None:
     """Forward pass and backpropagation on rows already checked.
 
-    Works in place on the forward buffers (the softmax output becomes the
-    output delta, a spent activation holds 1 - a), so ``X`` is only read;
-    every returned gradient is a fresh array the caller may overwrite.
+    Writes each gradient into its view in ``weight_grads``/``bias_grads``
+    (views of one flat buffer, laid out like the parameters). Works in
+    place on the forward buffers (the softmax output becomes the output
+    delta, a spent activation holds 1 - a), so ``X`` is only read.
+    ``eye`` is the M x M identity, whose rows are the one-hot labels.
     """
     n = X.shape[0]
-    activations, probs = _forward_cached(network, X)
-    rows = np.arange(n)
-    p_true = probs[rows, labels]
+    activations, probs = _forward_cached(weights, biases, X)
+    p_true = probs[np.arange(n), labels]
     active = (p_true > PROB_CLAMP_LO) & (p_true < PROB_CLAMP_HI)
     delta = probs  # becomes (probs - y) * active / n in place, y one-hot
-    delta[rows, labels] -= 1.0
-    delta *= active[:, None]
+    delta -= eye[labels]
+    if np.count_nonzero(active) < n:  # times 1.0 leaves every bit as it is
+        delta *= active[:, None]
     delta /= n
 
-    n_layers = len(network.weights)
-    weight_grads = [None] * n_layers
-    bias_grads = [None] * n_layers
-    for layer in range(n_layers - 1, -1, -1):
+    for layer in range(len(weights) - 1, -1, -1):
         a = activations[layer]
-        weight_grads[layer] = a.T @ delta
-        bias_grads[layer] = np.add.reduce(delta, axis=0)
+        np.matmul(a.T, delta, out=weight_grads[layer])
+        np.add.reduce(delta, axis=0, out=bias_grads[layer])
         if layer:
             # delta * a * (1 - a), the sigmoid's derivative, left to right
-            delta = delta @ network.weights[layer].T
+            delta = delta @ weights[layer].T
             delta *= a
             np.subtract(1.0, a, out=a)
             delta *= a
-    return weight_grads, bias_grads
 
 
 def gradient(network: Network, X, labels):
     """Exact gradient of the clamped cross-entropy for every weight and bias.
 
     Returns ``(weight_grads, bias_grads)`` aligned with the network's
-    parameter lists. Rows whose true-class probability sits outside the
-    clamp window carry no gradient, matching the clamped loss.
+    parameter lists, each a view of one fresh buffer. Rows whose
+    true-class probability sits outside the clamp window carry no
+    gradient, matching the clamped loss.
     """
     X = _as_feature_matrix(network, X)
-    labels = _checked_labels(labels, X.shape[0], network.spec.output_dim)
-    return _backprop(network, X, labels)
+    dims = network.spec.layer_dims
+    labels = _checked_labels(labels, X.shape[0], dims[-1])
+    size = sum(p.size for p in network.weights + network.biases)
+    weight_grads, bias_grads = _parameter_views(np.empty(size), dims)
+    _backprop(network.weights, network.biases, X, labels, np.eye(dims[-1]),
+              weight_grads, bias_grads)
+    return weight_grads, bias_grads
 
 
 def train(network: Network, features, labels, hyper: Hyperparameters) -> TrainingHistory:
@@ -229,9 +257,12 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
     Both are checked once, before the network's stream is drawn from; a
     bad width or label raises ``ValueError`` and leaves the network as it
     was. Each epoch gathers its shuffled rows once and steps through
-    contiguous mini-batches, every step worked in place (``w -= lr * g`` as
-    ``g *= lr; w -= g``), with the same arithmetic in the same order as
-    :func:`gradient` followed by that update.
+    contiguous mini-batches, every step worked in place on one flat
+    parameter buffer (``w -= lr * g`` as ``g *= lr; w -= g`` over all
+    layers at once), with the same arithmetic in the same order as
+    :func:`gradient` followed by that update. The trained values are
+    copied back into ``network.weights`` and ``network.biases``, the same
+    array objects, when training returns or raises.
     The validation split and per-epoch shuffles use the network's stream,
     so (seed, data) fully determine the loss history. Training stops when
     the validation loss fails to improve for ``patience`` epochs; raises
@@ -241,7 +272,8 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a nonempty 2-D feature matrix")
     X = _as_feature_matrix(network, X)
-    labels = _checked_labels(labels, X.shape[0], network.spec.output_dim)
+    dims = network.spec.layer_dims
+    labels = _checked_labels(labels, X.shape[0], dims[-1])
 
     rng = network.rng
     n = X.shape[0]
@@ -253,38 +285,45 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
     if val_idx.size == 0:
         val_idx = train_idx  # too little data to hold out; validate on train
 
+    params = np.concatenate([p.ravel() for layer in zip(network.weights, network.biases)
+                             for p in layer])
+    grads = np.empty_like(params)
+    weights, biases = _parameter_views(params, dims)
+    weight_grads, bias_grads = _parameter_views(grads, dims)
+    eye = np.eye(dims[-1])
     rows = np.arange(n)
     lr, batch_size = hyper.learning_rate, hyper.batch_size
     history = TrainingHistory()
     best_val = math.inf
     stale_epochs = 0
-    for epoch in range(hyper.epochs):
-        order = train_idx[rng.permutation(train_idx.size)]
-        X_epoch, labels_epoch = X[order], labels[order]
-        for start in range(0, order.size, batch_size):
-            stop = start + batch_size
-            weight_grads, bias_grads = _backprop(network, X_epoch[start:stop],
-                                                 labels_epoch[start:stop])
-            for w, b, gw, gb in zip(network.weights, network.biases, weight_grads, bias_grads):
-                gw *= lr
-                w -= gw
-                gb *= lr
-                b -= gb
-        _, probs = _forward_cached(network, X)
-        p_true = probs[rows, labels]
-        train_loss = _mean_loss(p_true[train_idx])
-        val_loss = _mean_loss(p_true[val_idx])
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
-        history.train_loss.append(train_loss)
-        history.val_loss.append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            stale_epochs = 0
-        else:
-            stale_epochs += 1
-            if stale_epochs >= hyper.patience:
-                break
+    try:
+        for epoch in range(hyper.epochs):
+            order = train_idx[rng.permutation(train_idx.size)]
+            X_epoch, labels_epoch = X[order], labels[order]
+            for start in range(0, order.size, batch_size):
+                stop = start + batch_size
+                _backprop(weights, biases, X_epoch[start:stop], labels_epoch[start:stop], eye,
+                          weight_grads, bias_grads)
+                grads *= lr
+                params -= grads
+            _, probs = _forward_cached(weights, biases, X)
+            p_true = probs[rows, labels]
+            train_loss = _mean_loss(p_true[train_idx])
+            val_loss = _mean_loss(p_true[val_idx])
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
+            history.train_loss.append(train_loss)
+            history.val_loss.append(val_loss)
+            if val_loss < best_val:
+                best_val = val_loss
+                stale_epochs = 0
+            else:
+                stale_epochs += 1
+                if stale_epochs >= hyper.patience:
+                    break
+    finally:
+        for target, trained in zip(network.weights + network.biases, weights + biases):
+            np.copyto(target, trained)
     return history
 
 

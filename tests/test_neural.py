@@ -25,6 +25,7 @@ from mimolink.neural import (
     _as_feature_matrix,
     _checked_labels,
     _sigmoid,
+    _softmax,
     PROB_CLAMP_HI,
     PROB_CLAMP_LO,
 )
@@ -108,6 +109,80 @@ class TestForward:
         net = init_network(NetworkSpec(depth=1, width=2, input_dim=2, output_dim=4))
         with pytest.raises(ValueError):
             forward(net, np.zeros((3, 5)))
+
+
+def _reduce_max_softmax(z):
+    """The row-wise softmax with its shift taken by np.maximum.reduce."""
+    e = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
+
+
+def _special_rows(m):
+    """Rows that probe the shift: ties, signed zeros, large magnitudes,
+    infinities and NaN."""
+    ramp = np.linspace(-3.0, 2.0, m)
+    tie = ramp.copy()
+    tie[0] = tie[-1] = 5.0
+    signed_zeros = np.where(np.arange(m) % 2 == 0, -0.0, 0.0)
+    zero_then_negative = np.full(m, -1.5)
+    zero_then_negative[0], zero_then_negative[-1] = -0.0, 0.0
+    large = np.where(np.arange(m) % 2 == 0, 1e300, -1e300)
+    extreme = np.full(m, -1e308)
+    extreme[m // 2] = 1e308
+    near_overflow = 709.0 + ramp
+    with_inf = ramp.copy()
+    with_inf[-1] = np.inf
+    with_minus_inf = ramp.copy()
+    with_minus_inf[0] = -np.inf
+    one_nan = ramp.copy()
+    one_nan[m // 2] = np.nan
+    return np.array([tie, np.zeros(m), signed_zeros, zero_then_negative, large, extreme,
+                     near_overflow, with_inf, with_minus_inf, one_nan, np.full(m, np.nan)])
+
+
+def _logit_blocks(n_rows, m, seed):
+    """Matrices of n_rows logits covering every special row (one per
+    matrix when n_rows = 1), the rest random normal at mixed scales."""
+    rng = np.random.default_rng(seed)
+    special = _special_rows(m)
+    if n_rows == 1:
+        return [row[None, :] for row in special] + [rng.standard_normal((1, m))]
+    z = rng.standard_normal((n_rows, m)) * rng.choice([1e-3, 1.0, 1e3], size=(n_rows, 1))
+    z[:len(special)] = special
+    return [z]
+
+
+class TestSoftmaxShift:
+    """The shift is each row's argmax entry, which must give the bits of
+    np.maximum.reduce whatever the row holds."""
+
+    @pytest.mark.parametrize("n_rows", [1, 64, 2000])
+    @pytest.mark.parametrize("m", [2, 4, 5, 16, 64])
+    def test_softmax_matches_maximum_reduce_bit_for_bit(self, n_rows, m):
+        for z in _logit_blocks(n_rows, m, seed=m * n_rows):
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected = _reduce_max_softmax(z)
+                got = _softmax(z.copy())
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [1, 64, 2000])
+    @pytest.mark.parametrize("m", [2, 4, 5, 16, 64])
+    def test_forward_matches_maximum_reduce_bit_for_bit(self, n_rows, m):
+        """Ties from two equal output columns, large logits from scaled
+        output weights, and a NaN feature row."""
+        net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=m, seed=m))
+        net.weights[-1][:, -1] = net.weights[-1][:, 0]
+        net.weights[-1] *= 1e3
+        x = np.random.default_rng(n_rows).standard_normal((n_rows, 2)) * 50.0
+        x[n_rows // 2] = np.nan
+        a = x
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            a = _sigmoid(a @ w + b)
+        with np.errstate(invalid="ignore"):
+            expected = _reduce_max_softmax(a @ net.weights[-1] + net.biases[-1])
+            got = forward(net, x)
+        assert got.tobytes() == expected.tobytes()
+        assert np.isnan(got[n_rows // 2]).all()
 
 
 class TestLabels:
@@ -273,13 +348,23 @@ class TestTraining:
         assert histories[0].val_loss == histories[1].val_loss
 
     def test_non_finite_loss_raises_and_names_the_epoch(self):
+        """The values trained up to the error still land in the network's
+        own arrays."""
         rng = np.random.default_rng(10)
         x = rng.standard_normal((128, 2))
         x[17, 0] = np.nan  # poisons the forward pass, hence the loss
         labels = rng.integers(0, 4, size=128)
         net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=4, seed=10))
+        held = net.weights + net.biases
+        ref = copy.deepcopy(net)
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
             train(net, x, labels, Hyperparameters(epochs=10))
+        # the reference has no divergence check; one epoch takes the same steps
+        _ref_train(ref, x, labels, Hyperparameters(epochs=1))
+        for got, array, expected in zip(net.weights + net.biases, held, ref.weights + ref.biases):
+            assert got is array
+            np.testing.assert_array_equal(got, expected)
+        assert np.isnan(flatten_params(net)).any()
 
     def test_early_stopping_respects_patience(self):
         rng = np.random.default_rng(11)
@@ -289,6 +374,23 @@ class TestTraining:
         history = train(net, x, labels,
                         Hyperparameters(epochs=500, patience=5, learning_rate=0.5))
         assert history.epochs_run < 500
+
+    @pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, -0.1])
+    def test_non_finite_or_negative_learning_rate_rejected_by_name(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            Hyperparameters(learning_rate=learning_rate)
+
+    def test_trained_values_land_in_the_networks_own_arrays(self):
+        """train works on a copy of the parameters and writes it back: the
+        network keeps its array objects, which hold the trained values."""
+        net, x, labels, hyper = _oracle_case("depth 3")
+        held = net.weights + net.biases
+        ref = copy.deepcopy(net)
+        train(net, x, labels, hyper)
+        _ref_train(ref, x, labels, hyper)
+        for got, array, expected in zip(net.weights + net.biases, held, ref.weights + ref.biases):
+            assert got is array
+            np.testing.assert_array_equal(got, expected)
 
     def test_empty_training_set_rejected(self):
         net = init_network(NetworkSpec(depth=1, width=2, input_dim=2, output_dim=2))
@@ -471,6 +573,8 @@ def _oracle_case(name):
         "saturated rows": (2, 300, 4, 4, 100),
         "stopped by patience": (1, 120, 2, 200, 3),
         "validation falls back to train": (2, 4, 4, 7, 100),
+        "64 classes": (2, 640, 64, 3, 100),
+        "odd class count": (2, 250, 5, 4, 100),
     }[name]
     net = init_network(NetworkSpec(depth=depth, width=8, input_dim=3, output_dim=m,
                                    seed=int(rng.integers(1 << 31))))
@@ -485,8 +589,10 @@ def _oracle_case(name):
     return net, x, labels, hyper
 
 
+# 64 classes run numpy's pairwise row sum (8 or more entries) in the softmax
 ORACLE_CASES = ["depth 1", "depth 3", "partial last batch", "saturated rows",
-                "stopped by patience", "validation falls back to train"]
+                "stopped by patience", "validation falls back to train",
+                "64 classes", "odd class count"]
 
 
 class TestTrainingMatchesReference:
