@@ -20,7 +20,9 @@ The output delta subtracts rows of an identity matrix (0.0 or 1.0, the
 same bits as subtracting 1 at each label) and takes the clamp mask only
 when some row falls outside the window; the softmax shifts each row by
 the entry its argmax picks, the row maximum exactly, which costs less
-than ``np.maximum.reduce`` along a short row.
+than ``np.maximum.reduce`` along a short row. After its mini-batch steps
+an epoch forwards only the validation rows; their mean loss, one per
+epoch, is what early stopping and the divergence check read.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ PROB_CLAMP_HI = 1.0 - 1e-12
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the validation loss becomes non-finite."""
 
 
 @dataclass(frozen=True)
@@ -84,12 +86,13 @@ class Hyperparameters:
 
 @dataclass
 class TrainingHistory:
-    train_loss: list[float] = field(default_factory=list)
+    """One validation loss per epoch run; divergence is read from it too."""
+
     val_loss: list[float] = field(default_factory=list)
 
     @property
     def epochs_run(self) -> int:
-        return len(self.train_loss)
+        return len(self.val_loss)
 
 
 class Network:
@@ -264,9 +267,10 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
     copied back into ``network.weights`` and ``network.biases``, the same
     array objects, when training returns or raises.
     The validation split and per-epoch shuffles use the network's stream,
-    so (seed, data) fully determine the loss history. Training stops when
-    the validation loss fails to improve for ``patience`` epochs; raises
-    :class:`TrainingDivergedError` if the loss becomes non-finite.
+    so (seed, data) fully determine the loss history: one validation loss
+    per epoch, from forwarding only the validation rows after its steps.
+    Training stops when it fails to improve for ``patience`` epochs;
+    raises :class:`TrainingDivergedError` if it becomes non-finite.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -291,7 +295,8 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
     weights, biases = _parameter_views(params, dims)
     weight_grads, bias_grads = _parameter_views(grads, dims)
     eye = np.eye(dims[-1])
-    rows = np.arange(n)
+    X_val, labels_val = X[val_idx], labels[val_idx]
+    val_rows = np.arange(val_idx.size)
     lr, batch_size = hyper.learning_rate, hyper.batch_size
     history = TrainingHistory()
     best_val = math.inf
@@ -306,13 +311,10 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
                           weight_grads, bias_grads)
                 grads *= lr
                 params -= grads
-            _, probs = _forward_cached(weights, biases, X)
-            p_true = probs[rows, labels]
-            train_loss = _mean_loss(p_true[train_idx])
-            val_loss = _mean_loss(p_true[val_idx])
-            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            _, probs = _forward_cached(weights, biases, X_val)
+            val_loss = _mean_loss(probs[val_rows, labels_val])
+            if not math.isfinite(val_loss):
                 raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
-            history.train_loss.append(train_loss)
             history.val_loss.append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss

@@ -295,7 +295,7 @@ def _uncommented(line: str) -> tuple[str, str | None]:
 
 def _read_config_file(path) -> dict:
     raw = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line, open_quote = _uncommented(line)
         line = line.strip()
         if not line:
@@ -693,9 +693,8 @@ def _detector_features(s_flat: np.ndarray) -> np.ndarray:
 
 
 def run_trial(config: SimConfig, noise_power: float, trial_index: int,
-              noise_index: int = 0, *, table: ConstellationTable | None = None,
-              crc_spec: CrcSpec | None = None, payload_bits=None,
-              dnn_model: Network | None = None, link: TrialOutcome | None = None) -> TrialOutcome:
+              noise_index: int = 0, *, payload_bits=None, dnn_model: Network | None = None,
+              link: TrialOutcome | None = None) -> TrialOutcome:
     """Transmit one transport block end to end and measure it.
 
     Randomness comes from the substream (seed, noise_index, trial_index);
@@ -712,13 +711,10 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     """
     if link is not None:
         return link
-    if table is None:
-        table = build_constellation(config.constellation, config.M_constellation)
-    if crc_spec is None:
-        crc_spec = CrcSpec(config.crc_generator)
+    table = build_constellation(config.constellation, config.M_constellation)
     payloads = None if payload_bits is None else np.asarray(payload_bits, dtype=np.uint8).reshape(1, -1)
     [outcome] = _trial_links(config, noise_power, noise_index, [trial_index], payloads,
-                             table, crc_spec, link_gain(config), dnn_model)
+                             table, CrcSpec(config.crc_generator), link_gain(config), dnn_model)
     return outcome
 
 

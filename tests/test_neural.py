@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from mimolink import neural
 from mimolink.constellation import build_constellation
 from mimolink.neural import (
     Hyperparameters,
@@ -297,7 +298,7 @@ class TestGradient:
 
 class TestTraining:
     def test_separable_two_class_toy_beats_uniform(self):
-        """Training loss drops strictly below ln 2 within 50 epochs."""
+        """Validation loss drops strictly below ln 2 within 50 epochs."""
         rng = np.random.default_rng(6)
         n = 400
         x = np.concatenate([rng.normal(-2, 0.3, (n // 2, 2)), rng.normal(2, 0.3, (n // 2, 2))])
@@ -305,7 +306,7 @@ class TestTraining:
         net = init_network(NetworkSpec(depth=1, width=4, input_dim=2, output_dim=2, seed=6))
         history = train(net, x, labels,
                         Hyperparameters(epochs=50, patience=50))
-        assert history.train_loss[-1] < math.log(2)
+        assert history.val_loss[-1] < math.log(2)
 
     def test_zero_learning_rate_changes_nothing(self):
         rng = np.random.default_rng(7)
@@ -316,7 +317,7 @@ class TestTraining:
         history = train(net, x, labels,
                         Hyperparameters(learning_rate=0.0, epochs=8, patience=100))
         np.testing.assert_array_equal(flatten_params(net), before)
-        assert max(history.train_loss) - min(history.train_loss) < 1e-12
+        assert max(history.val_loss) - min(history.val_loss) < 1e-12
 
     def test_qpsk_near_noiseless_validation_accuracy(self):
         """Quadrant classes at sigma2 = 1e-3 are learned to >= 99% accuracy."""
@@ -344,7 +345,6 @@ class TestTraining:
             net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=4, seed=9))
             histories.append(train(net, x, labels,
                                    Hyperparameters(epochs=12, patience=100)))
-        assert histories[0].train_loss == histories[1].train_loss
         assert histories[0].val_loss == histories[1].val_loss
 
     def test_non_finite_loss_raises_and_names_the_epoch(self):
@@ -365,6 +365,32 @@ class TestTraining:
             assert got is array
             np.testing.assert_array_equal(got, expected)
         assert np.isnan(flatten_params(net)).any()
+
+    def test_each_epoch_scores_only_the_validation_rows(self, monkeypatch):
+        """After its mini-batch steps, an epoch forwards exactly the
+        validation rows, in split order, and never all n rows."""
+        rng = np.random.default_rng(12)
+        n = 250  # 200 training rows in steps of 64, 64, 64 and 8; 50 validation rows
+        x = rng.standard_normal((n, 2))
+        labels = rng.integers(0, 4, size=n)
+        net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=4, seed=12))
+        val_idx = copy.deepcopy(net.rng).permutation(n)[:50]
+        forwarded = []
+        forward_cached = neural._forward_cached
+
+        def spy(weights, biases, X):
+            forwarded.append(X.copy())
+            return forward_cached(weights, biases, X)
+
+        monkeypatch.setattr(neural, "_forward_cached", spy)
+        history = train(net, x, labels,
+                        Hyperparameters(batch_size=64, epochs=3, patience=100))
+        assert history.epochs_run == 3
+        assert len(forwarded) == 3 * 5  # per epoch: four steps, then the scoring pass
+        for epoch in range(3):
+            *steps, scored = forwarded[5 * epoch:5 * epoch + 5]
+            assert [X.shape[0] for X in steps] == [64, 64, 64, 8]
+            np.testing.assert_array_equal(scored, x[val_idx])
 
     def test_early_stopping_respects_patience(self):
         rng = np.random.default_rng(11)
@@ -549,9 +575,7 @@ def _ref_train(network, features, labels, hyper):
                 network.weights[layer] -= hyper.learning_rate * weight_grads[layer]
                 network.biases[layer] -= hyper.learning_rate * bias_grads[layer]
         _, probs = _ref_forward_cached(network, _as_feature_matrix(network, X))
-        train_loss = _ref_cross_entropy(probs[train_idx], labels[train_idx])
         val_loss = _ref_cross_entropy(probs[val_idx], labels[val_idx])
-        history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
@@ -606,7 +630,6 @@ class TestTrainingMatchesReference:
         ref_history = _ref_train(ref, x, labels, hyper)
         for got, expected in zip(net.weights + net.biases, ref.weights + ref.biases):
             np.testing.assert_array_equal(got, expected)
-        assert history.train_loss == ref_history.train_loss
         assert history.val_loss == ref_history.val_loss
         if name == "stopped by patience":
             assert history.epochs_run < hyper.epochs

@@ -71,6 +71,15 @@ class TestLoadConfig:
         assert config.noise_power == (1e-3, 1e-2)
         assert config.detector == "kmeans"
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        """A file saved with a UTF-8 BOM reads as the same file without it."""
+        text = "N_t = 2\nN_r = 4\nconstellation = QPSK\nM_constellation = 4\nn_pilot = 2\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_config(marked) == load_config(plain)
+        assert load_config(marked).N_t == 2
+
     def test_noise_power_scalar_and_sorting(self, tmp_path):
         path = tmp_path / "a.cfg"
         path.write_text("noise_power = 5e-3\n")
