@@ -102,8 +102,8 @@ def symbols_to_bits(indices, table: ConstellationTable) -> np.ndarray:
     """Concatenate the labels of the given symbol indices; inverse of
     :func:`map_bits_to_symbols`."""
     idx = np.asarray(indices, dtype=np.int64).ravel()
-    if idx.size:
+    # take wraps negative indices, so the range is checked first
+    if idx.size and (idx.min() < 0 or idx.max() >= table.M):
         bad = idx[(idx < 0) | (idx >= table.M)]
-        if bad.size:
-            raise ValueError(f"symbol index {bad[0]} outside [0, {table.M})")
-    return table.label_bits[idx].ravel()
+        raise ValueError(f"symbol index {bad[0]} outside [0, {table.M})")
+    return table.label_bits.take(idx, axis=0).ravel()

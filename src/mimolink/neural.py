@@ -218,7 +218,7 @@ def _backprop(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray
     p_true = probs[np.arange(n), labels]
     active = (p_true > PROB_CLAMP_LO) & (p_true < PROB_CLAMP_HI)
     delta = probs  # becomes (probs - y) * active / n in place, y one-hot
-    delta -= eye[labels]
+    delta -= eye.take(labels, axis=0)
     if np.count_nonzero(active) < n:  # times 1.0 leaves every bit as it is
         delta *= active[:, None]
     delta /= n
@@ -304,7 +304,7 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
     try:
         for epoch in range(hyper.epochs):
             order = train_idx[rng.permutation(train_idx.size)]
-            X_epoch, labels_epoch = X[order], labels[order]
+            X_epoch, labels_epoch = X.take(order, axis=0), labels.take(order)
             for start in range(0, order.size, batch_size):
                 stop = start + batch_size
                 _backprop(weights, biases, X_epoch[start:stop], labels_epoch[start:stop], eye,

@@ -340,19 +340,19 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     The stream is ``default_rng(SeedSequence(seed, spawn_key=path))`` bit
     for bit, and so are its ``spawn`` children. SeedSequence hashes its
     words in order, so the pool before the last key word is cached per
-    (seed, path[:-1]) and a call only mixes in its last word. A key out of
-    that form (an empty path, a last entry that is not an int below 2**32,
-    or an entry that is not a non-negative integer) goes to SeedSequence.
+    (seed, path[:-1]), and the state words of 64 consecutive last words
+    are hashed together and cached per block. A key out of that form (an
+    empty path, a last entry that is not an int below 2**32, or an entry
+    that is not a non-negative integer) goes to SeedSequence.
     """
     word = path[-1] if path else None
     if type(word) is int and 0 <= word <= _MASK32:
         try:
-            last_mix = _prefix_pool(seed, *path[:-1])
+            block = _state_block(seed, *path[:-1], word >> 6)
         except TypeError:  # an unhashable entry, such as a list of words
-            last_mix = None
-        if last_mix is not None:
-            state = _trial_state(word, last_mix)
-            return np.random.Generator(np.random.PCG64(_TrialSeed(seed, path, state)))
+            block = None
+        if block is not None:
+            return np.random.Generator(np.random.PCG64(_TrialSeed(seed, path, block[word & 63])))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
@@ -382,7 +382,7 @@ def _words(n: int) -> list[int]:
 @functools.lru_cache(maxsize=64, typed=True)
 def _prefix_pool(seed, *prefix):
     """SeedSequence's pool for (seed, prefix + (word,)) before the last
-    word, as :func:`_trial_state` takes it: per pool word, MIX_MULT_L times
+    word, as :func:`_state_block` takes it: per pool word, MIX_MULT_L times
     the word, then the (old, new) hash constants of the last word's mix
     into it and of its two state words. None if seed or an entry is not a
     non-negative integer.
@@ -424,19 +424,30 @@ def _prefix_pool(seed, *prefix):
                   *_STATE_CONSTANTS[i], *_STATE_CONSTANTS[i + 4]) for i in range(4))
 
 
-def _trial_state(word: int, last_mix) -> list[int]:
-    """SeedSequence.generate_state(4, uint64) after the last ``word``: its
-    eight 32-bit words cycle through the pool, and pairs join low word first."""
-    low, high = [], []
-    for mixed, old, new, low_old, low_new, high_old, high_new in last_mix:
-        value = (word ^ old) * new & _MASK32
-        value = (mixed - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
-        value ^= value >> 16
-        low_word = (value ^ low_old) * low_new & _MASK32
-        high_word = (value ^ high_old) * high_new & _MASK32
-        low.append(low_word ^ low_word >> 16)
-        high.append(high_word ^ high_word >> 16)
-    return [low[0] | low[1] << 32, low[2] | low[3] << 32, high[0] | high[1] << 32, high[2] | high[3] << 32]
+@functools.lru_cache(maxsize=64, typed=True)
+def _state_block(seed, *key):
+    """SeedSequence(seed, spawn_key=prefix + (word,)).generate_state(4,
+    uint64) for the 64 words 64 * block ... 64 * block + 63, one read-only
+    row per word, where key is prefix + (block,). The eight 32-bit state
+    words cycle through the pool and pairs join low word first. None where
+    :func:`_prefix_pool` is None.
+    """
+    *prefix, block = key
+    last_mix = _prefix_pool(seed, *prefix)
+    if last_mix is None:
+        return None
+    # one (4, 1) column per constant, against the block's (64,) words
+    mixed, old, new, low_old, low_new, high_old, high_new = np.array(last_mix, dtype=np.uint64).T[:, :, None]
+    words = np.arange(block << 6, block + 1 << 6, dtype=np.uint64)
+    value = (words ^ old) * new & _MASK32
+    value ^= value >> 16
+    value = mixed - _MIX_MULT_R * value & _MASK32
+    value ^= value >> 16
+    halves = np.concatenate([(value ^ low_old) * low_new & _MASK32, (value ^ high_old) * high_new & _MASK32])
+    halves ^= halves >> 16
+    state = (halves[0::2] | halves[1::2] << 32).T.copy()
+    state.flags.writeable = False
+    return state
 
 
 class _TrialSeed:
@@ -457,7 +468,7 @@ class _TrialSeed:
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words == 4 and dtype is np.uint64:
-            return np.array(self._state, dtype=np.uint64)
+            return self._state.copy()
         return self._seed_sequence().generate_state(n_words, dtype)
 
     def spawn(self, n_children):
@@ -637,6 +648,50 @@ def _link_pass(config: SimConfig, table: ConstellationTable, gain: float, draws:
     return H, h_hat, s_flat, failed
 
 
+def _payload_bits(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Write ``rng.integers(0, 2, size=n, dtype=np.uint8)`` into the n
+    uint8 entries of ``out``, leaving ``rng`` to draw on as ``integers``
+    leaves it. ``rng`` must be fresh: a PCG64 stream with no 32-bit half
+    buffered.
+
+    ``integers`` bounds each byte of its 32-bit draws with Lemire's
+    method, which never rejects at range 2 and keeps the byte's top bit,
+    so the bits are the top bits of the little-endian bytes of
+    ceil(n / 4) / 2 raw words. That holds only where ceil(n / 4) is even,
+    since an odd count leaves a half buffered for later draws, and where
+    :func:`_raw_payload_matches` finds it; else this calls ``integers``.
+    """
+    if -(-len(out) // 4) % 2 == 0 and _raw_payload_matches():
+        _raw_payload(rng, out)
+    else:
+        out[:] = rng.integers(0, 2, size=len(out), dtype=np.uint8)
+
+
+def _raw_payload(rng: np.random.Generator, out: np.ndarray) -> None:
+    """The raw-word path of :func:`_payload_bits`, without its checks."""
+    raw = rng.bit_generator.random_raw(-(-len(out) // 8))
+    np.right_shift(raw.view(np.uint8)[:len(out)], 7, out=out)
+
+
+@functools.cache
+def _raw_payload_matches() -> bool:
+    """Whether :func:`_raw_payload` gives ``integers``' bits and state on
+    this numpy and byte order, at a few sizes with an even number of
+    32-bit words."""
+    for n in (5, 8, 16, 61, 4096):
+        want_rng, got_rng = (np.random.Generator(np.random.PCG64(n)) for _ in range(2))
+        got = np.empty(n, dtype=np.uint8)
+        _raw_payload(got_rng, got)
+        want = want_rng.integers(0, 2, size=n, dtype=np.uint8)
+        got_state, want_state = got_rng.bit_generator.state, want_rng.bit_generator.state
+        # integers leaves its last high half in uinteger, which no draw
+        # reads while has_uint32 is 0: the next 32-bit draw overwrites it
+        got_state["uinteger"] = want_state["uinteger"]
+        if not (np.array_equal(got, want) and want_state["has_uint32"] == 0 and got_state == want_state):
+            return False
+    return True
+
+
 def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_indices,
                  payloads, table: ConstellationTable, crc_spec: CrcSpec, gain: float,
                  dnn_model: Network | None = None) -> list[TrialOutcome]:
@@ -661,7 +716,7 @@ def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_
     for b, trial_index in enumerate(trial_indices):
         rng = substream(config.seed, _TRIAL_NS, noise_index, trial_index)
         if payloads is None:
-            payload_bits[b] = rng.integers(0, 2, size=config.codeword_size, dtype=np.uint8)
+            _payload_bits(rng, payload_bits[b])
         draws.draw(b, rng)
     blocks = build_transport_blocks(payload_bits, config.codeword_size, crc_spec, table.k, config.N_t)
     tx_indices = map_bits_to_symbols(blocks, table).reshape(len(blocks), -1)

@@ -134,6 +134,13 @@ class TestBitSymbolMapping:
         with pytest.raises(ValueError, match="4"):
             symbols_to_bits([0, 4], table)
 
+    def test_negative_index_rejected_not_wrapped(self):
+        """A negative index would wrap to a label from the end of the table;
+        the error names the first bad index."""
+        table = build_constellation("QPSK", 4)
+        with pytest.raises(ValueError, match=r"index -1 outside \[0, 4\)"):
+            symbols_to_bits([0, -1, 4], table)
+
     def test_index_roundtrip_over_all_m(self):
         for scheme, m in ALL_TABLES:
             table = build_constellation(scheme, m)

@@ -407,6 +407,59 @@ class TestSubstream:
         np.testing.assert_array_equal(a, b)
 
 
+    def test_writing_a_returned_state_leaves_later_streams_unchanged(self):
+        """generate_state hands out a copy of its cached row."""
+        state = substream(7, 0, 1, 5).bit_generator.seed_seq.generate_state(4, np.uint64)
+        state[:] = 0
+        assert substream(7, 0, 1, 5).bit_generator.state == numpy_stream(7, 0, 1, 5).bit_generator.state
+        with pytest.raises(ValueError, match="read-only"):
+            sim._state_block(7, 0, 1, 0)[5] = 0
+
+
+PAYLOAD_SIZES = [*range(1, 81), 1023, 1024, 4095, 4096]
+
+
+class TestPayloadBits:
+    """The raw-word payload must leave every later draw of the trial's
+    stream as ``integers`` leaves it."""
+
+    def test_raw_words_are_used_on_a_little_endian_host(self):
+        assert sim._raw_payload_matches() == (sys.byteorder == "little")
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 + 5])
+    def test_bits_and_stream_equal_integers(self, seed):
+        for n in PAYLOAD_SIZES:
+            got_rng, want_rng = substream(seed, 0, 2, n), substream(seed, 0, 2, n)
+            got = np.empty(n, dtype=np.uint8)
+            sim._payload_bits(got_rng, got)
+            np.testing.assert_array_equal(got, want_rng.integers(0, 2, size=n, dtype=np.uint8), err_msg=n)
+            got_state, want_state = got_rng.bit_generator.state, want_rng.bit_generator.state
+            assert got_state["has_uint32"] == want_state["has_uint32"], n
+            if not want_state["has_uint32"]:
+                # integers leaves a spent high half here; the next 32-bit draw overwrites it
+                got_state["uinteger"] = want_state["uinteger"]
+            assert got_state == want_state, n
+            assert got_rng.standard_normal(16).tobytes() == want_rng.standard_normal(16).tobytes(), n
+            np.testing.assert_array_equal(got_rng.permutation(16), want_rng.permutation(16), err_msg=n)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, n
+
+    def test_odd_word_counts_take_the_fallback(self, monkeypatch):
+        raw_sizes = []
+        monkeypatch.setattr(sim, "_raw_payload", lambda rng, out: raw_sizes.append(len(out)))
+        for n in PAYLOAD_SIZES:
+            sim._payload_bits(substream(7, 0, 2, n), np.empty(n, dtype=np.uint8))
+        want = [n for n in PAYLOAD_SIZES if -(-n // 4) % 2 == 0] if sim._raw_payload_matches() else []
+        assert raw_sizes == want
+
+    def test_without_the_probe_every_size_calls_integers(self, monkeypatch):
+        monkeypatch.setattr(sim, "_raw_payload_matches", lambda: False)
+        for n in (8, 16, 4096):
+            got_rng, want_rng = substream(7, 0, 2, n), substream(7, 0, 2, n)
+            got = np.empty(n, dtype=np.uint8)
+            sim._payload_bits(got_rng, got)
+            np.testing.assert_array_equal(got, want_rng.integers(0, 2, size=n, dtype=np.uint8))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
 class TestRunTrial:
     def test_vanishing_noise_gives_clean_block(self):
         outcome = run_trial(FAST, 1e-12, trial_index=0)
