@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics
+from . import metrics, pool
 from .channel import (ChannelRealization, LinkGeometry, apply_channel, large_scale_gain, sample_channel,
                       sample_noise)
 from .constellation import ConstellationTable, build_constellation, map_bits_to_symbols, symbols_to_bits
@@ -694,14 +694,16 @@ def _raw_payload_matches() -> bool:
 
 def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_indices,
                  payloads, table: ConstellationTable, crc_spec: CrcSpec, gain: float,
-                 dnn_model: Network | None = None) -> list[TrialOutcome]:
+                 dnn_model: Network | None = None) -> tuple[np.ndarray, ...]:
     """Run a chunk of trials through the link; detect, demap and score it.
 
     Each trial draws from its own substream, in the order payload bits
     (where ``payloads`` is None), channel matrix, pilot construction,
     pilot noise, data noise; else ``payloads`` is the chunk's (n_trials, n)
     payload stack. The chunk's blocks are then framed in one call, and
-    checked and scored in one call each. Returns one outcome per trial.
+    checked and scored in one call each. Returns the columns of the
+    trials' outcomes, one entry per trial each, in the order of the
+    :class:`TrialOutcome` fields.
     """
     if config.detector == "dnn" and dnn_model is None:
         raise ValueError(
@@ -737,8 +739,12 @@ def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_
     ser[failed] = 1.0
     ber[failed] = 1.0
     crc_ok &= ~failed
-    return [TrialOutcome(*row) for row in zip(est_mse.tolist(), ser.tolist(), ber.tolist(),
-                                              crc_ok.tolist(), failed.tolist())]
+    return est_mse, ser, ber, crc_ok, failed
+
+
+def _outcomes(columns) -> list[TrialOutcome]:
+    """One outcome per trial from the columns that :func:`_trial_links` returns."""
+    return [TrialOutcome(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
 def _detector_features(s_flat: np.ndarray) -> np.ndarray:
@@ -759,17 +765,20 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     Without ``link`` the trial runs the chunk pass as a chunk of one.
 
     ``link`` is this trial's outcome from run_sweep's chunk pass, returned
-    as it is, with no further work. run_sweep still makes this call once
-    per trial only because the benchmark's traced run
-    (perfbench/test_perfbench.py) counts one run_trial span per trial,
-    under run_sweep; the call and ``link`` go once that check counts chunks.
+    as it is, with no further work. run_sweep makes this call once per
+    trial, in the calling process and in noise order, as it reduces each
+    noise point's outcomes into its record, also for the points that ran
+    in worker processes. The call exists only because the benchmark's
+    traced run (perfbench/test_perfbench.py) counts one run_trial span per
+    trial, under run_sweep; the call and ``link`` go once that check
+    counts chunks.
     """
     if link is not None:
         return link
     table = build_constellation(config.constellation, config.M_constellation)
     payloads = None if payload_bits is None else np.asarray(payload_bits, dtype=np.uint8).reshape(1, -1)
-    [outcome] = _trial_links(config, noise_power, noise_index, [trial_index], payloads,
-                             table, CrcSpec(config.crc_generator), link_gain(config), dnn_model)
+    [outcome] = _outcomes(_trial_links(config, noise_power, noise_index, [trial_index], payloads,
+                                       table, CrcSpec(config.crc_generator), link_gain(config), dnn_model))
     return outcome
 
 
@@ -831,12 +840,14 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
     the trials; if that training diverges, the noise point falls back to
     ML detection for the radio measures and its record carries
     classification_error = 1.
+
+    The noise points run in min(workers, noise points, usable cores)
+    processes: this one and forked children (see :mod:`mimolink.pool`).
+    Every trial and training pass draws from its own substream, so the
+    records do not depend on the number of processes.
     """
     table = build_constellation(config.constellation, config.M_constellation)
     crc_spec = CrcSpec(config.crc_generator)
-    gain = link_gain(config)
-    per_chunk = _chunk_blocks(config, _channel_uses(config, table, crc_spec))
-
     payload_chunks = None
     if config.payload is not None:
         bits = load_payload_bits(config.payload)
@@ -844,34 +855,20 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
             raise ConfigError(f"payload file {config.payload!r} contains no data")
         # the short last chunk gets the zero padding that framing would give it
         payload_chunks = np.pad(bits, (0, -bits.size % config.codeword_size)).reshape(-1, config.codeword_size)
+    run_point = functools.partial(_point_trials, config, table, crc_spec, link_gain(config), payload_chunks)
+
+    n_points = len(config.noise_power)
+    n_processes = pool.size(config.workers, n_points)
+    if n_processes > 1:
+        points = pool.run_forked(run_point, n_points, n_processes)
+    else:
+        points = map(run_point, range(n_points))  # each point is reduced before the next runs
 
     records = []
-    for noise_index, sigma2 in enumerate(config.noise_power):
-        trial_config = config
-        training_diverged = False
-        dnn_model = None
-        if config.detector == "dnn":
-            try:
-                dnn_model = train_detector_network(config, sigma2, noise_index, table=table)
-            except TrainingDivergedError as exc:
-                log.warning(
-                    "noise point %g: %s; falling back to ML detection and "
-                    "recording classification_error = 1", sigma2, exc,
-                )
-                trial_config = replace(config, detector="ml")
-                training_diverged = True
-
-        outcomes = []
-        for start in range(0, config.n_transmissions, per_chunk):
-            trials = range(start, min(start + per_chunk, config.n_transmissions))
-            payloads = None
-            if payload_chunks is not None:
-                payloads = payload_chunks[np.remainder(trials, len(payload_chunks))]
-            chunk = _trial_links(trial_config, sigma2, noise_index, trials, payloads,
-                                 table, crc_spec, gain, dnn_model)
-            outcomes += [run_trial(trial_config, sigma2, t, noise_index, link=outcome)
-                         for t, outcome in zip(trials, chunk)]
-
+    for noise_index, (sigma2, (columns, training_diverged)) in enumerate(zip(config.noise_power, points)):
+        trial_config = replace(config, detector="ml") if training_diverged else config
+        outcomes = [run_trial(trial_config, sigma2, t, noise_index, link=outcome)
+                    for t, outcome in enumerate(_outcomes(columns))]
         # ordered reduction keyed by trial index; a detector's
         # classification error is its symbol error rate
         ser = float(np.mean([o.ser for o in outcomes]))
@@ -889,6 +886,36 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
             seed=config.seed,
         ))
     return records
+
+
+def _point_trials(config: SimConfig, table: ConstellationTable, crc_spec: CrcSpec, gain: float,
+                  payload_chunks: np.ndarray | None, noise_index: int):
+    """Train the detector of one noise point (dnn) and run its trials chunk
+    by chunk. Returns the trials' outcome columns (see :func:`_trial_links`)
+    in trial order, and whether training diverged."""
+    sigma2 = config.noise_power[noise_index]
+    trial_config, dnn_model, training_diverged = config, None, False
+    if config.detector == "dnn":
+        try:
+            dnn_model = train_detector_network(config, sigma2, noise_index, table=table)
+        except TrainingDivergedError as exc:
+            log.warning(
+                "noise point %g: %s; falling back to ML detection and "
+                "recording classification_error = 1", sigma2, exc,
+            )
+            trial_config = replace(config, detector="ml")
+            training_diverged = True
+
+    per_chunk = _chunk_blocks(config, _channel_uses(config, table, crc_spec))
+    chunks = []
+    for start in range(0, config.n_transmissions, per_chunk):
+        trials = range(start, min(start + per_chunk, config.n_transmissions))
+        payloads = None
+        if payload_chunks is not None:
+            payloads = payload_chunks[np.remainder(trials, len(payload_chunks))]
+        chunks.append(_trial_links(trial_config, sigma2, noise_index, trials, payloads,
+                                   table, crc_spec, gain, dnn_model))
+    return tuple(np.concatenate(column) for column in zip(*chunks)), training_diverged
 
 
 def _format_field(value) -> str:

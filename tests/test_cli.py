@@ -1,9 +1,13 @@
 """Tests for the `simulate` command-line interface."""
 
+import os
+import signal
 from pathlib import Path
 
 import pytest
 
+import mimolink.simulate as sim
+from mimolink import pool
 from mimolink.cli import main
 from mimolink.simulate import CSV_COLUMNS
 
@@ -104,3 +108,22 @@ class TestCli:
             rows[seed] = [line.rsplit(",", 1)[0] for line in lines]
         # different streams, so the measures differ too
         assert rows[2**64] != rows[2**64 + 1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or pool.openblas_threads() is None,
+                        reason="sweeps run in one process without os.fork and an OpenBLAS thread setter")
+    def test_killed_worker_process_exits_2_without_traceback(self, fast_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        trial_links = sim._trial_links
+
+        def killed_at_second_point(config, noise_power, noise_index, *args, **kwargs):
+            if noise_index == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return trial_links(config, noise_power, noise_index, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "_trial_links", killed_at_second_point)
+        fast_config.write_text(fast_config.read_text() + "workers = 2\n")
+        assert main(["--config", str(fast_config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simulate: error: the worker process for noise points [1] was killed by signal")
+        assert "Traceback" not in err
+        assert not (tmp_path / "output.csv").exists()

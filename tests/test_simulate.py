@@ -4,8 +4,10 @@ import math
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mimolink.simulate as sim
-from mimolink import metrics
+from mimolink import metrics, pool
 from mimolink.channel import sample_channel, sample_noise
 from mimolink.estimation import draw_pilot_basis
 from mimolink.framing import CrcSpec, block_total_bits
@@ -670,6 +672,137 @@ class TestRunSweep:
     def test_invalid_config_propagates(self):
         with pytest.raises(ConfigError):
             run_sweep(replace(FAST, n_transmissions=0))
+
+
+class _InjectedFault(RuntimeError):
+    """Raised by a patched link pass; carries the pid of the process it ran in."""
+
+
+POOL = pytest.mark.skipif(not hasattr(os, "fork") or pool.openblas_threads() is None,
+                          reason="sweeps run in one process without os.fork and an OpenBLAS thread setter")
+SMALL_DNN_SWEEP = replace(FAST, N_t=1, N_r=1, constellation="QPSK", M_constellation=4, n_pilot=2,
+                          detector="dnn", noise_power=(1e-3, 5e-2), n_transmissions=10,
+                          dnn_train_samples=300, dnn_epochs=5, dnn_width=8)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores, so that a two-worker sweep forks on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _patch_point(monkeypatch, noise_index, action):
+    """Run ``action()`` where the link pass of ``noise_index`` would start."""
+    trial_links = sim._trial_links
+
+    def patched(config, noise_power, index, *args, **kwargs):
+        if index == noise_index:
+            action()
+        return trial_links(config, noise_power, index, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "_trial_links", patched)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@POOL
+@pytest.mark.usefixtures("two_cores")
+class TestWorkerProcesses:
+    def test_dnn_records_equal_across_worker_counts(self):
+        """Each process trains the networks of the points it runs."""
+        assert run_sweep(replace(SMALL_DNN_SWEEP, workers=2)) == run_sweep(SMALL_DNN_SWEEP)
+        _assert_no_child_left()
+
+    def test_training_divergence_in_a_child_reaches_the_record(self, monkeypatch):
+        train = sim.train_detector_network
+
+        def diverge_at_second_point(config, noise_power, noise_index=0, **kwargs):
+            if noise_index == 1:
+                raise TrainingDivergedError("loss became non-finite at epoch 2")
+            return train(config, noise_power, noise_index, **kwargs)
+
+        monkeypatch.setattr(sim, "train_detector_network", diverge_at_second_point)
+        records = run_sweep(replace(SMALL_DNN_SWEEP, workers=2))
+        assert records == run_sweep(SMALL_DNN_SWEEP)
+        assert [r.classification_error == 1.0 for r in records] == [False, True]
+
+    def test_child_exception_is_raised_with_its_type(self, monkeypatch):
+        def fail():
+            raise _InjectedFault(os.getpid())
+
+        _patch_point(monkeypatch, 1, fail)
+        with pytest.raises(_InjectedFault) as raised:
+            run_sweep(replace(FAST, workers=2))
+        assert raised.value.args[0] != os.getpid()  # the second point ran in a child
+        _assert_no_child_left()
+
+    def test_child_killed_without_a_result_raises_child_process_error(self, monkeypatch):
+        _patch_point(monkeypatch, 1, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        killed = rf"noise points \[1\] was killed by signal {int(signal.SIGKILL)} without a result"
+        with pytest.raises(ChildProcessError, match=killed):
+            run_sweep(replace(FAST, workers=2))
+        _assert_no_child_left()
+
+    def test_failure_in_this_process_kills_the_children(self, monkeypatch):
+        """The first point runs here and fails while the child still runs
+        (it would sleep for a minute); the sweep ends at once, reaping it."""
+        _patch_point(monkeypatch, 1, lambda: time.sleep(60))
+
+        def fail():
+            raise _InjectedFault(os.getpid())
+
+        _patch_point(monkeypatch, 0, fail)
+        start = time.monotonic()
+        with pytest.raises(_InjectedFault) as raised:
+            run_sweep(replace(FAST, workers=2))
+        assert raised.value.args[0] == os.getpid()
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    def test_blas_runs_on_one_thread_during_the_pool_and_is_restored(self, monkeypatch):
+        get_threads, set_threads = pool.openblas_threads()
+        original, seen = get_threads(), []
+        set_threads(2)  # a count that a pool left at 1 would not restore
+        try:
+            before = get_threads()
+            _patch_point(monkeypatch, 0, lambda: seen.append(get_threads()))
+            run_sweep(replace(FAST, workers=2))
+            assert set(seen) == {1}
+            assert get_threads() == before
+        finally:
+            set_threads(original)
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
+class TestPoolSize:
+    @POOL
+    def test_workers_are_capped_at_the_usable_cores_and_the_noise_points(self):
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert pool.size(10**6, cores + 1) == cores
+        assert pool.size(10**6, 2) == min(2, cores)
+        assert pool.size(1, cores + 1) == 1
+
+    @pytest.mark.parametrize("workers, noise_power", [(1, (1e-4, 1e-2)), (8, (1e-3,))])
+    def test_one_process_sweeps_never_fork(self, monkeypatch, workers, noise_power):
+        monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+        records = run_sweep(replace(FAST, workers=workers, noise_power=noise_power))
+        assert len(records) == len(noise_power)
+
+    @pytest.mark.usefixtures("two_cores")
+    def test_without_a_blas_thread_setter_the_sweep_runs_here_and_says_why(self, monkeypatch, caplog):
+        monkeypatch.setattr(pool, "openblas_threads", lambda: None)
+        monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+        with caplog.at_level("WARNING", logger="mimolink.pool"):
+            records = run_sweep(replace(FAST, workers=2))
+        assert records == run_sweep(FAST)
+        assert caplog.messages == ["workers = 2: running every noise point in one process: "
+                                   "no OpenBLAS thread-count setter was found"]
 
 
 def standalone_records(config, models):
