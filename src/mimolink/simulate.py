@@ -294,7 +294,7 @@ def _uncommented(line: str) -> tuple[str, str | None]:
 
 
 def _read_config_file(path) -> dict:
-    raw = {}
+    raw, lines = {}, {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line, open_quote = _uncommented(line)
         line = line.strip()
@@ -306,7 +306,11 @@ def _read_config_file(path) -> dict:
         if open_quote is not None:
             raise ConfigError(f"{path}:{lineno}: the value of {key.strip()} opens a {open_quote} quote "
                               f"that does not close")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
+        raw[key] = value.strip()
     return raw
 
 
@@ -339,11 +343,12 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
     The stream is ``default_rng(SeedSequence(seed, spawn_key=path))`` bit
     for bit, and so are its ``spawn`` children. SeedSequence hashes its
-    words in order, so the pool before the last key word is cached per
-    (seed, path[:-1]), and the state words of 64 consecutive last words
-    are hashed together and cached per block. A key out of that form (an
-    empty path, a last entry that is not an int below 2**32, or an entry
-    that is not a non-negative integer) goes to SeedSequence.
+    words in order, so NumPy's own SeedSequence(seed, spawn_key=path[:-1])
+    mixes the seed and all but the last key word into the pool; only the
+    last word's mix and the state hash run here, for 64 consecutive last
+    words in one vectorized pass, cached per block. A key out of that
+    form (an empty path, a last entry that is not an int below 2**32, or
+    an entry that is not a non-negative integer) goes to SeedSequence.
     """
     word = path[-1] if path else None
     if type(word) is int and 0 <= word <= _MASK32:
@@ -370,72 +375,31 @@ def _hash_constants(const: int, mult: int, n: int) -> list[tuple[int, int]]:
 _STATE_CONSTANTS = tuple(_hash_constants(_INIT_B, _MULT_B, 8))
 
 
-def _words(n: int) -> list[int]:
-    """SeedSequence's 32-bit words of a non-negative integer, least significant first."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _prefix_pool(seed, *prefix):
-    """SeedSequence's pool for (seed, prefix + (word,)) before the last
-    word, as :func:`_state_block` takes it: per pool word, MIX_MULT_L times
-    the word, then the (old, new) hash constants of the last word's mix
-    into it and of its two state words. None if seed or an entry is not a
-    non-negative integer.
-    """
-    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in (seed, *prefix)):
-        return None
-    # with a spawn key, the seed's words are zero-padded to the pool size
-    entropy = _words(int(seed))
-    entropy += [0] * (4 - len(entropy))
-    for n in prefix:
-        entropy += _words(int(n))
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(w) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    # a BitGenerator takes any registered seed sequence; registering on first
-    # use keeps numpy.random out of the package import
-    from numpy.random.bit_generator import ISpawnableSeedSequence
-    ISpawnableSeedSequence.register(_TrialSeed)
-    last_word = _hash_constants(const, _MULT_A, 4)
-    return tuple((_MIX_MULT_L * pool[i] & _MASK32, *last_word[i],
-                  *_STATE_CONSTANTS[i], *_STATE_CONSTANTS[i + 4]) for i in range(4))
-
-
 @functools.lru_cache(maxsize=64, typed=True)
 def _state_block(seed, *key):
     """SeedSequence(seed, spawn_key=prefix + (word,)).generate_state(4,
     uint64) for the 64 words 64 * block ... 64 * block + 63, one read-only
-    row per word, where key is prefix + (block,). The eight 32-bit state
-    words cycle through the pool and pairs join low word first. None where
-    :func:`_prefix_pool` is None.
+    row per word, where key is prefix + (block,). NumPy mixes seed and
+    prefix into the pool; here the last word is mixed into it and the
+    eight 32-bit state words are hashed, pool word i % 4 into word i,
+    pairs joined low word first. None if seed or a prefix entry is not a
+    non-negative integer (the word count below covers only those).
     """
     *prefix, block = key
-    last_mix = _prefix_pool(seed, *prefix)
-    if last_mix is None:
+    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in (seed, *prefix)):
         return None
+    # a BitGenerator takes any registered seed sequence; registering on first
+    # use keeps numpy.random out of the package import
+    from numpy.random.bit_generator import ISpawnableSeedSequence
+    ISpawnableSeedSequence.register(_TrialSeed)
+    pool = np.random.SeedSequence(seed, spawn_key=prefix).pool
+    # the hash constant advances once per pool word per entropy word; with a
+    # spawn key the seed's words are zero-padded to the pool size
+    seed_words, *prefix_words = (max(1, -(-int(n).bit_length() // 32)) for n in (seed, *prefix))
+    n_words = max(4, seed_words) + sum(prefix_words)
+    last_word = _hash_constants(_INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _MASK32, _MULT_A, 4)
+    last_mix = [(_MIX_MULT_L * int(pool[i]) & _MASK32, *last_word[i],
+                 *_STATE_CONSTANTS[i], *_STATE_CONSTANTS[i + 4]) for i in range(4)]
     # one (4, 1) column per constant, against the block's (64,) words
     mixed, old, new, low_old, low_new, high_old, high_new = np.array(last_mix, dtype=np.uint64).T[:, :, None]
     words = np.arange(block << 6, block + 1 << 6, dtype=np.uint64)
@@ -866,8 +830,7 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
 
     records = []
     for noise_index, (sigma2, (columns, training_diverged)) in enumerate(zip(config.noise_power, points)):
-        trial_config = replace(config, detector="ml") if training_diverged else config
-        outcomes = [run_trial(trial_config, sigma2, t, noise_index, link=outcome)
+        outcomes = [run_trial(config, sigma2, t, noise_index, link=outcome)
                     for t, outcome in enumerate(_outcomes(columns))]
         # ordered reduction keyed by trial index; a detector's
         # classification error is its symbol error rate

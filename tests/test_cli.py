@@ -52,7 +52,8 @@ class TestCli:
         # a tiny override file keeps the default Table-sized run out of unit tests
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "quick.cfg"
-        cfg.write_text(FAST_CFG + "noise_power = [1e-3]\nn_transmissions = 2\n")
+        cfg.write_text(FAST_CFG.replace("noise_power = [1e-4, 1e-2]\nn_transmissions = 10\n",
+                                        "noise_power = [1e-3]\nn_transmissions = 2\n"))
         assert main(["--config", str(cfg)]) == 0
         assert Path(tmp_path / "output.csv").exists()
 

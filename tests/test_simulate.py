@@ -169,6 +169,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: the value of output opens a "):
             load_config(path)
 
+    def test_repeated_key_names_file_both_lines_and_key(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("N_t = 4\nN_r = 4\nN_t = 2\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:3: N_t is already set on line 1$"):
+            load_config(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just a line without equals\n")
@@ -325,17 +331,18 @@ def numpy_stream(seed, *path):
 
 
 class TestSubstream:
-    """substream caches SeedSequence's hash of all but the last key word;
+    """substream mixes the last key word into NumPy's pool of the rest;
     its streams must be numpy's own for every key."""
 
-    # paths of length 1, 2 and 3: namespaces 0 and 1, noise indices up to
-    # two words, NumPy integers
-    PREFIXES = [(), (0,), (1,), *[(ns, noise) for ns in (0, 1) for noise in (0, 5, 2**32 + 1)],
-                (np.uint32(1), np.int64(5))]
+    # paths of length 1, 2 and 3: namespaces 0 and 1, entries of one to
+    # three words, NumPy integers
+    PREFIXES = [(), (0,), (1,), (2**64,), *[(ns, noise) for ns in (0, 1) for noise in (0, 5, 2**32 + 1)],
+                (0, 2**64), (np.uint32(1), np.int64(5))]
     # 2**32 - 1 is the largest one-word trial; 2**32 and a NumPy integer go to SeedSequence
     TRIALS = [*range(1000), 2**32 - 1, 2**32, np.int64(3)]
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3, np.uint64(9)])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**128 - 1, 2**128,
+                                      2**130 + 3, np.uint64(9)])
     def test_streams_equal_numpys_seed_sequence(self, seed):
         for prefix in self.PREFIXES:
             for trial in self.TRIALS:
