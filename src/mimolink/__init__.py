@@ -8,7 +8,6 @@ K-means, and a from-scratch fully connected neural network.
 
 from .channel import (
     ChannelRealization,
-    LinkGeometry,
     apply_channel,
     large_scale_gain,
     sample_channel,

@@ -17,29 +17,6 @@ REFERENCE_DISTANCE_M = 1.0
 
 
 @dataclass(frozen=True)
-class LinkGeometry:
-    """Large-scale link parameters: carrier, distance, loss exponent, bandwidth."""
-
-    f_c: float          # carrier frequency [Hz]
-    d: float            # BS-UE distance [m]
-    eta: float          # path loss exponent
-    B: float            # channel bandwidth [Hz]
-    N0: float = 0.0     # noise power density [W/Hz]
-
-    def __post_init__(self):
-        if self.f_c <= 0:
-            raise ValueError(f"f_c must be positive, got {self.f_c}")
-        if self.d < REFERENCE_DISTANCE_M:
-            raise ValueError(f"d must be at least {REFERENCE_DISTANCE_M} m, got {self.d}")
-        if self.eta < 2:
-            raise ValueError(f"eta must be at least 2, got {self.eta}")
-        if self.B <= 0:
-            raise ValueError(f"B must be positive, got {self.B}")
-        if self.N0 < 0:
-            raise ValueError(f"N0 must be nonnegative, got {self.N0}")
-
-
-@dataclass(frozen=True)
 class ChannelRealization:
     """One trial's channel: small-scale H (N_r x N_t), large-scale gain G,
     noise power. H may also be a stack (..., N_r, N_t) of trials' channels
@@ -56,14 +33,20 @@ class ChannelRealization:
             raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
 
 
-def large_scale_gain(geometry: LinkGeometry) -> float:
+def large_scale_gain(f_c: float, d: float, eta: float) -> float:
     """Linear power gain: free-space loss at 1 m, then a d^-eta roll-off.
 
-    G = (c / (4 pi f_c d_ref))^2 * (d_ref / d)^eta with d_ref = 1 m;
-    reduces to plain free-space path loss for eta = 2.
+    G = (c / (4 pi f_c d_ref))^2 * (d_ref / d)^eta with d_ref = 1 m, f_c
+    in Hz and d in m; reduces to plain free-space path loss for eta = 2.
     """
-    fspl_ref = (SPEED_OF_LIGHT / (4.0 * math.pi * geometry.f_c * REFERENCE_DISTANCE_M)) ** 2
-    return fspl_ref * (REFERENCE_DISTANCE_M / geometry.d) ** geometry.eta
+    if f_c <= 0:
+        raise ValueError(f"f_c must be positive, got {f_c}")
+    if d < REFERENCE_DISTANCE_M:
+        raise ValueError(f"d must be at least {REFERENCE_DISTANCE_M} m, got {d}")
+    if eta < 2:
+        raise ValueError(f"eta must be at least 2, got {eta}")
+    fspl_ref = (SPEED_OF_LIGHT / (4.0 * math.pi * f_c * REFERENCE_DISTANCE_M)) ** 2
+    return fspl_ref * (REFERENCE_DISTANCE_M / d) ** eta
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)

@@ -83,12 +83,26 @@ def build_constellation(scheme: str, M: int) -> ConstellationTable:
     )
 
 
+def _checked_bits(bits) -> np.ndarray:
+    """``bits`` as uint8, or a ValueError naming the first entry that is not
+    0 or 1 and its position, checked before the cast (which makes -1 255)."""
+    bits = np.asarray(bits)
+    # one comparison finds every unsigned or bool entry that is not a bit
+    bad = bits > 1 if bits.dtype.kind in "bu" else (bits != 0) & (bits != 1)
+    if bad.any():
+        position = tuple(np.argwhere(bad)[0].tolist())
+        raise ValueError(f"bits must be 0 or 1, got {bits[position].item()!r} "
+                         f"at position {position[0] if bits.ndim == 1 else position}")
+    return bits.astype(np.uint8, copy=False)
+
+
 def map_bits_to_symbols(bits, table: ConstellationTable) -> np.ndarray:
     """Map a bit stream to symbol indices, k bits per symbol.
 
     The bit count must be a multiple of ``table.k``; callers pad first.
+    An entry that is not a bit is named by its position in the flat stream.
     """
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    bits = _checked_bits(np.ravel(bits))
     if bits.size % table.k:
         raise ValueError(
             f"bit count {bits.size} is not a multiple of k = {table.k}; pad the stream first"

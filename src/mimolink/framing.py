@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .constellation import _checked_bits
+
 
 class FramingError(ValueError):
     """Received bits cannot be reconciled with the transport-block layout."""
@@ -147,8 +149,9 @@ def build_transport_blocks(payload_bits, codeword_size: int, spec: CrcSpec, k: i
     zero-padded to ``codeword_size`` before its CRC is computed, so every
     block has the same on-air length. A (B, n) stack of payloads yields a
     (B, total) stack of blocks, row for row the blocks of one call each.
+    An entry that is not 0 or 1 raises ValueError naming it and its position.
     """
-    payload = np.asarray(payload_bits, dtype=np.uint8)
+    payload = _checked_bits(payload_bits)
     stack = payload if payload.ndim == 2 else payload.reshape(1, -1)
     n_rows, n = stack.shape
     if not 0 < n <= codeword_size:

@@ -1,10 +1,10 @@
 """Run the noise points of a sweep in forked processes.
 
-:func:`run_forked` deals the noise points round-robin to the calling
-process and to children made with plain ``os.fork``, one pipe each, and
-gathers their results in noise order. Plain fork, not a multiprocessing
-start method: spawned and forkserver children import the package again,
-which costs more than the pool gains on a sweep of well under a second.
+:func:`run` deals the noise points round-robin to the calling process
+and to children made with plain ``os.fork``, one pipe each, and gathers
+their results in noise order. Plain fork, not a multiprocessing start
+method: spawned and forkserver children import the package again, which
+costs more than the pool gains on a sweep of well under a second.
 OpenBLAS runs on one thread while the processes run, so that they do not
 oversubscribe the cores; :func:`openblas_threads` finds its thread-count
 calls.
@@ -70,22 +70,24 @@ def openblas_threads():
     return None
 
 
-def run_forked(run_point, n_points: int, n_processes: int) -> list:
-    """``run_point(i)`` for each i in range(n_points), dealt round-robin to
-    n_processes processes; returns the results in index order.
+def run(run_point, n_points: int, workers: int):
+    """``run_point(i)`` for each i in range(n_points), in index order, in
+    :func:`size` processes. One process maps lazily, so that the caller
+    reduces each result before the next one runs.
 
-    This process forks n_processes - 1 children, then runs i = 0,
+    Else this process forks n_processes - 1 children and runs i = 0,
     n_processes, ... itself. Child j runs i = j, j + n_processes, ... and
     pickles its results, or the exception it raised, into its pipe. A
     child's exception is raised here with its type; a child that ends
     without a result (a signal, the OOM killer) raises ChildProcessError
     naming its noise points. The OpenBLAS thread count is 1 while the
     processes run (the children inherit it) and is restored on the way
-    out, and no child is left running, whatever happens. Call it with the
-    :func:`size` of the sweep, which checks that fork and the thread-count
-    calls exist.
+    out, and no child is left running, whatever happens.
     """
-    get_threads, set_threads = openblas_threads()
+    n_processes = size(workers, n_points)
+    if n_processes == 1:
+        return map(run_point, range(n_points))
+    get_threads, set_threads = openblas_threads()  # not None: size checked it
     threads = get_threads()
     set_threads(1)
     children = []  # (pid, read end of its pipe, its noise indices) until reaped

@@ -27,12 +27,12 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import metrics, pool
-from .channel import (ChannelRealization, LinkGeometry, apply_channel, large_scale_gain, sample_channel,
-                      sample_noise)
+from .channel import ChannelRealization, apply_channel, large_scale_gain, sample_channel, sample_noise
 from .constellation import ConstellationTable, build_constellation, map_bits_to_symbols, symbols_to_bits
 from .estimation import PILOT_MODES, draw_pilot_basis, estimate_lmmse, estimate_ls, pilots_from_basis
 from .framing import CrcSpec, block_total_bits, build_transport_blocks, extract_and_check, load_payload_bits
@@ -165,11 +165,6 @@ def _shown(value) -> str:
         return "[" + ", ".join(map(_shown, value)) + "]"
 
 
-def _geometry(config: SimConfig) -> LinkGeometry:
-    return LinkGeometry(f_c=config.f_c, d=config.d, eta=config.eta,
-                        B=config.B, N0=config.N0 or 0.0)
-
-
 def _hyperparameters(config: SimConfig) -> Hyperparameters:
     return Hyperparameters(
         learning_rate=config.dnn_learning_rate,
@@ -178,6 +173,42 @@ def _hyperparameters(config: SimConfig) -> Hyperparameters:
         validation_fraction=config.dnn_validation_fraction,
         patience=config.dnn_patience,
     )
+
+
+class _Link(NamedTuple):
+    table: ConstellationTable
+    crc_spec: CrcSpec
+    gain: float  # large-scale gain: G_override, or else the log-distance model
+    n_uses: int  # channel uses per transport block
+
+
+@functools.lru_cache(maxsize=16)
+def _link(config: SimConfig) -> _Link:
+    """What ``config`` implies for every block, built once per config:
+    every chunk of its sweep shares one table, which caches its label bits
+    and word lookup. Raise ConfigError naming the key that yields no table,
+    CRC or gain.
+    """
+    try:
+        table = build_constellation(config.constellation, config.M_constellation)
+    except ValueError as exc:
+        raise ConfigError(f"constellation = {config.constellation!r}, "
+                          f"M_constellation = {_shown(config.M_constellation)}: {exc}") from exc
+    try:
+        crc_spec = CrcSpec(config.crc_generator)
+    except ValueError as exc:
+        raise ConfigError(f"crc_generator invalid: {exc}") from exc
+    try:
+        # the model checks f_c, d and eta, also where G_override replaces its gain
+        gain = large_scale_gain(config.f_c, config.d, config.eta)
+    except OverflowError:
+        gain = math.inf
+    except ValueError as exc:
+        raise ConfigError(f"link geometry invalid: {exc}") from exc
+    if config.G_override is not None:
+        gain = config.G_override
+    n_uses = block_total_bits(config.codeword_size, crc_spec, table.k, config.N_t) // (table.k * config.N_t)
+    return _Link(table, crc_spec, gain, n_uses)
 
 
 def validate_config(config: SimConfig) -> None:
@@ -194,20 +225,13 @@ def validate_config(config: SimConfig) -> None:
                           ("dnn_labels", LABEL_SOURCES)):
         if getattr(config, name) not in choices:
             raise ConfigError(f"{name} = {getattr(config, name)!r}; expected one of {choices}")
-    try:
-        k = build_constellation(config.constellation, config.M_constellation).k
-    except ValueError as exc:
-        raise ConfigError(f"constellation = {config.constellation!r}, "
-                          f"M_constellation = {_shown(config.M_constellation)}: {exc}") from exc
-    try:
-        crc = CrcSpec(config.crc_generator)
-    except ValueError as exc:
-        raise ConfigError(f"crc_generator invalid: {exc}") from exc
-    if crc.crc_length != config.crc_length:
-        raise ConfigError(
-            f"crc_length = {_shown(config.crc_length)} does not match generator "
-            f"{config.crc_generator!r} (degree {crc.crc_length})"
-        )
+    for name in ("N_t", "codeword_size"):  # the block size and sigma2 * N_t below take them as floats
+        if getattr(config, name) > sys.float_info.max:
+            raise ConfigError(f"{name} = {_shown(getattr(config, name))} is beyond float range")
+    table, crc_spec, gain, _ = _link(config)
+    if crc_spec.crc_length != config.crc_length:
+        raise ConfigError(f"crc_length = {_shown(config.crc_length)} does not match generator "
+                          f"{config.crc_generator!r} (degree {crc_spec.crc_length})")
     if config.n_pilot < config.N_t:
         raise ConfigError(f"n_pilot = {_shown(config.n_pilot)} must be at least N_t = {_shown(config.N_t)}")
     if config.equalizer == "zf" and config.N_r < config.N_t:
@@ -218,14 +242,10 @@ def validate_config(config: SimConfig) -> None:
         _hyperparameters(config)
     except ValueError as exc:
         raise ConfigError(f"dnn hyperparameters invalid: {exc}") from exc
-    try:
-        _geometry(config)
-    except ValueError as exc:
-        raise ConfigError(f"link geometry invalid: {exc}") from exc
-    try:
-        gain = link_gain(config)
-    except OverflowError:
-        gain = math.inf
+    if config.B <= 0:
+        raise ConfigError(f"B must be positive, got {config.B}")
+    if config.N0 is not None and config.N0 < 0:
+        raise ConfigError(f"N0 must be nonnegative, got {config.N0}")
     # the L-MMSE filters form G * H^* H, which must not overflow
     if not 1e-300 <= gain <= 1e300:
         source = ("G_override" if config.G_override is not None
@@ -234,12 +254,10 @@ def validate_config(config: SimConfig) -> None:
                           f"it must lie within 1e-300..1e300 (+-3000 dB)")
     if not config.noise_power or any(v <= 0 for v in config.noise_power):
         raise ConfigError(f"noise_power must be a nonempty list of positive values, got {config.noise_power}")
-    if config.N_t > sys.float_info.max:  # sigma2 * N_t below would raise OverflowError
-        raise ConfigError(f"N_t = {_shown(config.N_t)} is beyond float range")
     for sigma2 in config.noise_power:
         # the SNR columns take log10(sigma2 * N_t * k), and the receiver
         # squares sums of amplitudes of order sqrt(sigma2 / G)
-        if not math.isfinite(sigma2 * config.N_t * k) or not 1e-300 <= gain / sigma2 <= 1e300:
+        if not math.isfinite(sigma2 * config.N_t * table.k) or not 1e-300 <= gain / sigma2 <= 1e300:
             raise ConfigError(f"noise_power = {sigma2} is out of range for link gain {gain} (G_override, "
                               f"or f_c, d, eta): G / noise_power must lie within +-3000 dB")
 
@@ -294,8 +312,12 @@ def _uncommented(line: str) -> tuple[str, str | None]:
 
 
 def _read_config_file(path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     raw, lines = {}, {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line, open_quote = _uncommented(line)
         line = line.strip()
         if not line:
@@ -447,13 +469,6 @@ class _TrialSeed:
         return self._seed_sequence().__reduce__()
 
 
-def link_gain(config: SimConfig) -> float:
-    """Large-scale gain: the configured override, or the log-distance model."""
-    if config.G_override is not None:
-        return float(config.G_override)
-    return large_scale_gain(_geometry(config))
-
-
 @dataclass(frozen=True)
 class TrialOutcome:
     """Measures for one transmitted transport block."""
@@ -493,13 +508,9 @@ CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 _CHUNK_ENTRIES = 1 << 14
 
 
-def _channel_uses(config: SimConfig, table: ConstellationTable, crc_spec: CrcSpec) -> int:
-    return block_total_bits(config.codeword_size, crc_spec, table.k, config.N_t) // (table.k * config.N_t)
-
-
-def _chunk_blocks(config: SimConfig, n_uses: int) -> int:
+def _chunk_blocks(config: SimConfig) -> int:
     """Blocks per chunk: as many as keep the draws within _CHUNK_ENTRIES."""
-    per_block = config.N_r * (config.N_t + config.n_pilot + n_uses) + config.N_t ** 2
+    per_block = config.N_r * (config.N_t + config.n_pilot + _link(config).n_uses) + config.N_t ** 2
     return max(1, _CHUNK_ENTRIES // per_block)
 
 
@@ -573,8 +584,7 @@ def _equalize(config: SimConfig, h_hat: np.ndarray, gain: float, noise_power: fl
     return equalize_lmmse(h_hat, gain, noise_power, y)
 
 
-def _link_pass(config: SimConfig, table: ConstellationTable, gain: float, draws: _LinkDraws,
-               tx_indices: np.ndarray):
+def _link_pass(config: SimConfig, draws: _LinkDraws, tx_indices: np.ndarray):
     """Send a chunk of blocks through the link: pilots, estimation, data
     symbols and equalization, each stage one stacked call.
 
@@ -584,6 +594,7 @@ def _link_pass(config: SimConfig, table: ConstellationTable, gain: float, draws:
     rank-deficient or the equalized symbols are not all finite; such a
     block's symbols are zeroed.
     """
+    table, _, gain, _ = _link(config)
     H, pilot_basis, pilot_noise, data_noise = draws.stacks()
     channel = ChannelRealization(H, gain, draws.noise_power)
     x_p = pilots_from_basis(pilot_basis, config.n_pilot, config.pilot_mode)
@@ -657,8 +668,7 @@ def _raw_payload_matches() -> bool:
 
 
 def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_indices,
-                 payloads, table: ConstellationTable, crc_spec: CrcSpec, gain: float,
-                 dnn_model: Network | None = None) -> tuple[np.ndarray, ...]:
+                 payloads, dnn_model: Network | None = None) -> tuple[np.ndarray, ...]:
     """Run a chunk of trials through the link; detect, demap and score it.
 
     Each trial draws from its own substream, in the order payload bits
@@ -674,7 +684,7 @@ def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_
             "detector 'dnn' needs a trained network; pass dnn_model or use "
             "train_detector_network() / run_sweep()"
         )
-    n_uses = _channel_uses(config, table, crc_spec)
+    table, crc_spec, _, n_uses = _link(config)
     draws = _LinkDraws(config, noise_power, len(trial_indices), n_uses)
     payload_bits = payloads
     if payloads is None:
@@ -686,7 +696,7 @@ def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_
         draws.draw(b, rng)
     blocks = build_transport_blocks(payload_bits, config.codeword_size, crc_spec, table.k, config.N_t)
     tx_indices = map_bits_to_symbols(blocks, table).reshape(len(blocks), -1)
-    H, h_hat, s_flat, failed = _link_pass(config, table, gain, draws, tx_indices)
+    H, h_hat, s_flat, failed = _link_pass(config, draws, tx_indices)
     if config.detector == "ml":
         rx_indices = detect_ml(s_flat, table)
     elif config.detector == "kmeans":
@@ -725,7 +735,8 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     Randomness comes from the substream (seed, noise_index, trial_index);
     within a trial the draw order is fixed: payload bits (when not
     supplied), channel matrix, pilot construction, pilot noise, data noise.
-    ``build_transport_blocks`` frames ``payload_bits`` and checks its size.
+    ``build_transport_blocks`` frames ``payload_bits`` and checks its size
+    and its bits.
     Without ``link`` the trial runs the chunk pass as a chunk of one.
 
     ``link`` is this trial's outcome from run_sweep's chunk pass, returned
@@ -739,15 +750,12 @@ def run_trial(config: SimConfig, noise_power: float, trial_index: int,
     """
     if link is not None:
         return link
-    table = build_constellation(config.constellation, config.M_constellation)
-    payloads = None if payload_bits is None else np.asarray(payload_bits, dtype=np.uint8).reshape(1, -1)
-    [outcome] = _outcomes(_trial_links(config, noise_power, noise_index, [trial_index], payloads,
-                                       table, CrcSpec(config.crc_generator), link_gain(config), dnn_model))
+    payloads = None if payload_bits is None else np.reshape(payload_bits, (1, -1))
+    [outcome] = _outcomes(_trial_links(config, noise_power, noise_index, [trial_index], payloads, dnn_model))
     return outcome
 
 
-def train_detector_network(config: SimConfig, noise_power: float, noise_index: int = 0,
-                           *, table: ConstellationTable | None = None) -> Network:
+def train_detector_network(config: SimConfig, noise_power: float, noise_index: int = 0) -> Network:
     """Train the neural detector for one noise point.
 
     Training data is generated with a dedicated substream, one fresh
@@ -758,23 +766,19 @@ def train_detector_network(config: SimConfig, noise_power: float, noise_index: i
     ``config.dnn_labels``: the transmitted indices ("truth") or the ML
     detector's decisions ("ml").
     """
-    if table is None:
-        table = build_constellation(config.constellation, config.M_constellation)
+    table, _, _, n_uses = _link(config)
     data_rng = substream(config.seed, _TRAINING_NS, noise_index, 0)
-    gain = link_gain(config)
-    n_uses = _channel_uses(config, table, CrcSpec(config.crc_generator))
-    symbols_per_block = n_uses * config.N_t
 
     features, labels = [], []
     collected = 0
     while collected < config.dnn_train_samples:
-        n_blocks = min(math.ceil((config.dnn_train_samples - collected) / symbols_per_block),
-                       _chunk_blocks(config, n_uses))
+        n_blocks = min(math.ceil((config.dnn_train_samples - collected) / (n_uses * config.N_t)),
+                       _chunk_blocks(config))
         draws = _LinkDraws(config, noise_power, n_blocks, n_uses, n_classes=table.M)
         for b in range(n_blocks):
             draws.draw(b, data_rng)
         tx_indices = draws.tx_indices
-        _, _, s_flat, failed = _link_pass(config, table, gain, draws, tx_indices)
+        _, _, s_flat, failed = _link_pass(config, draws, tx_indices)
         if failed.any():
             s_flat, tx_indices = s_flat[~failed], tx_indices[~failed]
         features.append(_detector_features(s_flat))
@@ -810,8 +814,6 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
     Every trial and training pass draws from its own substream, so the
     records do not depend on the number of processes.
     """
-    table = build_constellation(config.constellation, config.M_constellation)
-    crc_spec = CrcSpec(config.crc_generator)
     payload_chunks = None
     if config.payload is not None:
         bits = load_payload_bits(config.payload)
@@ -819,14 +821,8 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
             raise ConfigError(f"payload file {config.payload!r} contains no data")
         # the short last chunk gets the zero padding that framing would give it
         payload_chunks = np.pad(bits, (0, -bits.size % config.codeword_size)).reshape(-1, config.codeword_size)
-    run_point = functools.partial(_point_trials, config, table, crc_spec, link_gain(config), payload_chunks)
-
-    n_points = len(config.noise_power)
-    n_processes = pool.size(config.workers, n_points)
-    if n_processes > 1:
-        points = pool.run_forked(run_point, n_points, n_processes)
-    else:
-        points = map(run_point, range(n_points))  # each point is reduced before the next runs
+    run_point = functools.partial(_point_trials, config, payload_chunks)
+    points = pool.run(run_point, len(config.noise_power), config.workers)
 
     records = []
     for noise_index, (sigma2, (columns, training_diverged)) in enumerate(zip(config.noise_power, points)):
@@ -838,7 +834,7 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
         records.append(SweepRecord(
             noise_power=sigma2,
             snr_tx_db=metrics.tx_snr_db(sigma2, config.N_t),
-            ebn0_tx_db=metrics.tx_ebn0_db(sigma2, config.N_t, table.k),
+            ebn0_tx_db=metrics.tx_ebn0_db(sigma2, config.N_t, _link(config).table.k),
             channel_mse=float(np.mean([o.estimation_mse for o in outcomes])),
             bler=metrics.bler([o.crc_ok for o in outcomes]),
             ser=ser,
@@ -851,8 +847,7 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
     return records
 
 
-def _point_trials(config: SimConfig, table: ConstellationTable, crc_spec: CrcSpec, gain: float,
-                  payload_chunks: np.ndarray | None, noise_index: int):
+def _point_trials(config: SimConfig, payload_chunks: np.ndarray | None, noise_index: int):
     """Train the detector of one noise point (dnn) and run its trials chunk
     by chunk. Returns the trials' outcome columns (see :func:`_trial_links`)
     in trial order, and whether training diverged."""
@@ -860,7 +855,7 @@ def _point_trials(config: SimConfig, table: ConstellationTable, crc_spec: CrcSpe
     trial_config, dnn_model, training_diverged = config, None, False
     if config.detector == "dnn":
         try:
-            dnn_model = train_detector_network(config, sigma2, noise_index, table=table)
+            dnn_model = train_detector_network(config, sigma2, noise_index)
         except TrainingDivergedError as exc:
             log.warning(
                 "noise point %g: %s; falling back to ML detection and "
@@ -869,15 +864,14 @@ def _point_trials(config: SimConfig, table: ConstellationTable, crc_spec: CrcSpe
             trial_config = replace(config, detector="ml")
             training_diverged = True
 
-    per_chunk = _chunk_blocks(config, _channel_uses(config, table, crc_spec))
+    per_chunk = _chunk_blocks(config)
     chunks = []
     for start in range(0, config.n_transmissions, per_chunk):
         trials = range(start, min(start + per_chunk, config.n_transmissions))
         payloads = None
         if payload_chunks is not None:
             payloads = payload_chunks[np.remainder(trials, len(payload_chunks))]
-        chunks.append(_trial_links(trial_config, sigma2, noise_index, trials, payloads,
-                                   table, crc_spec, gain, dnn_model))
+        chunks.append(_trial_links(trial_config, sigma2, noise_index, trials, payloads, dnn_model))
     return tuple(np.concatenate(column) for column in zip(*chunks)), training_diverged
 
 
@@ -909,7 +903,7 @@ def write_extract(records: list[SweepRecord], columns, path) -> None:
 
     The file is written next to ``path`` under a temporary name and then
     renamed over it, so ``path`` holds either its old bytes or the whole
-    new file.
+    new file. An OSError names ``path``, not the temporary name.
     """
     if not records:
         raise ValueError("no records to write")
@@ -923,5 +917,9 @@ def write_extract(records: list[SweepRecord], columns, path) -> None:
         with open(temporary, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("\n".join(lines) + "\n")
         os.replace(temporary, path)
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     finally:
         temporary.unlink(missing_ok=True)

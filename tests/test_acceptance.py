@@ -178,7 +178,7 @@ def test_criterion_07_dnn_detector_parity():
         noise_power=(1e-3,), detector="dnn", dnn_train_samples=10_000,
     )
     table = build_constellation("QPSK", 4)
-    network = train_detector_network(config, 1e-3, 0, table=table)
+    network = train_detector_network(config, 1e-3, 0)
 
     rng = substream(config.seed, 7, 0)
     n_test = 10_000
@@ -213,7 +213,7 @@ def test_criterion_08_crc_error_detection():
 
 def test_criterion_09_bler_monotone_and_thread_determinism(tmp_path):
     """Default sweep: BLER nondecreasing (one in-3-sigma inversion allowed)
-    and byte-identical output.csv across thread counts."""
+    and byte-identical output.csv across process counts (workers)."""
     config = load_config()  # Table defaults: 1000 blocks per noise point
     records = run_sweep(config)
     blers = [r.bler for r in records]
@@ -238,7 +238,7 @@ def test_criterion_09_bler_monotone_and_thread_determinism(tmp_path):
     write_csv(run_sweep(replace(config, workers=8)), threaded_path)
     assert serial_path.read_bytes() == threaded_path.read_bytes()
     print(f"\n[PASS] criterion 9: BLER curve {['%.3f' % b for b in blers]} monotone "
-          f"({soft_inversions} in-tolerance inversion(s)); 1-thread == 8-thread CSV")
+          f"({soft_inversions} in-tolerance inversion(s)); 1-process == 8-process CSV")
 
 
 def test_criterion_10_metric_formulas():

@@ -10,7 +10,6 @@ from mimolink.channel import (
     REFERENCE_DISTANCE_M,
     SPEED_OF_LIGHT,
     ChannelRealization,
-    LinkGeometry,
     apply_channel,
     complex_gaussian,
     large_scale_gain,
@@ -19,39 +18,33 @@ from mimolink.channel import (
 )
 
 
-def geometry(f_c=1.8e9, d=100.0, eta=2.0, B=20e6):
-    return LinkGeometry(f_c=f_c, d=d, eta=eta, B=B)
-
-
 class TestLargeScaleGain:
     def test_unit_gain_calibration_point(self):
         """lambda = 4 pi at d = 1 m with eta = 2 gives exactly G = 1."""
         f_c = SPEED_OF_LIGHT / (4 * math.pi)
-        assert abs(large_scale_gain(geometry(f_c=f_c, d=1.0)) - 1.0) < 1e-12
+        assert abs(large_scale_gain(f_c, 1.0, 2.0) - 1.0) < 1e-12
 
     def test_inverse_square_distance(self):
-        g1 = large_scale_gain(geometry(d=50.0))
-        g2 = large_scale_gain(geometry(d=100.0))
+        g1 = large_scale_gain(1.8e9, 50.0, 2.0)
+        g2 = large_scale_gain(1.8e9, 100.0, 2.0)
         assert abs(g1 / g2 - 4.0) < 1e-12
 
     def test_db_domain_oracle(self):
         """FSPL at 1 m plus eta * 10 log10(d) slope, evaluated independently."""
-        geo = geometry(f_c=1.8e9, d=100.0, eta=3.0)
-        fspl_1m_db = 20 * math.log10(4 * math.pi * geo.f_c * REFERENCE_DISTANCE_M / SPEED_OF_LIGHT)
-        expected_db = -(fspl_1m_db + 10 * geo.eta * math.log10(geo.d))
-        assert abs(10 * math.log10(large_scale_gain(geo)) - expected_db) < 1e-9
+        f_c, d, eta = 1.8e9, 100.0, 3.0
+        fspl_1m_db = 20 * math.log10(4 * math.pi * f_c * REFERENCE_DISTANCE_M / SPEED_OF_LIGHT)
+        expected_db = -(fspl_1m_db + 10 * eta * math.log10(d))
+        assert abs(10 * math.log10(large_scale_gain(f_c, d, eta)) - expected_db) < 1e-9
 
     def test_distance_below_reference_rejected(self):
-        with pytest.raises(ValueError):
-            LinkGeometry(f_c=1.8e9, d=0.5, eta=2.0, B=1e6)
+        with pytest.raises(ValueError, match=r"^d must be at least"):
+            large_scale_gain(1.8e9, 0.5, 2.0)
 
-    def test_geometry_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            LinkGeometry(f_c=-1.0, d=10, eta=2, B=1e6)
-        with pytest.raises(ValueError):
-            LinkGeometry(f_c=1e9, d=10, eta=1.5, B=1e6)
-        with pytest.raises(ValueError):
-            LinkGeometry(f_c=1e9, d=10, eta=2, B=0)
+    @pytest.mark.parametrize("f_c, d, eta, key", [(-1.0, 10, 2, "f_c"), (0.0, 10, 2, "f_c"),
+                                                  (1e9, 10, 1.5, "eta")])
+    def test_geometry_invariants_enforced(self, f_c, d, eta, key):
+        with pytest.raises(ValueError, match=rf"^{key} must be"):
+            large_scale_gain(f_c, d, eta)
 
 
 def old_complex_gaussian(rng, shape):
@@ -271,7 +264,3 @@ class TestApplyChannel:
                 apply_channel(realization, x, rng)
         with pytest.raises(ValueError, match="noise"):
             apply_channel(realization, np.zeros((4, 2, 5)), np.zeros((4, 3, 4)))
-
-    def test_sigma2_from_density_times_bandwidth(self):
-        geo = LinkGeometry(f_c=1.8e9, d=10, eta=2, B=1e6, N0=4e-15)
-        assert abs(geo.N0 * geo.B - 4e-9) < 1e-24

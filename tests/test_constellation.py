@@ -113,6 +113,23 @@ class TestBitSymbolMapping:
         with pytest.raises(ValueError, match="multiple"):
             map_bits_to_symbols([0, 1, 0], table)
 
+    @pytest.mark.parametrize("bits, message", [
+        ([0, 2, 1, 1], "got 2 at position 1"),
+        (np.array([0, 1, -1, 1]), "got -1 at position 2"),  # a uint8 cast would make it 255
+        ([1, 0, 0.5, 1], "got 0.5 at position 2"),
+        (np.array([1, 0, 1, 9], dtype=np.uint8), "got 9 at position 3"),
+        ([[0, 1], [1, 7]], "got 7 at position 3"),  # positions count along the flattened stream
+    ])
+    def test_entry_that_is_not_a_bit_rejected_naming_it(self, bits, message):
+        with pytest.raises(ValueError, match=rf"^bits must be 0 or 1, {message}$"):
+            map_bits_to_symbols(bits, build_constellation("QPSK", 4))
+
+    def test_bools_and_integral_floats_are_bits(self):
+        table = build_constellation("QPSK", 4)
+        expected = map_bits_to_symbols([0, 1, 1, 1], table)
+        for bits in ([False, True, True, True], [0.0, 1.0, 1.0, 1.0]):
+            np.testing.assert_array_equal(map_bits_to_symbols(bits, table), expected)
+
     def test_symbols_to_bits_is_label_concatenation(self):
         table = build_constellation("QAM", 16)
         bits = symbols_to_bits([0], table)

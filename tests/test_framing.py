@@ -194,6 +194,15 @@ class TestTransportBlocks:
         with pytest.raises(ValueError, match="codeword_size = 16"):
             build_transport_blocks(np.ones(17, dtype=np.uint8), 16, DEFAULT_SPEC, 6, 1)
 
+    @pytest.mark.parametrize("payload, message", [
+        ([1, 0, 2, 1], "got 2 at position 2"),
+        (np.array([1, -1], dtype=np.int64), "got -1 at position 1"),  # a uint8 cast would make it 255
+        (np.array([[1, 0], [0, 3]]), r"got 3 at position \(1, 1\)"),
+    ])
+    def test_entry_that_is_not_a_bit_rejected_naming_it(self, payload, message):
+        with pytest.raises(ValueError, match=rf"^bits must be 0 or 1, {message}$"):
+            build_transport_blocks(payload, 16, DEFAULT_SPEC, 6, 1)
+
     def test_crc_is_last_field(self):
         payload = np.arange(16, dtype=np.uint8) % 2
         bits = build_transport_blocks(payload, 16, DEFAULT_SPEC, 6, 1)

@@ -175,6 +175,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:3: N_t is already set on line 1$"):
             load_config(path)
 
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"seed = 3\noutput = caf\xe9.csv\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: not UTF-8 text: .*0xe9"):
+            load_config(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just a line without equals\n")
@@ -189,6 +195,10 @@ class TestLoadConfig:
     ("G_override = none\nf_c = nan", "f_c"),
     ("G_override = none\nf_c = 1e-300", "f_c"),
     ("B = nan", "B"),
+    ("B = 0", "B"),
+    ("B = -2e7\nnoise_power = 1e-3", "B"),
+    ("N0 = -1e-20", "N0"),
+    ("N0 = -1e-20\nnoise_power = 1e-3", "N0"),
     ("N0 = inf\nnoise_power = 1e-3", "N0"),
     ("N0 = inf", "N0"),
     ("N0 = 1e300", "N0"),
@@ -197,6 +207,9 @@ class TestLoadConfig:
     ("G_override = none\nd = inf", "d"),
     ("G_override = none\neta = inf", "eta"),
     ("G_override = none\nd = 1e200", "d"),
+    ("d = 0.5", "d"),
+    ("f_c = -1.8e9", "f_c"),
+    ("eta = 1.5", "eta"),
     ("seed = -1", "seed"),
     ("seed = nan", "seed"),
     ("N_t = 2.5", "N_t"),
@@ -278,9 +291,9 @@ def test_numpy_floats_become_python_floats_in_a_direct_config():
     check then overflowed in a cast (an error under -W error)."""
     config = SimConfig(f_c=np.float32(1.8e9), G_override=None)
     sim.validate_config(config)
-    gain = sim.link_gain(config)
+    gain = sim._link(config).gain
     assert type(gain) is float
-    assert gain == sim.link_gain(SimConfig(f_c=float(np.float32(1.8e9)), G_override=None))
+    assert gain == sim._link(SimConfig(f_c=float(np.float32(1.8e9)), G_override=None)).gain
     config = SimConfig(dnn_learning_rate=np.float32(0.05), G_override=np.float32(0.5))
     assert type(config.dnn_learning_rate) is float and type(config.G_override) is float
     assert config.dnn_learning_rate == float(np.float32(0.05)) and config.G_override == 0.5
@@ -507,6 +520,15 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="codeword_size"):
             run_trial(FAST, 1e-3, 0, payload_bits=np.zeros(FAST.codeword_size + 1, dtype=np.uint8))
 
+    @pytest.mark.parametrize("payload, bad, position", [
+        ([0, 2] + [0] * 14, 2, (0, 1)),
+        ([3] + [0] * 15, 3, (0, 0)),
+        (np.array([0, 0, -1] + [0] * 13), -1, (0, 2)),  # a uint8 cast would send 255
+    ])
+    def test_payload_entry_that_is_not_a_bit_rejected_naming_it(self, payload, bad, position):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad} at position {position}")):
+            run_trial(FAST, 1e-3, 0, payload_bits=payload)
+
     def test_dnn_without_model_rejected(self):
         with pytest.raises(ValueError, match="dnn"):
             run_trial(replace(FAST, detector="dnn"), 1e-3, 0)
@@ -562,6 +584,7 @@ class TestRunSweep:
             assert record.ebn0_tx_db == pytest.approx(record.snr_tx_db - 10 * np.log10(k))
 
     def test_thread_count_does_not_change_records(self):
+        """The process count (workers) does not show in the records."""
         serial = run_sweep(replace(FAST, workers=1))
         threaded = run_sweep(replace(FAST, workers=8))
         assert serial == threaded
@@ -890,6 +913,21 @@ class TestDrawLayout:
 class TestChunking:
     """Trials cross the link in chunks; the chunk size must not show in any record."""
 
+    def test_a_config_builds_its_link_once(self, monkeypatch):
+        """Validation builds the table, CRC spec and gain; every chunk, trial
+        and training pass of the config then shares them."""
+        config = replace(FAST, detector="dnn", n_transmissions=9, **SMALL_DNN)
+        link = sim._link(config)
+        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 64)
+        assert sim._chunk_blocks(config) < config.n_transmissions
+        built = []
+        for name in ("build_constellation", "CrcSpec", "large_scale_gain"):
+            monkeypatch.setattr(sim, name, lambda *args, name=name: built.append(name))
+        records = run_sweep(config)
+        run_trial(config, 1e-3, 0, dnn_model=sim.train_detector_network(config, 1e-3))
+        assert built == [] and sim._link(config) is link
+        assert len(records) == len(config.noise_power)
+
     @pytest.mark.parametrize("detector", ["ml", "kmeans", "dnn"])
     @pytest.mark.parametrize("base", [ONE_USE, FAST, PERMUTATION_LMMSE, SISO],
                              ids=["one-use", "three-use", "permutation-lmmse", "siso"])
@@ -900,8 +938,7 @@ class TestChunking:
         models = [sim.train_detector_network(config, sigma2, i) if detector == "dnn" else None
                   for i, sigma2 in enumerate(config.noise_power)]
         monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 64)
-        table = sim.build_constellation(config.constellation, config.M_constellation)
-        chunk = sim._chunk_blocks(config, sim._channel_uses(config, table, CrcSpec(config.crc_generator)))
+        chunk = sim._chunk_blocks(config)
         assert chunk >= 2
         for n in (chunk - 1, chunk, chunk + 1):
             sized = replace(config, n_transmissions=n)
@@ -914,9 +951,8 @@ class TestChunking:
         config = SimConfig(N_t=8, N_r=8, constellation="QPSK", M_constellation=4, n_pilot=8,
                            noise_power=(5e-2,), detector="dnn", dnn_labels="ml",
                            dnn_train_samples=1000, dnn_epochs=20)
-        table = sim.build_constellation(config.constellation, config.M_constellation)
-        n_uses = sim._channel_uses(config, table, CrcSpec(config.crc_generator))
-        chunk = sim._chunk_blocks(config, n_uses)
+        n_uses = sim._link(config).n_uses
+        chunk = sim._chunk_blocks(config)
         assert chunk == 78
         config = replace(config, n_transmissions=chunk)
         models = [sim.train_detector_network(config, 5e-2, 0)]
@@ -1085,6 +1121,13 @@ class TestCsvOutput:
             write_csv(self._records(), path)
         assert path.read_bytes() == b"previous contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_write_names_the_requested_path(self, tmp_path):
+        path = tmp_path / "nodir" / "out.csv"
+        with pytest.raises(FileNotFoundError) as raised:
+            write_extract(self._records(), ("bler",), path)
+        assert raised.value.filename == str(path)
+        assert str(raised.value).endswith(f"No such file or directory: {str(path)!r}")
 
     def test_extract_empty_selection_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no columns"):
