@@ -2,35 +2,18 @@
 
 The received vector is y = sqrt(G) H x + n where H is Frobenius-normalized
 per realization (||H||_F^2 = N_r * N_t exactly) and n has i.i.d. zero-mean
-complex normal entries of total variance sigma2 each.
+complex normal entries of total variance sigma2 each. :func:`sample_channel`
+draws H, :func:`sample_noise` draws n, and :func:`apply_channel` forms y.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 REFERENCE_DISTANCE_M = 1.0
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One trial's channel: small-scale H (N_r x N_t), large-scale gain G,
-    noise power. H may also be a stack (..., N_r, N_t) of trials' channels
-    that share G and sigma2."""
-
-    H: np.ndarray
-    G: float
-    sigma2: float
-
-    def __post_init__(self):
-        if self.G <= 0:
-            raise ValueError(f"G must be positive, got {self.G}")
-        if self.sigma2 < 0:
-            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
 
 
 def large_scale_gain(f_c: float, d: float, eta: float) -> float:
@@ -118,34 +101,33 @@ def sample_noise(shape, sigma2: float, rng) -> np.ndarray:
     return noise
 
 
-def apply_channel(realization: ChannelRealization, x, noise) -> np.ndarray:
-    """y = sqrt(G) H x + n with fresh noise per channel use.
+def apply_channel(H: np.ndarray, G: float, x, noise) -> np.ndarray:
+    """y = sqrt(G) H x + n for a channel H (N_r x N_t) and large-scale gain G.
 
     ``x`` is one column vector of length N_t or a batch of channel uses as
     an (N_t, n_uses) matrix, such as a pilot matrix X_P; the output
     matches. A stack of channels H (..., N_r, N_t) takes a stack of
     batches (..., N_t, n_uses), each product bit for bit its own.
-    ``noise`` is the stream to draw n from with :func:`sample_noise`, or
-    n itself, already drawn in the output's shape. Callers apply the
-    1/sqrt(N_t) transmit power scaling to data symbols before calling.
+    ``noise`` is n in the output's shape, drawn by :func:`sample_noise`
+    or beforehand. Callers apply the 1/sqrt(N_t) transmit power scaling
+    to data symbols before calling.
     """
-    h = realization.H
+    if G <= 0:
+        raise ValueError(f"G must be positive, got {G}")
     x = np.asarray(x, dtype=complex)
-    n_tx = h.shape[-1]
-    stack = h.shape[:-2]
+    n_tx = H.shape[-1]
+    stack = H.shape[:-2]
     if stack:
-        fits = x.ndim == h.ndim and x.shape[:-1] == stack + (n_tx,)
+        fits = x.ndim == H.ndim and x.shape[:-1] == stack + (n_tx,)
     else:
         fits = x.ndim in (1, 2) and x.shape[0] == n_tx
     if not fits:
         raise ValueError(f"x has shape {x.shape}, expected ({n_tx},) or ({n_tx}, n) "
-                         f"per channel of the stack {h.shape}")
-    shape = h.shape[:-1] + x.shape[len(stack) + 1:]
-    if isinstance(noise, np.random.Generator):
-        noise = sample_noise(shape, realization.sigma2, noise)
-    elif np.shape(noise) != shape:
+                         f"per channel of the stack {H.shape}")
+    shape = H.shape[:-1] + x.shape[len(stack) + 1:]
+    if np.shape(noise) != shape:
         raise ValueError(f"noise has shape {np.shape(noise)}, expected {shape}")
-    y = h @ x
-    y *= np.sqrt(realization.G)
+    y = H @ x
+    y *= np.sqrt(G)
     y += noise
     return y

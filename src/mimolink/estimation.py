@@ -3,8 +3,8 @@
 Pilot matrices are semi-unitary by construction (X_P X_P^* = I), so both
 estimators reduce to a scaled correlation Y_P X_P^*. The general matrix
 forms are kept for user-supplied pilots. The received pilots
-Y_P = sqrt(G) H X_P + N come from :func:`mimolink.channel.apply_channel`,
-the same channel the data symbols cross.
+Y_P = sqrt(G) H X_P + N come from :func:`mimolink.channel.apply_channel`
+over the H and G the data cross, with N drawn by ``sample_noise``.
 """
 
 from __future__ import annotations

@@ -100,7 +100,7 @@ def crc_compute(bits, spec: CrcSpec) -> np.ndarray:
     CRC. A (B, n) stack of messages yields a (B, r) stack of CRCs, each
     row the CRC of its own message; any other shape is one message.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = _checked_bits(bits)
     stack = bits if bits.ndim == 2 else bits.reshape(1, -1)
     table = _remainder_table(spec.generator)
     w, r = table.shape
@@ -123,8 +123,8 @@ def crc_verify(payload_bits, crc_bits, spec: CrcSpec) -> bool | np.ndarray:
     A (B, n) payload stack takes a (B, r) CRC stack and gives one bool per
     row, from one :func:`crc_compute` call over the stack.
     """
-    payload = np.asarray(payload_bits, dtype=np.uint8)
-    crc_bits = np.asarray(crc_bits, dtype=np.uint8)
+    payload = _checked_bits(payload_bits)
+    crc_bits = _checked_bits(crc_bits)
     if payload.ndim == 2:
         if crc_bits.shape != (len(payload), spec.crc_length):
             raise FramingError(f"expected a ({len(payload)}, {spec.crc_length}) stack of CRC bits, "
@@ -172,7 +172,7 @@ def extract_and_check(received_bits, codeword_size: int, spec: CrcSpec, k: int, 
     verifies. A (B, total) stack of blocks gives the (B, codeword_size)
     payloads and one ``crc_ok`` per row, from one :func:`crc_verify` call.
     """
-    received = np.asarray(received_bits, dtype=np.uint8)
+    received = _checked_bits(received_bits)
     if received.ndim != 2:
         received = received.ravel()
     total = block_total_bits(codeword_size, spec, k, n_tx)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics, pool
-from .channel import ChannelRealization, apply_channel, large_scale_gain, sample_channel, sample_noise
+from .channel import apply_channel, large_scale_gain, sample_channel, sample_noise
 from .constellation import ConstellationTable, build_constellation, map_bits_to_symbols, symbols_to_bits
 from .estimation import PILOT_MODES, draw_pilot_basis, estimate_lmmse, estimate_ls, pilots_from_basis
 from .framing import CrcSpec, block_total_bits, build_transport_blocks, extract_and_check, load_payload_bits
@@ -596,9 +596,8 @@ def _link_pass(config: SimConfig, draws: _LinkDraws, tx_indices: np.ndarray):
     """
     table, _, gain, _ = _link(config)
     H, pilot_basis, pilot_noise, data_noise = draws.stacks()
-    channel = ChannelRealization(H, gain, draws.noise_power)
     x_p = pilots_from_basis(pilot_basis, config.n_pilot, config.pilot_mode)
-    y_p = apply_channel(channel, x_p, pilot_noise)
+    y_p = apply_channel(H, gain, x_p, pilot_noise)
     if config.estimator == "ls":
         h_hat = estimate_ls(y_p, x_p, gain)
     else:
@@ -606,7 +605,7 @@ def _link_pass(config: SimConfig, draws: _LinkDraws, tx_indices: np.ndarray):
 
     n_blocks = tx_indices.shape[0]
     x = table.points[tx_indices].reshape(n_blocks, -1, config.N_t).swapaxes(-1, -2) / math.sqrt(config.N_t)
-    y = apply_channel(channel, x, data_noise)
+    y = apply_channel(H, gain, x, data_noise)
     try:
         s_hat = _equalize(config, h_hat, gain, draws.noise_power, y)
     except np.linalg.LinAlgError:
@@ -888,13 +887,17 @@ def write_csv(records: list[SweepRecord], path) -> None:
 
 def _checked_columns(columns) -> tuple[str, ...]:
     """The selected output columns as a tuple; raise ``ValueError`` when the
-    selection is empty or names a column that is not in ``CSV_COLUMNS``."""
+    selection is empty, names a column that is not in ``CSV_COLUMNS``, or
+    names one twice (a CSV reader keyed on the header would drop one)."""
     columns = tuple(columns)
     if not columns:
         raise ValueError(f"no columns selected; valid: {', '.join(CSV_COLUMNS)}")
     unknown = [c for c in columns if c not in CSV_COLUMNS]
     if unknown:
         raise ValueError(f"unknown column(s): {', '.join(unknown)}; valid: {', '.join(CSV_COLUMNS)}")
+    repeated = [c for c in dict.fromkeys(columns) if columns.count(c) > 1]
+    if repeated:
+        raise ValueError(f"column(s) selected more than once: {', '.join(repeated)}")
     return columns
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from mimolink.channel import ChannelRealization, apply_channel, sample_channel
+from mimolink.channel import apply_channel, sample_channel, sample_noise
 from mimolink.constellation import build_constellation, map_bits_to_symbols, symbols_to_bits
 from mimolink.estimation import build_pilot_matrix, estimate_lmmse, estimate_ls
 from mimolink.framing import CrcSpec, crc_compute, crc_verify
@@ -64,9 +64,9 @@ def test_criterion_02_noiseless_ls_identity():
         n_pilot = int(rng.integers(n_tx, 17))
         gain = float(10 ** rng.uniform(-2, 2))
         h = sample_channel(n_rx, n_tx, rng)
-        realization = ChannelRealization(h, gain, 0.0)
         x_p = build_pilot_matrix(n_tx, n_pilot, rng)
-        h_hat = estimate_ls(apply_channel(realization, x_p, rng), x_p, gain)
+        y_p = apply_channel(h, gain, x_p, sample_noise((n_rx, n_pilot), 0.0, rng))
+        h_hat = estimate_ls(y_p, x_p, gain)
         mse = float(np.mean(np.abs(h - h_hat) ** 2))
         worst = max(worst, mse)
         assert mse < 1e-18
@@ -83,9 +83,8 @@ def test_criterion_03_estimation_mse_closed_forms():
         ls_total = lmmse_total = 0.0
         for _ in range(n_realizations):
             h = sample_channel(n_rx, n_tx, rng)
-            realization = ChannelRealization(h, 1.0, sigma2)
             x_p = build_pilot_matrix(n_tx, n_pilot, rng)
-            y_p = apply_channel(realization, x_p, rng)
+            y_p = apply_channel(h, 1.0, x_p, sample_noise((n_rx, n_pilot), sigma2, rng))
             ls_total += np.mean(np.abs(h - estimate_ls(y_p, x_p, 1.0)) ** 2)
             lmmse_total += np.mean(np.abs(h - estimate_lmmse(y_p, x_p, 1.0, sigma2)) ** 2)
         ls_mse = ls_total / n_realizations
@@ -130,8 +129,7 @@ def test_criterion_05_awgn_ber_oracle():
         for start in range(0, n_symbols, block):
             idx = tx_idx[start:start + block]
             h = sample_channel(1, 1, rng)
-            realization = ChannelRealization(h, 1.0, sigma2)
-            y = apply_channel(realization, table.points[idx][None, :], rng)
+            y = apply_channel(h, 1.0, table.points[idx][None, :], sample_noise((1, idx.size), sigma2, rng))
             s_hat = equalize_zf(h, 1.0, y).ravel()  # perfect CSI
             rx_idx = detect_ml(s_hat, table)
             errors += np.count_nonzero(
@@ -184,8 +182,7 @@ def test_criterion_07_dnn_detector_parity():
     n_test = 10_000
     tx = rng.integers(0, 4, size=n_test)
     h = sample_channel(1, 1, rng)
-    realization = ChannelRealization(h, 1.0, 1e-3)
-    y = apply_channel(realization, table.points[tx][None, :], rng)
+    y = apply_channel(h, 1.0, table.points[tx][None, :], sample_noise((1, n_test), 1e-3, rng))
     s_hat = equalize_zf(h, 1.0, y).ravel()
     ml_idx = detect_ml(s_hat, table)
     dnn_idx = predict(network, np.column_stack([s_hat.real, s_hat.imag]))

@@ -9,7 +9,6 @@ from scipy import stats
 from mimolink.channel import (
     REFERENCE_DISTANCE_M,
     SPEED_OF_LIGHT,
-    ChannelRealization,
     apply_channel,
     complex_gaussian,
     large_scale_gain,
@@ -169,26 +168,23 @@ class TestSampleNoise:
 
 
 class TestApplyChannel:
-    def _realization(self, h, gain=1.0, sigma2=0.0):
-        return ChannelRealization(np.asarray(h, dtype=complex), gain, sigma2)
-
     def test_identity_channel_passthrough(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        y = apply_channel(self._realization(np.eye(4)), x, rng)
+        y = apply_channel(np.eye(4, dtype=complex), 1.0, x, sample_noise(4, 0.0, rng))
         np.testing.assert_allclose(y, x, atol=1e-15)
 
     def test_scalar_gain(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        y = apply_channel(self._realization(np.eye(3), gain=4.0), x, rng)
+        y = apply_channel(np.eye(3, dtype=complex), 4.0, x, sample_noise(3, 0.0, rng))
         np.testing.assert_allclose(y, 2 * x, atol=1e-14)
 
     def test_matches_double_loop_multiply_oracle(self):
         rng = np.random.default_rng(7)
         h = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        y = apply_channel(self._realization(h), x, rng)
+        y = apply_channel(h, 1.0, x, sample_noise(5, 0.0, rng))
         oracle = np.zeros(5, dtype=complex)
         for i in range(5):
             for j in range(3):
@@ -198,69 +194,61 @@ class TestApplyChannel:
     def test_linearity_without_noise(self):
         rng = np.random.default_rng(8)
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        realization = self._realization(h)
         x1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         x2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         a, b = 2.5, -1.25 + 0.5j
-        lhs = apply_channel(realization, a * x1 + b * x2, rng)
-        rhs = a * apply_channel(realization, x1, rng) + b * apply_channel(realization, x2, rng)
+        zeros = np.zeros(4, dtype=complex)
+        lhs = apply_channel(h, 1.0, a * x1 + b * x2, zeros)
+        rhs = a * apply_channel(h, 1.0, x1, zeros) + b * apply_channel(h, 1.0, x2, zeros)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_batched_uses_one_noise_column_each(self):
         rng = np.random.default_rng(9)
-        h = np.eye(2)
-        realization = self._realization(h, sigma2=1.0)
-        y = apply_channel(realization, np.zeros((2, 1000)), rng)
+        y = apply_channel(np.eye(2), 1.0, np.zeros((2, 1000)), sample_noise((2, 1000), 1.0, rng))
         assert y.shape == (2, 1000)
         # distinct noise across uses
         assert np.std(y[0].real) > 0.5
 
     def test_dimension_mismatch_rejected(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(ValueError):
-            apply_channel(self._realization(np.eye(3)), np.zeros(4), rng)
+        with pytest.raises(ValueError, match="x has shape"):
+            apply_channel(np.eye(3), 1.0, np.zeros(4), np.zeros(3))
 
-    def test_realization_shape_validation(self):
-        with pytest.raises(ValueError):
-            ChannelRealization(np.eye(2), G=0.0, sigma2=0.0)
+    def test_nonpositive_gain_rejected(self):
+        for gain in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"G must be positive, got {gain}"):
+                apply_channel(np.eye(2), gain, np.zeros(2), np.zeros(2))
 
-    def test_noise_is_the_sample_noise_draw(self):
-        """The noise in y on a fixed stream is sample_noise's draw, bit for bit.
-
-        y - sqrt(G) H x would round, so the sum is rebuilt instead, and a
-        zero input, where y is the noise itself, pins it exactly.
-        """
+    def test_noise_is_added_bit_for_bit(self):
+        """y is sqrt(G) H x plus the noise passed, bit for bit; with a zero
+        input y is the noise itself."""
         rng = np.random.default_rng(11)
         h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         x = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-        realization = self._realization(h, gain=2.0, sigma2=0.3)
         noise = sample_noise((3, 5), 0.3, np.random.default_rng(12))
-        y = apply_channel(realization, x, np.random.default_rng(12))
+        y = apply_channel(h, 2.0, x, noise)
         np.testing.assert_array_equal(y, np.sqrt(2.0) * (h @ x) + noise)
-        y0 = apply_channel(realization, np.zeros((2, 5)), np.random.default_rng(12))
-        np.testing.assert_array_equal(y0, noise)
-        np.testing.assert_array_equal(
-            apply_channel(realization, np.zeros(2), np.random.default_rng(12)),
-            sample_noise(3, 0.3, np.random.default_rng(12)))
+        np.testing.assert_array_equal(apply_channel(h, 2.0, np.zeros((2, 5)), noise), noise)
+        np.testing.assert_array_equal(apply_channel(h, 2.0, np.zeros(2), noise[:, 0]), noise[:, 0])
 
     def test_stack_matches_per_matrix_calls(self):
-        """A stack of channels with noise drawn beforehand: each slice is
-        its own call bit for bit, whether the noise is passed or drawn."""
+        """A stack of channels and of noise: each slice is its own call bit for bit."""
         rng = np.random.default_rng(13)
         h = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
         x = rng.standard_normal((4, 2, 5)) + 1j * rng.standard_normal((4, 2, 5))
         noise = np.stack([sample_noise((3, 5), 0.3, np.random.default_rng(20 + b)) for b in range(4)])
-        y = apply_channel(self._realization(h, gain=2.0, sigma2=0.3), x, noise)
+        y = apply_channel(h, 2.0, x, noise)
         for b in range(4):
-            np.testing.assert_array_equal(
-                y[b], apply_channel(self._realization(h[b], gain=2.0, sigma2=0.3), x[b],
-                                    np.random.default_rng(20 + b)))
+            np.testing.assert_array_equal(y[b], apply_channel(h[b], 2.0, x[b], noise[b]))
 
     def test_stack_shape_mismatch_rejected(self):
-        realization = self._realization(np.ones((4, 3, 2)))
-        rng = np.random.default_rng(14)
+        h = np.ones((4, 3, 2), dtype=complex)
         for x in (np.zeros((4, 2)), np.zeros((3, 2, 5)), np.zeros((4, 3, 5))):
-            with pytest.raises(ValueError, match="shape"):
-                apply_channel(realization, x, rng)
+            with pytest.raises(ValueError, match="x has shape"):
+                apply_channel(h, 1.0, x, np.zeros((4, 3, 5)))
         with pytest.raises(ValueError, match="noise"):
-            apply_channel(realization, np.zeros((4, 2, 5)), np.zeros((4, 3, 4)))
+            apply_channel(h, 1.0, np.zeros((4, 2, 5)), np.zeros((4, 3, 4)))
+
+    def test_noise_must_be_drawn_beforehand(self):
+        """A generator is not noise: the noise comes from sample_noise."""
+        with pytest.raises(ValueError, match=r"noise has shape \(\), expected \(3,\)"):
+            apply_channel(np.eye(3), 1.0, np.zeros(3), np.random.default_rng(0))

@@ -85,6 +85,11 @@ class TestCli:
         assert main(["--config", str(fast_config), "--extract", "bogus"]) != 0
         assert "bogus" in capsys.readouterr().err
 
+    def test_repeated_extract_column_exits_2_before_the_sweep(self, fast_config, tmp_path, capsys):
+        assert main(["--config", str(fast_config), "--extract", "bler,bler,snr_tx_db"]) == 2
+        assert "column(s) selected more than once: bler" in capsys.readouterr().err
+        assert not (tmp_path / "output.csv").exists()
+
     def test_extract_output_without_extract_exits_before_the_sweep(self, fast_config, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["--config", str(fast_config), "--extract-output", str(tmp_path / "pair.csv")])

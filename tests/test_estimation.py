@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from mimolink.channel import ChannelRealization, apply_channel, sample_channel
+from mimolink.channel import apply_channel, sample_channel, sample_noise
 from mimolink.estimation import (build_pilot_matrix, draw_pilot_basis, estimate_lmmse, estimate_ls,
                                  pilots_from_basis)
 
 
-def realization(h, gain=1.0, sigma2=0.0):
-    return ChannelRealization(np.asarray(h, dtype=complex), gain, sigma2)
+def send_pilots(h, x_p, rng, gain=1.0, sigma2=0.0):
+    """sqrt(G) H X_P + N with N drawn from ``rng`` by sample_noise."""
+    return apply_channel(h, gain, x_p, sample_noise((h.shape[0], x_p.shape[1]), sigma2, rng))
 
 
 def mixed_pilot_stack(rng, n_rx=3, n_tx=2, n_pilot=5):
@@ -83,21 +84,21 @@ class TestTransmitPilots:
         rng = np.random.default_rng(3)
         h = sample_channel(3, 2, rng)
         x_p = build_pilot_matrix(2, 5, rng)
-        y_p = apply_channel(realization(h), x_p, rng)
+        y_p = send_pilots(h, x_p, rng)
         np.testing.assert_allclose(y_p, h @ x_p, atol=1e-14)
 
     def test_identity_pilots_reveal_the_scaled_channel(self):
         rng = np.random.default_rng(4)
         h = sample_channel(4, 4, rng)
         x_p = np.concatenate([np.eye(4), np.zeros((4, 3))], axis=1)
-        y_p = apply_channel(realization(h, gain=2.25), x_p, rng)
+        y_p = send_pilots(h, x_p, rng, gain=2.25)
         np.testing.assert_allclose(y_p[:, :4], 1.5 * h, atol=1e-13)
 
     def test_matches_brute_force_multiply_oracle(self):
         rng = np.random.default_rng(5)
         h = sample_channel(2, 2, rng)
         x_p = build_pilot_matrix(2, 3, rng)
-        y_p = apply_channel(realization(h), x_p, rng)
+        y_p = send_pilots(h, x_p, rng)
         oracle = np.zeros((2, 3), dtype=complex)
         for i in range(2):
             for j in range(3):
@@ -108,7 +109,7 @@ class TestTransmitPilots:
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
-            apply_channel(realization(np.eye(2)), np.zeros((3, 4)), rng)
+            apply_channel(np.eye(2), 1.0, np.zeros((3, 4)), sample_noise((2, 4), 0.0, rng))
 
 
 class TestLeastSquares:
@@ -117,7 +118,7 @@ class TestLeastSquares:
         for gain in (1.0, 4.0, 0.25):
             h = sample_channel(4, 4, rng)
             x_p = build_pilot_matrix(4, 8, rng)
-            y_p = apply_channel(realization(h, gain=gain), x_p, rng)
+            y_p = send_pilots(h, x_p, rng, gain=gain)
             np.testing.assert_allclose(estimate_ls(y_p, x_p, gain), h, atol=1e-10)
 
     def test_per_entry_mse_equals_sigma2(self):
@@ -129,7 +130,7 @@ class TestLeastSquares:
         for _ in range(n_trials):
             h = sample_channel(4, 4, rng)
             x_p = build_pilot_matrix(4, 8, rng)
-            y_p = apply_channel(realization(h, sigma2=sigma2), x_p, rng)
+            y_p = send_pilots(h, x_p, rng, sigma2=sigma2)
             h_hat = estimate_ls(y_p, x_p, 1.0)
             total += np.mean(np.abs(h - h_hat) ** 2)
         assert abs(total / n_trials - sigma2) < 0.05 * sigma2
@@ -138,7 +139,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(9)
         h = sample_channel(3, 3, rng)
         x_p = build_pilot_matrix(3, 6, rng)
-        y_p = apply_channel(realization(h, sigma2=0.05), x_p, rng)
+        y_p = send_pilots(h, x_p, rng, sigma2=0.05)
         shortcut = estimate_ls(y_p, x_p, 1.0)
         gram = x_p @ x_p.conj().T
         general = y_p @ x_p.conj().T @ np.linalg.inv(gram)
@@ -149,7 +150,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(10)
         h = sample_channel(3, 2, rng)
         x_p = (rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)))
-        y_p = apply_channel(realization(h, sigma2=0.02), x_p, rng)
+        y_p = send_pilots(h, x_p, rng, sigma2=0.02)
         gram = x_p @ x_p.conj().T
         oracle = y_p @ x_p.conj().T @ np.linalg.inv(gram)
         np.testing.assert_allclose(estimate_ls(y_p, x_p, 1.0), oracle, atol=1e-11)
@@ -183,7 +184,7 @@ class TestLmmse:
         rng = np.random.default_rng(11)
         h = sample_channel(4, 4, rng)
         x_p = build_pilot_matrix(4, 8, rng)
-        y_p = apply_channel(realization(h, gain=2.0, sigma2=0.0), x_p, rng)
+        y_p = send_pilots(h, x_p, rng, gain=2.0, sigma2=0.0)
         np.testing.assert_allclose(
             estimate_lmmse(y_p, x_p, 2.0, 0.0), estimate_ls(y_p, x_p, 2.0), atol=1e-12
         )
@@ -193,7 +194,7 @@ class TestLmmse:
         rng = np.random.default_rng(12)
         h = sample_channel(3, 3, rng)
         x_p = build_pilot_matrix(3, 4, rng)
-        y_p = apply_channel(realization(h, sigma2=0.0), x_p, rng)
+        y_p = send_pilots(h, x_p, rng, sigma2=0.0)
         np.testing.assert_allclose(estimate_lmmse(y_p, x_p, 1.0, 1.0), h / 2, atol=1e-12)
 
     def test_per_entry_mse_matches_shrinkage_closed_form(self):
@@ -205,7 +206,7 @@ class TestLmmse:
         for _ in range(n_trials):
             h = sample_channel(4, 4, rng)
             x_p = build_pilot_matrix(4, 8, rng)
-            y_p = apply_channel(realization(h, sigma2=sigma2), x_p, rng)
+            y_p = send_pilots(h, x_p, rng, sigma2=sigma2)
             h_hat = estimate_lmmse(y_p, x_p, 1.0, sigma2)
             total += np.mean(np.abs(h - h_hat) ** 2)
         expected = sigma2 / (1 + sigma2)
@@ -218,7 +219,7 @@ class TestLmmse:
         for _ in range(400):
             h = sample_channel(4, 4, rng)
             x_p = build_pilot_matrix(4, 8, rng)
-            y_p = apply_channel(realization(h, sigma2=sigma2), x_p, rng)
+            y_p = send_pilots(h, x_p, rng, sigma2=sigma2)
             ls_total += np.mean(np.abs(h - estimate_ls(y_p, x_p, 1.0)) ** 2)
             lmmse_total += np.mean(np.abs(h - estimate_lmmse(y_p, x_p, 1.0, sigma2)) ** 2)
         assert lmmse_total < ls_total

@@ -350,6 +350,25 @@ class TestExtractAndCheck:
             extract_and_check(np.zeros(95, dtype=np.uint8), 16, DEFAULT_SPEC, 6, 16)
 
 
+SPEC_111 = CrcSpec("111")
+
+
+@pytest.mark.parametrize("call, message", [
+    # an unchecked uint8 cast read 2 as 0, so this gave the CRC of [0, 0, 1, 1]
+    (lambda: crc_compute([2, 0, 1, 1], SPEC_111), "got 2 at position 0"),
+    # ... and this gave a payload of 2s with crc_ok True
+    (lambda: extract_and_check([2] * 16 + [0] * 8, 16, SPEC_111, 4, 2), "got 2 at position 0"),
+    # a list holding -1 raised OverflowError from the cast
+    (lambda: crc_compute([1, -1, 0], SPEC_111), "got -1 at position 1"),
+    (lambda: crc_compute(np.array([[0, 1], [1, 255]]), SPEC_111), r"got 255 at position \(1, 1\)"),
+    (lambda: crc_verify([1, 0, 1], [0, 3], SPEC_111), "got 3 at position 1"),
+    (lambda: crc_verify([1, 0.5, 1], [0, 0], SPEC_111), "got 0.5 at position 1"),
+])
+def test_crc_functions_reject_an_entry_that_is_not_a_bit(call, message):
+    with pytest.raises(ValueError, match=rf"^bits must be 0 or 1, {message}$"):
+        call()
+
+
 class TestLoadPayloadBits:
     def test_msb_first_single_byte(self, tmp_path):
         path = tmp_path / "payload.bin"

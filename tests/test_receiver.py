@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolink import receiver
-from mimolink.channel import ChannelRealization, apply_channel, sample_channel
+from mimolink.channel import apply_channel, sample_channel, sample_noise
 from mimolink.constellation import build_constellation, map_bits_to_symbols
 from mimolink.receiver import detect_kmeans, detect_ml, equalize_lmmse, equalize_zf
 
@@ -40,8 +40,7 @@ class TestZeroForcing:
         rng = np.random.default_rng(2)
         h = random_channel(4, 4, rng)
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        realization = ChannelRealization(h, 3.0, 0.0)
-        y = apply_channel(realization, x, rng)
+        y = apply_channel(h, 3.0, x, sample_noise(4, 0.0, rng))
         s_hat = equalize_zf(h, 3.0, y)
         assert np.linalg.norm(s_hat - x) < 1e-9
         # independent linear-solve oracle
@@ -124,10 +123,9 @@ class TestLmmseEqualizer:
         zf_errors = lmmse_errors = total = 0
         for _ in range(250):
             h = random_channel(n_rx, n_tx, rng)
-            realization = ChannelRealization(h, 1.0, sigma2)
             tx = rng.integers(0, 16, size=n_tx * uses_per_channel)
             x = table.points[tx].reshape(uses_per_channel, n_tx).T / np.sqrt(n_tx)
-            y = apply_channel(realization, x, rng)
+            y = apply_channel(h, 1.0, x, sample_noise((n_rx, uses_per_channel), sigma2, rng))
             s_zf = (equalize_zf(h, 1.0, y) * np.sqrt(n_tx)).T.ravel()
             s_lm = (equalize_lmmse(h, 1.0, sigma2, y) * np.sqrt(n_tx)).T.ravel()
             zf_errors += np.count_nonzero(detect_ml(s_zf, table) != tx)

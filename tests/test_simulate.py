@@ -746,6 +746,30 @@ class TestWorkerProcesses:
         assert run_sweep(replace(SMALL_DNN_SWEEP, workers=2)) == run_sweep(SMALL_DNN_SWEEP)
         _assert_no_child_left()
 
+    def test_uneven_split_over_three_processes(self, monkeypatch, tmp_path):
+        """Five points on three processes: 0 and 3 run here, 1 and 4 in
+        one child, 2 alone in the other, and the records are the serial ones."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        sweep = replace(FAST, noise_power=(1e-4, 1e-3, 3e-3, 1e-2, 3e-2))
+        serial = run_sweep(sweep)
+        log = tmp_path / "points.log"
+        trial_links = sim._trial_links
+
+        def logged(config, noise_power, index, *args, **kwargs):
+            with open(log, "a") as out:  # short appends from the three processes do not interleave
+                out.write(f"{index} {os.getpid()}\n")
+            return trial_links(config, noise_power, index, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "_trial_links", logged)
+        assert run_sweep(replace(sweep, workers=3)) == serial
+        _assert_no_child_left()
+        pids = {}
+        for line in log.read_text().splitlines():
+            index, pid = map(int, line.split())
+            pids.setdefault(pid, set()).add(index)
+        assert pids.pop(os.getpid()) == {0, 3}
+        assert sorted(pids.values(), key=min) == [{1, 4}, {2}]
+
     def test_training_divergence_in_a_child_reaches_the_record(self, monkeypatch):
         train = sim.train_detector_network
 
@@ -1137,6 +1161,12 @@ class TestCsvOutput:
     def test_extract_unknown_column_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nope"):
             write_extract(self._records(), ("nope",), tmp_path / "x.csv")
+
+    def test_extract_repeated_column_rejected_naming_it(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^column\(s\) selected more than once: bler, ber$"):
+            write_extract(self._records(), ("bler", "ber", "bler", "snr_tx_db", "ber", "bler"),
+                          tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestGoldenOutput:
