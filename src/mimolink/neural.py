@@ -12,14 +12,21 @@ Training checks its inputs once. Each mini-batch step then runs in place,
 through the same forward and backpropagation code as :func:`gradient`,
 and does the same floating-point operations in the same order as a form
 with one temporary per operation, so the weights come out bit for bit
-the same. To keep the numpy calls per step few, training copies every
-weight and bias into one flat buffer and writes every gradient into one
-flat buffer of the same layout, so the update is two calls whatever the
-depth; the network's own arrays get the values back when training ends.
-The output delta subtracts rows of an identity matrix (0.0 or 1.0, the
-same bits as subtracting 1 at each label) and takes the clamp mask only
-when some row falls outside the window; the softmax shifts each row by
-the entry its argmax picks, the row maximum exactly, which costs less
+the same. A step is a few dozen numpy calls on small arrays, so their
+per-call overhead, not the arithmetic, sets its cost, and the step keeps
+the calls few and cheap. Training copies every weight and bias into one
+flat buffer and writes every gradient into one flat buffer of the same
+layout, so the update is two calls whatever the depth; the network's own
+arrays get the values back when training ends. Each matrix product is an
+``np.dot``, the same BLAS call as ``@`` with less overhead; ufuncs and
+reductions take their output positionally, and their scalar operands
+(0.5, 1.0 and the learning rate) as 0-d arrays. The row index that the
+softmax and the true-class gather use, ``np.arange`` of the batch size,
+is built once per run, not per step. The output delta subtracts rows of an
+identity matrix (0.0 or 1.0, the same bits as subtracting 1 at each
+label) and builds the clamp mask only when the minimum or maximum
+true-class probability leaves the window; the softmax shifts each row
+by the entry its argmax picks, the row maximum exactly, which costs less
 than ``np.maximum.reduce`` along a short row. After its mini-batch steps
 an epoch forwards only the validation rows; their mean loss, one per
 epoch, is what early stopping and the divergence check read.
@@ -33,8 +40,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
+
 PROB_CLAMP_LO = 1e-12
 PROB_CLAMP_HI = 1.0 - 1e-12
+# 0-d operands, which a ufunc takes without converting a Python float on each call
+_HALF, _ONE = np.array(0.5), np.array(1.0)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -121,18 +132,19 @@ def init_network(spec: NetworkSpec) -> Network:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-z) in place, returning ``z``, as 0.5 + 0.5 tanh(z / 2),
     which cannot overflow in either tail."""
-    z *= 0.5
-    np.tanh(z, out=z)
-    z *= 0.5
-    z += 0.5
+    z *= _HALF
+    np.tanh(z, z)
+    z *= _HALF
+    z += _HALF
     return z
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax in place, returning ``z``."""
-    z -= z[np.arange(z.shape[0]), z.argmax(axis=1)][:, None]
-    np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=1, keepdims=True)
+def _softmax(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row-wise softmax in place, returning ``z``; ``rows`` is
+    ``np.arange(len(z))``, built by the caller."""
+    z -= z[rows, z.argmax(1)][:, None]
+    np.exp(z, z)
+    z /= np.add.reduce(z, 1, None, None, True)
     return z
 
 
@@ -158,25 +170,27 @@ def _parameter_views(buffer: np.ndarray, dims: list[int]):
     return weights, biases
 
 
-def _forward_cached(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray):
+def _forward_cached(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray,
+                    rows: np.ndarray):
     """Per-layer inputs plus the softmax output, for backpropagation.
 
-    Each layer's buffer is the fresh matmul product, worked in place from
-    there, so ``X`` itself is only read."""
+    Each layer's buffer is the fresh matrix product, worked in place from
+    there, so ``X`` itself is only read. ``rows`` is ``np.arange(len(X))``."""
     activations = [X]
     a = X
     for w, b in zip(weights[:-1], biases[:-1]):
-        a = a @ w
+        a = np.dot(a, w)
         a += b
         activations.append(_sigmoid(a))
-    z = a @ weights[-1]
+    z = np.dot(a, weights[-1])
     z += biases[-1]
-    return activations, _softmax(z)
+    return activations, _softmax(z, rows)
 
 
 def forward(network: Network, X) -> np.ndarray:
     """Per-row class probabilities (softmax output)."""
-    _, probs = _forward_cached(network.weights, network.biases, _as_feature_matrix(network, X))
+    X = _as_feature_matrix(network, X)
+    _, probs = _forward_cached(network.weights, network.biases, X, np.arange(X.shape[0]))
     return probs
 
 
@@ -203,35 +217,38 @@ def cross_entropy(probabilities: np.ndarray, labels) -> float:
 
 
 def _backprop(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray,
-              labels: np.ndarray, eye: np.ndarray, weight_grads: list[np.ndarray],
-              bias_grads: list[np.ndarray]) -> None:
+              labels: np.ndarray, rows: np.ndarray, eye: np.ndarray,
+              weight_grads: list[np.ndarray], bias_grads: list[np.ndarray]) -> None:
     """Forward pass and backpropagation on rows already checked.
 
     Writes each gradient into its view in ``weight_grads``/``bias_grads``
     (views of one flat buffer, laid out like the parameters). Works in
     place on the forward buffers (the softmax output becomes the output
     delta, a spent activation holds 1 - a), so ``X`` is only read.
-    ``eye`` is the M x M identity, whose rows are the one-hot labels.
+    ``rows`` is ``np.arange(len(X))``, and ``eye`` is the M x M identity,
+    whose rows are the one-hot labels.
     """
     n = X.shape[0]
-    activations, probs = _forward_cached(weights, biases, X)
-    p_true = probs[np.arange(n), labels]
-    active = (p_true > PROB_CLAMP_LO) & (p_true < PROB_CLAMP_HI)
+    activations, probs = _forward_cached(weights, biases, X, rows)
+    p_true = probs[rows, labels]
     delta = probs  # becomes (probs - y) * active / n in place, y one-hot
-    delta -= eye.take(labels, axis=0)
-    if np.count_nonzero(active) < n:  # times 1.0 leaves every bit as it is
-        delta *= active[:, None]
+    delta -= eye.take(labels, 0)
+    # the mask only when some row is outside the window or NaN (min and max
+    # carry a NaN through, and it fails both tests); times 1.0 would leave
+    # every bit as it is. An empty batch has no minimum
+    if n and not (p_true.min() > PROB_CLAMP_LO and p_true.max() < PROB_CLAMP_HI):
+        delta *= ((p_true > PROB_CLAMP_LO) & (p_true < PROB_CLAMP_HI))[:, None]
     delta /= n
 
     for layer in range(len(weights) - 1, -1, -1):
         a = activations[layer]
-        np.matmul(a.T, delta, out=weight_grads[layer])
-        np.add.reduce(delta, axis=0, out=bias_grads[layer])
+        np.dot(a.T, delta, weight_grads[layer])
+        np.add.reduce(delta, 0, None, bias_grads[layer])
         if layer:
             # delta * a * (1 - a), the sigmoid's derivative, left to right
-            delta = delta @ weights[layer].T
+            delta = np.dot(delta, weights[layer].T)
             delta *= a
-            np.subtract(1.0, a, out=a)
+            np.subtract(_ONE, a, a)
             delta *= a
 
 
@@ -248,8 +265,8 @@ def gradient(network: Network, X, labels):
     labels = _checked_labels(labels, X.shape[0], dims[-1])
     size = sum(p.size for p in network.weights + network.biases)
     weight_grads, bias_grads = _parameter_views(np.empty(size), dims)
-    _backprop(network.weights, network.biases, X, labels, np.eye(dims[-1]),
-              weight_grads, bias_grads)
+    _backprop(network.weights, network.biases, X, labels, np.arange(X.shape[0]),
+              np.eye(dims[-1]), weight_grads, bias_grads)
     return weight_grads, bias_grads
 
 
@@ -297,21 +314,23 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
     eye = np.eye(dims[-1])
     X_val, labels_val = X[val_idx], labels[val_idx]
     val_rows = np.arange(val_idx.size)
-    lr, batch_size = hyper.learning_rate, hyper.batch_size
+    lr, batch_size = np.array(hyper.learning_rate), hyper.batch_size
+    n_train, rows = train_idx.size, np.arange(batch_size)
     history = TrainingHistory()
     best_val = math.inf
     stale_epochs = 0
     try:
         for epoch in range(hyper.epochs):
-            order = train_idx[rng.permutation(train_idx.size)]
+            order = train_idx[rng.permutation(n_train)]
             X_epoch, labels_epoch = X.take(order, axis=0), labels.take(order)
-            for start in range(0, order.size, batch_size):
+            for start in range(0, n_train, batch_size):
                 stop = start + batch_size
-                _backprop(weights, biases, X_epoch[start:stop], labels_epoch[start:stop], eye,
+                _backprop(weights, biases, X_epoch[start:stop], labels_epoch[start:stop],
+                          rows if stop <= n_train else np.arange(n_train - start), eye,
                           weight_grads, bias_grads)
                 grads *= lr
                 params -= grads
-            _, probs = _forward_cached(weights, biases, X_val)
+            _, probs = _forward_cached(weights, biases, X_val, val_rows)
             val_loss = _mean_loss(probs[val_rows, labels_val])
             if not math.isfinite(val_loss):
                 raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
@@ -337,13 +356,15 @@ def predict(network: Network, X) -> np.ndarray:
 def save_network(network: Network, path) -> None:
     """Write the network as text: layer dims, then per layer one row-major
     weight line and one bias line at full (17 significant digit) precision,
-    then the spec seed."""
+    then the spec seed. The file is written under a temporary name next to
+    ``path`` and renamed over it, so ``path`` keeps its old bytes if the
+    write fails; an OSError names ``path``."""
     lines = [" ".join(str(d) for d in network.spec.layer_dims)]
     for w, b in zip(network.weights, network.biases):
         lines.append(" ".join(format(v, ".17g") for v in w.ravel()))
         lines.append(" ".join(format(v, ".17g") for v in b))
     lines.append(str(network.spec.seed))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic.write_text(path, "\n".join(lines) + "\n")
 
 
 def load_network(path) -> Network:

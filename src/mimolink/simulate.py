@@ -23,7 +23,6 @@ import functools
 import logging
 import math
 import numbers
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -31,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import metrics, pool
+from . import atomic, metrics, pool
 from .channel import apply_channel, large_scale_gain, sample_channel, sample_noise
 from .constellation import ConstellationTable, build_constellation, map_bits_to_symbols, symbols_to_bits
 from .estimation import PILOT_MODES, draw_pilot_basis, estimate_lmmse, estimate_ls, pilots_from_basis
@@ -914,15 +913,4 @@ def write_extract(records: list[SweepRecord], columns, path) -> None:
     lines = [",".join(columns)]
     for record in records:
         lines.append(",".join(_format_field(getattr(record, col)) for col in columns))
-    path = Path(path)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(temporary, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
-        os.replace(temporary, path)
-    except OSError as exc:
-        if exc.errno is None:
-            raise
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    finally:
-        temporary.unlink(missing_ok=True)
+    atomic.write_text(path, "\n".join(lines) + "\n")

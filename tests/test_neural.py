@@ -1,7 +1,9 @@
 """Tests for the from-scratch neural symbol classifier."""
 
 import copy
+import errno
 import math
+import os
 import warnings
 
 import numpy as np
@@ -163,7 +165,7 @@ class TestSoftmaxShift:
         for z in _logit_blocks(n_rows, m, seed=m * n_rows):
             with np.errstate(invalid="ignore", over="ignore"):
                 expected = _reduce_max_softmax(z)
-                got = _softmax(z.copy())
+                got = _softmax(z.copy(), np.arange(z.shape[0]))
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n_rows", [1, 64, 2000])
@@ -378,9 +380,9 @@ class TestTraining:
         forwarded = []
         forward_cached = neural._forward_cached
 
-        def spy(weights, biases, X):
+        def spy(weights, biases, X, *rest):
             forwarded.append(X.copy())
-            return forward_cached(weights, biases, X)
+            return forward_cached(weights, biases, X, *rest)
 
         monkeypatch.setattr(neural, "_forward_cached", spy)
         history = train(net, x, labels,
@@ -454,6 +456,23 @@ class TestPredictAndPersistence:
         np.testing.assert_array_equal(predict(loaded, x), predict(net, x))
         assert loaded.spec == net.spec
         np.testing.assert_array_equal(loaded.rng.random(4), np.random.default_rng(14).random(4))
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """A write that fails leaves the old bytes, no temporary file, and an
+        error naming the target."""
+        path = tmp_path / "net.txt"
+        path.write_bytes(b"previous contents\n")
+
+        def fail(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device", str(src))
+
+        monkeypatch.setattr(os, "replace", fail)
+        net = init_network(NetworkSpec(depth=1, width=2, input_dim=2, output_dim=4))
+        with pytest.raises(OSError) as raised:
+            save_network(net, path)
+        assert raised.value.filename == str(path)
+        assert path.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["net.txt"]
 
     @pytest.mark.parametrize("keep", ["empty", "truncated", "extra line", "non-numeric-dim",
                                       "non-numeric-weight", "non-numeric-bias", "zero-dim",
@@ -599,8 +618,12 @@ def _oracle_case(name):
         "validation falls back to train": (2, 4, 4, 7, 100),
         "64 classes": (2, 640, 64, 3, 100),
         "odd class count": (2, 250, 5, 4, 100),
+        "width 1": (2, 81, 4, 5, 100),
+        "one-row last batch": (2, 81, 4, 5, 100),
+        "batch larger than the training split": (2, 50, 4, 6, 100),
     }[name]
-    net = init_network(NetworkSpec(depth=depth, width=8, input_dim=3, output_dim=m,
+    width = 1 if name == "width 1" else 8
+    net = init_network(NetworkSpec(depth=depth, width=width, input_dim=3, output_dim=m,
                                    seed=int(rng.integers(1 << 31))))
     x = rng.standard_normal((n, 3))
     labels = rng.integers(0, m, size=n)
@@ -610,13 +633,19 @@ def _oracle_case(name):
         net.weights[-1] *= 40.0  # so their softmax leaves the clamp window
     if name == "stopped by patience":
         hyper = Hyperparameters(epochs=epochs, patience=patience, learning_rate=0.5)
+    if name == "batch larger than the training split":
+        hyper = Hyperparameters(epochs=epochs, patience=patience, batch_size=100)
     return net, x, labels, hyper
 
 
-# 64 classes run numpy's pairwise row sum (8 or more entries) in the softmax
+# 64 classes run numpy's pairwise row sum (8 or more entries) in the softmax.
+# The last three give BLAS its edge shapes, where it may take a matrix-vector
+# path or a single product: one-column activations and a 1 x 1 weight, a
+# one-row step (81 rows leave 65 training rows), and one short step per epoch
 ORACLE_CASES = ["depth 1", "depth 3", "partial last batch", "saturated rows",
                 "stopped by patience", "validation falls back to train",
-                "64 classes", "odd class count"]
+                "64 classes", "odd class count",
+                "width 1", "one-row last batch", "batch larger than the training split"]
 
 
 class TestTrainingMatchesReference:
@@ -635,6 +664,11 @@ class TestTrainingMatchesReference:
             assert history.epochs_run < hyper.epochs
         if name == "validation falls back to train":
             assert int(x.shape[0] * hyper.validation_fraction) == 0
+        n_train = x.shape[0] - int(x.shape[0] * hyper.validation_fraction)
+        if name in ("width 1", "one-row last batch"):
+            assert n_train % hyper.batch_size == 1
+        if name == "batch larger than the training split":
+            assert n_train < hyper.batch_size
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_gradient_reproduces_reference_bit_for_bit(self, name):
@@ -645,6 +679,12 @@ class TestTrainingMatchesReference:
         for got, expected in zip(got_w + got_b, ref_w + ref_b):
             np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(x, before)  # the features are only read
+
+    def test_gradient_of_no_rows_is_zero(self):
+        net = init_network(NetworkSpec(depth=2, width=8, input_dim=3, output_dim=4, seed=15))
+        weight_grads, bias_grads = gradient(net, np.zeros((0, 3)), [])
+        for got, param in zip(weight_grads + bias_grads, net.weights + net.biases):
+            np.testing.assert_array_equal(got, np.zeros_like(param))
 
     def test_saturated_case_masks_some_rows_but_not_all(self):
         net, x, labels, _ = _oracle_case("saturated rows")

@@ -1140,7 +1140,7 @@ class TestCsvOutput:
         def fail(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(sim.os, "replace", fail)
+        monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
             write_csv(self._records(), path)
         assert path.read_bytes() == b"previous contents\n"
