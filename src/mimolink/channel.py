@@ -22,11 +22,11 @@ def large_scale_gain(f_c: float, d: float, eta: float) -> float:
     G = (c / (4 pi f_c d_ref))^2 * (d_ref / d)^eta with d_ref = 1 m, f_c
     in Hz and d in m; reduces to plain free-space path loss for eta = 2.
     """
-    if f_c <= 0:
+    if not f_c > 0:
         raise ValueError(f"f_c must be positive, got {f_c}")
-    if d < REFERENCE_DISTANCE_M:
+    if not d >= REFERENCE_DISTANCE_M:
         raise ValueError(f"d must be at least {REFERENCE_DISTANCE_M} m, got {d}")
-    if eta < 2:
+    if not eta >= 2:
         raise ValueError(f"eta must be at least 2, got {eta}")
     fspl_ref = (SPEED_OF_LIGHT / (4.0 * math.pi * f_c * REFERENCE_DISTANCE_M)) ** 2
     return fspl_ref * (REFERENCE_DISTANCE_M / d) ** eta
@@ -90,7 +90,7 @@ def sample_noise(shape, sigma2: float, rng) -> np.ndarray:
     beforehand (..., 2, *shape) as :func:`complex_gaussian` takes them,
     which gives a stack (..., *shape); at sigma2 = 0 they are not read.
     """
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     if sigma2 == 0:
         shape = _as_shape(shape)
@@ -112,7 +112,7 @@ def apply_channel(H: np.ndarray, G: float, x, noise) -> np.ndarray:
     or beforehand. Callers apply the 1/sqrt(N_t) transmit power scaling
     to data symbols before calling.
     """
-    if G <= 0:
+    if not G > 0:
         raise ValueError(f"G must be positive, got {G}")
     x = np.asarray(x, dtype=complex)
     n_tx = H.shape[-1]

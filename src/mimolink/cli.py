@@ -1,4 +1,4 @@
-"""Command-line entry point: run a configured sweep and write output.csv."""
+"""Command-line entry point: run a configured sweep and write output.csv; flags read as config text."""
 
 from __future__ import annotations
 
@@ -25,10 +25,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH",
                         help="key = value configuration file (defaults apply when omitted)")
-    parser.add_argument("--seed", type=int, help="override the random seed")
-    parser.add_argument("--detector", choices=DETECTORS, help="symbol detector")
-    parser.add_argument("--estimator", choices=ESTIMATORS, help="channel estimator")
-    parser.add_argument("--equalizer", choices=EQUALIZERS, help="channel equalizer")
+    parser.add_argument("--seed", help="override the random seed")
+    parser.add_argument("--detector", help=f"symbol detector: {' | '.join(DETECTORS)}")
+    parser.add_argument("--estimator", help=f"channel estimator: {' | '.join(ESTIMATORS)}")
+    parser.add_argument("--equalizer", help=f"channel equalizer: {' | '.join(EQUALIZERS)}")
     parser.add_argument("--output", metavar="PATH", help="output CSV path")
     parser.add_argument("--extract", metavar="COL1,COL2",
                         help="also write the selected columns to a side file for plotting")
@@ -47,15 +47,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.extract_output is not None and args.extract is None:
         parser.error("--extract-output needs --extract")
-    overrides = {
-        "seed": args.seed,
-        "detector": args.detector,
-        "estimator": args.estimator,
-        "equalizer": args.equalizer,
-        "output": args.output,
-    }
     try:
-        config = load_config(args.config, overrides)
+        keys = ("seed", "detector", "estimator", "equalizer", "output")
+        config = load_config(args.config, {key: getattr(args, key) for key in keys})
         extract_columns = None
         if args.extract is not None:
             extract_columns = _checked_columns(c.strip() for c in args.extract.split(",") if c.strip())

@@ -96,6 +96,18 @@ def _checked_bits(bits) -> np.ndarray:
     return bits.astype(np.uint8, copy=False)
 
 
+def _checked_integers(values, name: str) -> np.ndarray:
+    """``values`` as a flat array, or a ValueError naming the first entry
+    that is not an integer and its position: the int64 cast would truncate
+    it. An integer or bool array takes no pass; an integral float passes."""
+    values = np.ravel(values)
+    if values.dtype.kind not in "biu":
+        bad = np.flatnonzero(values != np.floor(values))  # NaN fails too
+        if bad.size:
+            raise ValueError(f"{name} must be integers, got {values[bad[0]].item()!r} at position {bad[0]}")
+    return values
+
+
 def map_bits_to_symbols(bits, table: ConstellationTable) -> np.ndarray:
     """Map a bit stream to symbol indices, k bits per symbol.
 
@@ -115,9 +127,9 @@ def map_bits_to_symbols(bits, table: ConstellationTable) -> np.ndarray:
 def symbols_to_bits(indices, table: ConstellationTable) -> np.ndarray:
     """Concatenate the labels of the given symbol indices; inverse of
     :func:`map_bits_to_symbols`."""
-    idx = np.asarray(indices, dtype=np.int64).ravel()
+    idx = _checked_integers(indices, "symbol indices")
     # take wraps negative indices, so the range is checked first
     if idx.size and (idx.min() < 0 or idx.max() >= table.M):
         bad = idx[(idx < 0) | (idx >= table.M)]
         raise ValueError(f"symbol index {bad[0]} outside [0, {table.M})")
-    return table.label_bits.take(idx, axis=0).ravel()
+    return table.label_bits.take(idx.astype(np.int64, copy=False), axis=0).ravel()

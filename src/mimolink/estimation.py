@@ -95,7 +95,7 @@ def estimate_ls(y_p: np.ndarray, x_p: np.ndarray, G: float) -> np.ndarray:
     the same leading stack axes; each matrix is checked and estimated on
     its own, bit for bit as in a call of its own.
     """
-    if G <= 0:
+    if not G > 0:
         raise ValueError(f"G must be positive, got {G}")
     gram, corr = _gram_and_correlation(y_p, x_p)
     general = _not_semi_unitary(gram)
@@ -113,9 +113,9 @@ def estimate_lmmse(y_p: np.ndarray, x_p: np.ndarray, G: float, sigma2: float) ->
     Coincides with the LS estimate at sigma2 = 0. Takes stacks like
     :func:`estimate_ls`.
     """
-    if G <= 0:
+    if not G > 0:
         raise ValueError(f"G must be positive, got {G}")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     gram, corr = _gram_and_correlation(y_p, x_p)
     h_hat = corr * (np.sqrt(G) / (G + sigma2))

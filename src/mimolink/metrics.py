@@ -30,16 +30,16 @@ def estimation_mse(e: np.ndarray, n_rx: int, n_tx: int) -> float | np.ndarray:
 
 def tx_snr_db(sigma2: float, n_tx: int) -> float:
     """Transmit-side SNR: -10 log10(sigma2 * N_t)."""
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     return float(-10.0 * np.log10(sigma2 * n_tx))
 
 
 def tx_ebn0_db(sigma2: float, n_tx: int, k: int) -> float:
     """Transmit-side Eb/N0: -10 log10(k * sigma2 * N_t)."""
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    if k < 1:
+    if not k >= 1:
         raise ValueError(f"k must be at least 1, got {k}")
     return float(-10.0 * np.log10(k * sigma2 * n_tx))
 

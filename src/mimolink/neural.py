@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic
+from .constellation import _checked_integers
 
 PROB_CLAMP_LO = 1e-12
 PROB_CLAMP_HI = 1.0 - 1e-12
@@ -196,12 +197,12 @@ def forward(network: Network, X) -> np.ndarray:
 
 def _checked_labels(labels, n_rows: int, n_classes: int) -> np.ndarray:
     """Labels as a flat int64 index array, one per row, each in [0, n_classes)."""
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = _checked_integers(labels, "labels")
     if labels.size != n_rows:
         raise ValueError(f"{n_rows} rows but {labels.size} labels")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"labels must lie in [0, {n_classes})")
-    return labels
+    return labels.astype(np.int64, copy=False)
 
 
 def _mean_loss(p_true: np.ndarray) -> float:

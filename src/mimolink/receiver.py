@@ -43,7 +43,7 @@ def equalize_zf(h_hat: np.ndarray, G: float, y) -> np.ndarray:
     n_rx, n_tx = h_hat.shape[-2:]
     if n_rx < n_tx:
         raise ValueError(f"zero-forcing needs N_r >= N_t, got shape {h_hat.shape}")
-    if G <= 0:
+    if not G > 0:
         raise ValueError(f"G must be positive, got {G}")
     h_h = h_hat.conj().swapaxes(-1, -2)
     return np.linalg.solve(h_h @ h_hat, h_h @ np.asarray(y, dtype=complex)) / np.sqrt(G)
@@ -59,9 +59,9 @@ def equalize_lmmse(h_hat: np.ndarray, G: float, sigma2: float, y) -> np.ndarray:
     """
     h_hat = np.asarray(h_hat, dtype=complex)
     n_tx = h_hat.shape[-1]
-    if G <= 0:
+    if not G > 0:
         raise ValueError(f"G must be positive, got {G}")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     h_h = h_hat.conj().swapaxes(-1, -2)
     regularized = G * (h_h @ h_hat) + sigma2 * n_tx * np.eye(n_tx)

@@ -23,6 +23,7 @@ import functools
 import logging
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -224,6 +225,9 @@ def validate_config(config: SimConfig) -> None:
                           ("dnn_labels", LABEL_SOURCES)):
         if getattr(config, name) not in choices:
             raise ConfigError(f"{name} = {getattr(config, name)!r}; expected one of {choices}")
+    # '', '.', '..' and a trailing separator name a directory, not a file
+    if os.path.basename(config.output) in ("", ".", ".."):
+        raise ConfigError(f"output = {config.output!r} names no file")
     for name in ("N_t", "codeword_size"):  # the block size and sigma2 * N_t below take them as floats
         if getattr(config, name) > sys.float_info.max:
             raise ConfigError(f"{name} = {_shown(getattr(config, name))} is beyond float range")
@@ -340,9 +344,9 @@ def load_config(path=None, overrides: dict | None = None) -> SimConfig:
 
     An empty (or absent) file yields the defaults. Unknown keys are
     rejected rather than silently ignored; overrides set to None are
-    skipped, and string overrides are read as file text is. SimConfig
-    derives the noise power N0 * B when ``N0`` is given without
-    ``noise_power``.
+    skipped, and a string override (a CLI flag's text) is read as the
+    key's file text: ``{"seed": "1e3"}`` is ``seed = 1e3``. SimConfig
+    derives the noise power N0 * B when ``N0`` is given without ``noise_power``.
     """
     raw = _read_config_file(path) if path is not None else {}
     raw.update((key, value) for key, value in (overrides or {}).items() if value is not None)
@@ -526,16 +530,16 @@ class _LinkDraws:
     chunk.
     """
 
-    def __init__(self, config: SimConfig, noise_power: float, n_blocks: int, n_uses: int,
-                 n_classes: int | None = None):
+    def __init__(self, config: SimConfig, noise_power: float, n_blocks: int, n_classes: int | None = None):
         if not (math.isfinite(noise_power) and noise_power >= 0):
             raise ValueError(f"noise_power must be finite and >= 0, got {noise_power}")
         self.config = config
         self.noise_power = noise_power
+        self.link = _link(config)
         unitary = config.pilot_mode == "unitary-random"
         # channel, pilot basis, pilot noise, data noise
         self.shapes = ((config.N_r, config.N_t), (config.N_t, config.N_t) if unitary else (0,),
-                       (config.N_r, config.n_pilot), (config.N_r, n_uses))
+                       (config.N_r, config.n_pilot), (config.N_r, self.link.n_uses))
         self.bounds = np.cumsum([0] + [2 * math.prod(shape) for shape in self.shapes]).tolist()
         self.drawn = self.bounds[-1] if noise_power > 0 else self.bounds[2]
         self.normals = np.empty((n_blocks, self.bounds[-1]))
@@ -543,7 +547,7 @@ class _LinkDraws:
         self.n_classes = n_classes
         self.tx_indices = None
         if n_classes is not None:
-            self.tx_indices = np.empty((n_blocks, n_uses * config.N_t), dtype=np.int64)
+            self.tx_indices = np.empty((n_blocks, self.link.n_uses * config.N_t), dtype=np.int64)
 
     def draw(self, b: int, rng: np.random.Generator) -> None:
         """Block b's draws from ``rng``, in its order."""
@@ -576,14 +580,13 @@ class _LinkDraws:
                 sample_noise(data_shape, self.noise_power, data_noise))
 
 
-def _equalize(config: SimConfig, h_hat: np.ndarray, gain: float, noise_power: float,
-              y: np.ndarray) -> np.ndarray:
-    if config.equalizer == "zf":
+def _equalize(draws: _LinkDraws, h_hat: np.ndarray, gain: float, y: np.ndarray) -> np.ndarray:
+    if draws.config.equalizer == "zf":
         return equalize_zf(h_hat, gain, y)
-    return equalize_lmmse(h_hat, gain, noise_power, y)
+    return equalize_lmmse(h_hat, gain, draws.noise_power, y)
 
 
-def _link_pass(config: SimConfig, draws: _LinkDraws, tx_indices: np.ndarray):
+def _link_pass(draws: _LinkDraws, tx_indices: np.ndarray):
     """Send a chunk of blocks through the link: pilots, estimation, data
     symbols and equalization, each stage one stacked call.
 
@@ -593,7 +596,8 @@ def _link_pass(config: SimConfig, draws: _LinkDraws, tx_indices: np.ndarray):
     rank-deficient or the equalized symbols are not all finite; such a
     block's symbols are zeroed.
     """
-    table, _, gain, _ = _link(config)
+    config = draws.config
+    table, _, gain, _ = draws.link
     H, pilot_basis, pilot_noise, data_noise = draws.stacks()
     x_p = pilots_from_basis(pilot_basis, config.n_pilot, config.pilot_mode)
     y_p = apply_channel(H, gain, x_p, pilot_noise)
@@ -606,13 +610,13 @@ def _link_pass(config: SimConfig, draws: _LinkDraws, tx_indices: np.ndarray):
     x = table.points[tx_indices].reshape(n_blocks, -1, config.N_t).swapaxes(-1, -2) / math.sqrt(config.N_t)
     y = apply_channel(H, gain, x, data_noise)
     try:
-        s_hat = _equalize(config, h_hat, gain, draws.noise_power, y)
+        s_hat = _equalize(draws, h_hat, gain, y)
     except np.linalg.LinAlgError:
         # one singular system fails the whole stacked solve: solve each on its own
         s_hat = np.empty(x.shape, dtype=complex)
         for b in range(n_blocks):
             try:
-                s_hat[b] = _equalize(config, h_hat[b], gain, draws.noise_power, y[b])
+                s_hat[b] = _equalize(draws, h_hat[b], gain, y[b])
             except np.linalg.LinAlgError:
                 s_hat[b] = np.nan
     failed = ~np.isfinite(s_hat).all(axis=(-2, -1))
@@ -682,8 +686,8 @@ def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_
             "detector 'dnn' needs a trained network; pass dnn_model or use "
             "train_detector_network() / run_sweep()"
         )
-    table, crc_spec, _, n_uses = _link(config)
-    draws = _LinkDraws(config, noise_power, len(trial_indices), n_uses)
+    draws = _LinkDraws(config, noise_power, len(trial_indices))
+    table, crc_spec, _, _ = draws.link
     payload_bits = payloads
     if payloads is None:
         payload_bits = np.empty((len(trial_indices), config.codeword_size), dtype=np.uint8)
@@ -694,7 +698,7 @@ def _trial_links(config: SimConfig, noise_power: float, noise_index: int, trial_
         draws.draw(b, rng)
     blocks = build_transport_blocks(payload_bits, config.codeword_size, crc_spec, table.k, config.N_t)
     tx_indices = map_bits_to_symbols(blocks, table).reshape(len(blocks), -1)
-    H, h_hat, s_flat, failed = _link_pass(config, draws, tx_indices)
+    H, h_hat, s_flat, failed = _link_pass(draws, tx_indices)
     if config.detector == "ml":
         rx_indices = detect_ml(s_flat, table)
     elif config.detector == "kmeans":
@@ -772,11 +776,11 @@ def train_detector_network(config: SimConfig, noise_power: float, noise_index: i
     while collected < config.dnn_train_samples:
         n_blocks = min(math.ceil((config.dnn_train_samples - collected) / (n_uses * config.N_t)),
                        _chunk_blocks(config))
-        draws = _LinkDraws(config, noise_power, n_blocks, n_uses, n_classes=table.M)
+        draws = _LinkDraws(config, noise_power, n_blocks, n_classes=table.M)
         for b in range(n_blocks):
             draws.draw(b, data_rng)
         tx_indices = draws.tx_indices
-        _, _, s_flat, failed = _link_pass(config, draws, tx_indices)
+        _, _, s_flat, failed = _link_pass(draws, tx_indices)
         if failed.any():
             s_flat, tx_indices = s_flat[~failed], tx_indices[~failed]
         features.append(_detector_features(s_flat))

@@ -15,6 +15,9 @@ from mimolink.channel import (
     sample_channel,
     sample_noise,
 )
+from mimolink.estimation import estimate_lmmse, estimate_ls
+from mimolink.metrics import tx_ebn0_db, tx_snr_db
+from mimolink.receiver import equalize_lmmse, equalize_zf
 
 
 class TestLargeScaleGain:
@@ -252,3 +255,29 @@ class TestApplyChannel:
         """A generator is not noise: the noise comes from sample_noise."""
         with pytest.raises(ValueError, match=r"noise has shape \(\), expected \(3,\)"):
             apply_channel(np.eye(3), 1.0, np.zeros(3), np.random.default_rng(0))
+
+
+_EYE, _PILOTS, _NAN = np.eye(2, dtype=complex), np.eye(2, 3, dtype=complex), math.nan
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: large_scale_gain(_NAN, 100.0, 2.0), "f_c must be positive"),
+    (lambda: large_scale_gain(1.8e9, _NAN, 2.0), "d must be at least 1.0 m"),
+    (lambda: large_scale_gain(1.8e9, 100.0, _NAN), "eta must be at least 2"),
+    (lambda: apply_channel(_EYE, _NAN, np.ones(2), np.zeros(2)), "G must be positive"),
+    (lambda: estimate_ls(_PILOTS, _PILOTS, _NAN), "G must be positive"),
+    (lambda: estimate_lmmse(_PILOTS, _PILOTS, _NAN, 0.1), "G must be positive"),
+    (lambda: estimate_lmmse(_PILOTS, _PILOTS, 1.0, _NAN), "sigma2 must be nonnegative"),
+    (lambda: equalize_zf(_EYE, _NAN, np.ones(2)), "G must be positive"),
+    (lambda: equalize_lmmse(_EYE, _NAN, 0.1, np.ones(2)), "G must be positive"),
+    (lambda: equalize_lmmse(_EYE, 1.0, _NAN, np.ones(2)), "sigma2 must be nonnegative"),
+    (lambda: sample_noise(4, _NAN, np.random.default_rng(0)), "sigma2 must be nonnegative"),
+    (lambda: tx_snr_db(_NAN, 2), "sigma2 must be positive"),
+    (lambda: tx_ebn0_db(_NAN, 2, 2), "sigma2 must be positive"),
+], ids=["gain_f_c", "gain_d", "gain_eta", "apply_channel", "estimate_ls", "estimate_lmmse_G",
+        "estimate_lmmse_sigma2", "equalize_zf", "equalize_lmmse_G", "equalize_lmmse_sigma2",
+        "sample_noise", "tx_snr_db", "tx_ebn0_db"])
+def test_nan_fails_each_positivity_check(call, message):
+    """Each check is written so that NaN fails it, not only a value out of range."""
+    with pytest.raises(ValueError, match=rf"^{message}, got nan$"):
+        call()

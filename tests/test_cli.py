@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mimolink.simulate as sim
-from mimolink import pool
+from mimolink import cli, pool
 from mimolink.cli import main
 from mimolink.simulate import CSV_COLUMNS
 
@@ -103,6 +103,44 @@ class TestCli:
         assert main(["--config", str(fast_config), "--extract", selection]) != 0
         assert "no columns selected" in capsys.readouterr().err
         assert not (tmp_path / "output.csv").exists()
+
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("the sweep started")
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+
+    @pytest.mark.parametrize("output", ["", ".", "..", "runs/"])
+    def test_output_naming_no_file_exits_2_before_the_sweep(self, fast_config, tmp_path, monkeypatch,
+                                                            capsys, no_sweep, output):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(fast_config), "--output", output]) == 2
+        assert capsys.readouterr().err == f"simulate: error: output = {output!r} names no file\n"
+        fast_config.write_text(FAST_CFG + f"output = {output}\n")
+        assert main(["--config", str(fast_config)]) == 2
+        assert "output = " in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_bad_detector_flag_is_the_config_error(self, fast_config, capsys, no_sweep):
+        assert main(["--config", str(fast_config), "--detector", "foo"]) == 2
+        assert capsys.readouterr().err == (
+            "simulate: error: detector = 'foo'; expected one of ('ml', 'kmeans', 'dnn')\n")
+
+    @pytest.mark.parametrize("flag, value, key", [("--seed", "7.5", "seed"), ("--seed", "-1", "seed"),
+                                                  ("--estimator", "mmse", "estimator"),
+                                                  ("--equalizer", "ZF", "equalizer")])
+    def test_bad_flag_value_names_its_key(self, fast_config, capsys, no_sweep, flag, value, key):
+        assert main(["--config", str(fast_config), flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"simulate: error: {key} ")
+
+    def test_flags_are_read_as_config_text(self, fast_config, tmp_path):
+        """--seed 1e3 is seed = 1e3 in the file, byte for byte."""
+        assert main(["--config", str(fast_config), "--seed", "1e3", "--output", str(tmp_path / "flag.csv")]) == 0
+        fast_config.write_text(FAST_CFG + f"seed = 1e3\noutput = {tmp_path / 'file.csv'}\n")
+        assert main(["--config", str(fast_config)]) == 0
+        flag_bytes = (tmp_path / "flag.csv").read_bytes()
+        assert flag_bytes == (tmp_path / "file.csv").read_bytes()
+        assert flag_bytes.splitlines()[1].endswith(b",1000")
 
     def test_seed_above_2_to_the_64_reaches_the_csv_exactly(self, fast_config, tmp_path):
         rows = {}

@@ -158,6 +158,21 @@ class TestBitSymbolMapping:
         with pytest.raises(ValueError, match=r"index -1 outside \[0, 4\)"):
             symbols_to_bits([0, -1, 4], table)
 
+    @pytest.mark.parametrize("indices, message", [
+        ([0.7], "got 0.7 at position 0"),  # an int64 cast would read it as 0
+        (np.array([[1.0, 2.0], [3.0, -0.5]]), "got -0.5 at position 3"),
+        ([1, np.nan], "got nan at position 1"),
+    ])
+    def test_non_integral_index_rejected_naming_it(self, indices, message):
+        with pytest.raises(ValueError, match=rf"^symbol indices must be integers, {message}$"):
+            symbols_to_bits(indices, build_constellation("QPSK", 4))
+
+    def test_integral_float_and_bool_indices_are_the_integers(self):
+        table = build_constellation("QPSK", 4)
+        expected = symbols_to_bits([0, 1, 3], table)
+        np.testing.assert_array_equal(symbols_to_bits([0.0, 1.0, 3.0], table), expected)
+        np.testing.assert_array_equal(symbols_to_bits([False, True], table), expected[:4])
+
     def test_index_roundtrip_over_all_m(self):
         for scheme, m in ALL_TABLES:
             table = build_constellation(scheme, m)

@@ -203,6 +203,28 @@ class TestLabels:
         with pytest.raises(ValueError, match="labels"):
             call(net, x, labels)
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1.5, 2], "got 1.5 at position 1"),  # an int64 cast would read it as 1
+        (np.array([[0.0, 1.0], [2.0, np.nan]]), "got nan at position 3"),
+    ])
+    @pytest.mark.parametrize("call", [
+        lambda net, x, labels: cross_entropy(forward(net, x), labels),
+        lambda net, x, labels: gradient(net, x, labels),
+        lambda net, x, labels: train(net, x, labels, Hyperparameters(epochs=1)),
+    ], ids=["cross_entropy", "gradient", "train"])
+    def test_non_integral_labels_rejected_naming_them(self, call, labels, message):
+        net = init_network(NetworkSpec(depth=1, width=2, input_dim=2, output_dim=4))
+        x = np.zeros((np.size(labels), 2))
+        with pytest.raises(ValueError, match=rf"^labels must be integers, {message}$"):
+            call(net, x, labels)
+
+    def test_integral_float_labels_are_the_integers(self):
+        net = init_network(NetworkSpec(depth=1, width=2, input_dim=2, output_dim=4, seed=3))
+        x = np.random.default_rng(3).standard_normal((4, 2))
+        labels = np.array([0, 3, 1, 2])
+        for want, got in zip(gradient(net, x, labels), gradient(net, x, labels.astype(float))):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(want, got))
+
 
 class TestLoss:
     def test_perfect_prediction_is_numerically_zero(self):

@@ -223,6 +223,13 @@ class TestLoadConfig:
     pytest.param("equalizer = lmmse\n" + "".join(f"{key} = 1{'0' * 400}\n" for key in ("N_t", "N_r", "n_pilot")),
                  "N_t", id="N_t-int-beyond-float-range"),
     ("seed = True", "seed"),
+    # an output that names a directory, not a file
+    ("output =", "output"),
+    ("output = ''", "output"),
+    ("output = .", "output"),
+    ("output = ..", "output"),
+    ("output = runs/", "output"),
+    ("output = runs/.", "output"),
 ])
 def test_out_of_range_values_rejected_naming_the_key(tmp_path, text, key):
     """Non-finite, out-of-range or boolean values fail at load time, naming the key."""
@@ -908,8 +915,7 @@ class TestDrawLayout:
     def test_stacks_equal_the_public_calls(self, pilot_mode, sigma2, training):
         config = replace(FAST, pilot_mode=pilot_mode)
         n_blocks, n_uses, n_symbols = 4, 3, 3 * FAST.N_t
-        draws = sim._LinkDraws(config, sigma2, n_blocks, n_uses,
-                               n_classes=config.M_constellation if training else None)
+        draws = sim._LinkDraws(config, sigma2, n_blocks, n_classes=config.M_constellation if training else None)
         streams = [substream(config.seed, 0, 0, b) for b in range(n_blocks)]
         for b, rng in enumerate(streams):
             rng.integers(0, 2, size=config.codeword_size)  # a trial's payload bits come first
