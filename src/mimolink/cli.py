@@ -10,6 +10,8 @@ from .simulate import (
     DETECTORS,
     EQUALIZERS,
     ESTIMATORS,
+    ConfigError,
+    _check_file_name,
     _checked_columns,
     load_config,
     run_sweep,
@@ -42,6 +44,18 @@ def _default_extract_path(output: str) -> str:
     return str(out.with_name(out.stem + "_extract" + (out.suffix or ".csv")))
 
 
+def _check_destination(name: str, path: str) -> None:
+    """Raise :class:`ConfigError` naming ``name``, the key or flag that gave
+    ``path``, unless ``path`` names a file in a directory that exists, so a
+    bad destination fails before the sweep rather than at the write."""
+    _check_file_name(name, path)
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise ConfigError(f"{name} = {path!r}: {str(directory)!r} is not a directory")
+    if Path(path).is_dir():
+        raise ConfigError(f"{name} = {path!r} is a directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -50,14 +64,17 @@ def main(argv=None) -> int:
     try:
         keys = ("seed", "detector", "estimator", "equalizer", "output")
         config = load_config(args.config, {key: getattr(args, key) for key in keys})
+        _check_destination("output", config.output)
         extract_columns = None
         if args.extract is not None:
             extract_columns = _checked_columns(c.strip() for c in args.extract.split(",") if c.strip())
+            extract_path = (_default_extract_path(config.output) if args.extract_output is None
+                            else args.extract_output)
+            _check_destination("--extract-output", extract_path)
         records = run_sweep(config)
         write_csv(records, config.output)
         print(f"wrote {len(records)} records to {config.output}")
         if extract_columns is not None:
-            extract_path = args.extract_output or _default_extract_path(config.output)
             write_extract(records, extract_columns, extract_path)
             print(f"wrote extract ({', '.join(extract_columns)}) to {extract_path}")
         return 0

@@ -9,27 +9,24 @@ is deterministic given the seed: initialization, the validation split, and
 the per-epoch shuffles all come from the network's own stream.
 
 Training checks its inputs once. Each mini-batch step then runs in place,
-through the same forward and backpropagation code as :func:`gradient`,
-and does the same floating-point operations in the same order as a form
-with one temporary per operation, so the weights come out bit for bit
-the same. A step is a few dozen numpy calls on small arrays, so their
-per-call overhead, not the arithmetic, sets its cost, and the step keeps
-the calls few and cheap. Training copies every weight and bias into one
-flat buffer and writes every gradient into one flat buffer of the same
-layout, so the update is two calls whatever the depth; the network's own
-arrays get the values back when training ends. Each matrix product is an
-``np.dot``, the same BLAS call as ``@`` with less overhead; ufuncs and
-reductions take their output positionally, and their scalar operands
-(0.5, 1.0 and the learning rate) as 0-d arrays. The row index that the
-softmax and the true-class gather use, ``np.arange`` of the batch size,
-is built once per run, not per step. The output delta subtracts rows of an
-identity matrix (0.0 or 1.0, the same bits as subtracting 1 at each
-label) and builds the clamp mask only when the minimum or maximum
-true-class probability leaves the window; the softmax shifts each row
-by the entry its argmax picks, the row maximum exactly, which costs less
-than ``np.maximum.reduce`` along a short row. After its mini-batch steps
-an epoch forwards only the validation rows; their mean loss, one per
-epoch, is what early stopping and the divergence check read.
+through the forward and backpropagation code that :func:`gradient` and
+:func:`forward` use, with the floating-point operations of a form with
+one temporary per operation, so the weights come out bit for bit the
+same. A step is a few dozen numpy calls on small arrays, whose per-call
+overhead sets its cost. The parameters sit in one flat buffer laid out
+W_0, b_0, W_1, b_1, ..., so each layer's weights over its bias form one
+(fan_in + 1, fan_out) block, the bias being the weight of a constant
+input of one; each layer's input is a feature-major (fan_in + 1, n)
+buffer whose last row is ones. A layer is then one ``np.dot`` forward
+and one for its gradient, each writing a contiguous block, and the update
+is two calls. A 64-row depth-2 step takes 46 numpy calls (every ufunc,
+reduction, method, gather, slice and transpose), where the unfolded step,
+with three bias adds and three costly axis-0 bias-gradient sums, took 50.
+Ufuncs take their output positionally and their scalars as 0-d arrays;
+row indices and buffers are built once per run. The output delta subtracts
+identity rows (the bits of subtracting 1 at each label) and builds the
+clamp mask only when some true-class probability leaves the window; the
+softmax shifts each row by its argmax entry, the row maximum exactly.
 """
 
 from __future__ import annotations
@@ -158,41 +155,45 @@ def _as_feature_matrix(network: Network, X) -> np.ndarray:
     return X
 
 
-def _parameter_views(buffer: np.ndarray, dims: list[int]):
-    """Per-layer weight and bias views into one flat buffer laid out
-    W_0, b_0, W_1, b_1, ... with each weight matrix row-major."""
-    weights, biases = [], []
-    offset = 0
+def _layers(buffer: np.ndarray, dims: list[int]):
+    """Per layer, views of a buffer laid out as :func:`_flat`'s: the block
+    of weights over bias, its transpose, and the weights alone."""
+    layers, offset = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(buffer[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out))
-        offset += fan_in * fan_out
-        biases.append(buffer[offset:offset + fan_out])
-        offset += fan_out
-    return weights, biases
+        block = buffer[offset:offset + (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out)
+        layers.append((block, block.T, block[:-1]))
+        offset += block.size
+    return layers
 
 
-def _forward_cached(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray,
-                    rows: np.ndarray):
-    """Per-layer inputs plus the softmax output, for backpropagation.
+def _flat(network: Network) -> np.ndarray:
+    """A copy of the parameters laid out W_0, b_0, W_1, b_1, ..., row-major."""
+    return np.concatenate([p.ravel() for layer in zip(network.weights, network.biases)
+                           for p in layer])
 
-    Each layer's buffer is the fresh matrix product, worked in place from
-    there, so ``X`` itself is only read. ``rows`` is ``np.arange(len(X))``."""
-    activations = [X]
-    a = X
-    for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.dot(a, w)
-        a += b
-        activations.append(_sigmoid(a))
-    z = np.dot(a, weights[-1])
-    z += biases[-1]
-    return activations, _softmax(z, rows)
+
+def _buffers(dims: list[int], n: int):
+    """Per layer, a feature-major (fan_in + 1, n) input buffer whose last
+    row is ones, paired with its view above the ones."""
+    return [(buffer, buffer[:-1]) for buffer in (np.ones((fan_in + 1, n)) for fan_in in dims[:-1])]
+
+
+def _forward_cached(layers, buffers, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Softmax output, one row per sample, of the rows of ``X`` (only read),
+    copied above the first buffer's ones; each hidden layer fills the next
+    buffer's, so the buffers keep every layer's input. ``rows`` is
+    ``np.arange(n)``."""
+    np.copyto(buffers[0][1], X.T)
+    for (_, block_t, _), (a, _), (_, z) in zip(layers, buffers, buffers[1:]):
+        _sigmoid(np.dot(block_t, a, z))
+    return _softmax(np.dot(buffers[-1][0].T, layers[-1][0]), rows)
 
 
 def forward(network: Network, X) -> np.ndarray:
     """Per-row class probabilities (softmax output)."""
     X = _as_feature_matrix(network, X)
-    _, probs = _forward_cached(network.weights, network.biases, X, np.arange(X.shape[0]))
-    return probs
+    dims, n = network.spec.layer_dims, X.shape[0]
+    return _forward_cached(_layers(_flat(network), dims), _buffers(dims, n), X, np.arange(n))
 
 
 def _checked_labels(labels, n_rows: int, n_classes: int) -> np.ndarray:
@@ -217,23 +218,20 @@ def cross_entropy(probabilities: np.ndarray, labels) -> float:
     return _mean_loss(p[np.arange(labels.size), labels])
 
 
-def _backprop(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray,
-              labels: np.ndarray, rows: np.ndarray, eye: np.ndarray,
-              weight_grads: list[np.ndarray], bias_grads: list[np.ndarray]) -> None:
+def _backprop(layers, buffers, X: np.ndarray, labels: np.ndarray, rows: np.ndarray,
+              eye: np.ndarray, grads) -> None:
     """Forward pass and backpropagation on rows already checked.
 
-    Writes each gradient into its view in ``weight_grads``/``bias_grads``
-    (views of one flat buffer, laid out like the parameters). Works in
-    place on the forward buffers (the softmax output becomes the output
-    delta, a spent activation holds 1 - a), so ``X`` is only read.
-    ``rows`` is ``np.arange(len(X))``, and ``eye`` is the M x M identity,
-    whose rows are the one-hot labels.
+    Writes each layer's gradient into its block in ``grads``, the
+    :func:`_layers` of a gradient buffer. Works in place on the forward
+    buffers (the softmax output becomes the output delta, a spent
+    activation holds 1 - a). ``rows`` is ``np.arange(n)``, and ``eye`` is
+    the M x M identity, whose rows are the one-hot labels.
     """
-    n = X.shape[0]
-    activations, probs = _forward_cached(weights, biases, X, rows)
-    p_true = probs[rows, labels]
-    delta = probs  # becomes (probs - y) * active / n in place, y one-hot
-    delta -= eye.take(labels, 0)
+    n = rows.size
+    delta = _forward_cached(layers, buffers, X, rows)
+    p_true = delta[rows, labels]
+    delta -= eye.take(labels, 0)  # becomes (probs - y) * active / n in place, y one-hot
     # the mask only when some row is outside the window or NaN (min and max
     # carry a NaN through, and it fails both tests); times 1.0 would leave
     # every bit as it is. An empty batch has no minimum
@@ -241,16 +239,16 @@ def _backprop(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray
         delta *= ((p_true > PROB_CLAMP_LO) & (p_true < PROB_CLAMP_HI))[:, None]
     delta /= n
 
-    for layer in range(len(weights) - 1, -1, -1):
-        a = activations[layer]
-        np.dot(a.T, delta, weight_grads[layer])
-        np.add.reduce(delta, 0, None, bias_grads[layer])
-        if layer:
-            # delta * a * (1 - a), the sigmoid's derivative, left to right
-            delta = np.dot(delta, weights[layer].T)
-            delta *= a
-            np.subtract(_ONE, a, a)
-            delta *= a
+    for layer in range(len(layers) - 1, 0, -1):
+        buffer, a = buffers[layer]
+        np.dot(buffer, delta, grads[layer][0])
+        # delta * a * (1 - a), the sigmoid's derivative, left to right
+        delta = np.dot(layers[layer][2], delta.T)
+        delta *= a
+        np.subtract(_ONE, a, a)
+        delta *= a
+        delta = delta.T
+    np.dot(buffers[0][0], delta, grads[0][0])
 
 
 def gradient(network: Network, X, labels):
@@ -262,13 +260,13 @@ def gradient(network: Network, X, labels):
     gradient, matching the clamped loss.
     """
     X = _as_feature_matrix(network, X)
-    dims = network.spec.layer_dims
-    labels = _checked_labels(labels, X.shape[0], dims[-1])
-    size = sum(p.size for p in network.weights + network.biases)
-    weight_grads, bias_grads = _parameter_views(np.empty(size), dims)
-    _backprop(network.weights, network.biases, X, labels, np.arange(X.shape[0]),
-              np.eye(dims[-1]), weight_grads, bias_grads)
-    return weight_grads, bias_grads
+    dims, n = network.spec.layer_dims, X.shape[0]
+    labels = _checked_labels(labels, n, dims[-1])
+    params = _flat(network)
+    grads = _layers(np.empty_like(params), dims)
+    _backprop(_layers(params, dims), _buffers(dims, n), X, labels, np.arange(n), np.eye(dims[-1]),
+              grads)
+    return [w for _, _, w in grads], [block[-1] for block, _, _ in grads]
 
 
 def train(network: Network, features, labels, hyper: Hyperparameters) -> TrainingHistory:
@@ -307,16 +305,16 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
     if val_idx.size == 0:
         val_idx = train_idx  # too little data to hold out; validate on train
 
-    params = np.concatenate([p.ravel() for layer in zip(network.weights, network.biases)
-                             for p in layer])
+    params = _flat(network)
     grads = np.empty_like(params)
-    weights, biases = _parameter_views(params, dims)
-    weight_grads, bias_grads = _parameter_views(grads, dims)
-    eye = np.eye(dims[-1])
+    layers, grad_layers, eye = _layers(params, dims), _layers(grads, dims), np.eye(dims[-1])
     X_val, labels_val = X[val_idx], labels[val_idx]
-    val_rows = np.arange(val_idx.size)
+    val_buffers, val_rows = _buffers(dims, val_idx.size), np.arange(val_idx.size)
     lr, batch_size = np.array(hyper.learning_rate), hyper.batch_size
-    n_train, rows = train_idx.size, np.arange(batch_size)
+    n_train = train_idx.size
+    # buffers and row indices for a full batch and a short last one
+    full, short = ((_buffers(dims, size), np.arange(size))
+                   for size in (batch_size, n_train % batch_size))
     history = TrainingHistory()
     best_val = math.inf
     stale_epochs = 0
@@ -326,12 +324,12 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
             X_epoch, labels_epoch = X.take(order, axis=0), labels.take(order)
             for start in range(0, n_train, batch_size):
                 stop = start + batch_size
-                _backprop(weights, biases, X_epoch[start:stop], labels_epoch[start:stop],
-                          rows if stop <= n_train else np.arange(n_train - start), eye,
-                          weight_grads, bias_grads)
+                buffers, rows = full if stop <= n_train else short
+                _backprop(layers, buffers, X_epoch[start:stop], labels_epoch[start:stop], rows, eye,
+                          grad_layers)
                 grads *= lr
                 params -= grads
-            _, probs = _forward_cached(weights, biases, X_val, val_rows)
+            probs = _forward_cached(layers, val_buffers, X_val, val_rows)
             val_loss = _mean_loss(probs[val_rows, labels_val])
             if not math.isfinite(val_loss):
                 raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
@@ -344,8 +342,9 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
                 if stale_epochs >= hyper.patience:
                     break
     finally:
-        for target, trained in zip(network.weights + network.biases, weights + biases):
-            np.copyto(target, trained)
+        for w, b, (block, _, trained) in zip(network.weights, network.biases, layers):
+            np.copyto(w, trained)
+            np.copyto(b, block[-1])
     return history
 
 

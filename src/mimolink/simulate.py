@@ -211,6 +211,14 @@ def _link(config: SimConfig) -> _Link:
     return _Link(table, crc_spec, gain, n_uses)
 
 
+def _check_file_name(name: str, path: str) -> None:
+    """Raise :class:`ConfigError` naming ``name``, the key or flag that gave
+    ``path``, when ``path`` names no file: '', '.', '..' and a path ending
+    in a separator name a directory."""
+    if os.path.basename(path) in ("", ".", ".."):
+        raise ConfigError(f"{name} = {path!r} names no file")
+
+
 def validate_config(config: SimConfig) -> None:
     """Raise :class:`ConfigError` naming the first parameter out of range or
     inconsistent with another; SimConfig runs it once fields hold their kinds."""
@@ -225,9 +233,7 @@ def validate_config(config: SimConfig) -> None:
                           ("dnn_labels", LABEL_SOURCES)):
         if getattr(config, name) not in choices:
             raise ConfigError(f"{name} = {getattr(config, name)!r}; expected one of {choices}")
-    # '', '.', '..' and a trailing separator name a directory, not a file
-    if os.path.basename(config.output) in ("", ".", ".."):
-        raise ConfigError(f"output = {config.output!r} names no file")
+    _check_file_name("output", config.output)
     for name in ("N_t", "codeword_size"):  # the block size and sigma2 * N_t below take them as floats
         if getattr(config, name) > sys.float_info.max:
             raise ConfigError(f"{name} = {_shown(getattr(config, name))} is beyond float range")

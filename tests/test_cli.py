@@ -121,6 +121,27 @@ class TestCli:
         assert "output = " in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("flag, name", [("--output", "output"),
+                                            ("--extract-output", "--extract-output")])
+    @pytest.mark.parametrize("path, problem", [("", "names no file"), ("runs/", "names no file"),
+                                               ("nodir/x.csv", "'nodir' is not a directory"),
+                                               ("afile/x.csv", "'afile' is not a directory"),
+                                               ("adir", "is a directory")])
+    def test_bad_destination_exits_2_naming_it_before_the_sweep(self, fast_config, tmp_path, monkeypatch,
+                                                                capsys, no_sweep, flag, name, path, problem):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        assert main(["--config", str(fast_config), "--extract", "bler", flag, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"simulate: error: {name} = {path!r}") and problem in err
+        assert not list(tmp_path.rglob("*.csv")) and not (tmp_path / "runs").exists()
+
+    def test_extract_output_in_the_working_directory(self, fast_config, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(fast_config), "--extract", "bler", "--extract-output", "pair.csv"]) == 0
+        assert (tmp_path / "pair.csv").read_text().splitlines()[0] == "bler"
+
     def test_bad_detector_flag_is_the_config_error(self, fast_config, capsys, no_sweep):
         assert main(["--config", str(fast_config), "--detector", "foo"]) == 2
         assert capsys.readouterr().err == (

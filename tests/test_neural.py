@@ -178,11 +178,13 @@ class TestSoftmaxShift:
         net.weights[-1] *= 1e3
         x = np.random.default_rng(n_rows).standard_normal((n_rows, 2)) * 50.0
         x[n_rows // 2] = np.nan
-        a = x
+        # the logits of the folded layers: [W; b] blocks over feature-major inputs with a ones row
+        ones = np.ones(n_rows)
+        a = np.vstack([np.ascontiguousarray(x.T), ones])
         for w, b in zip(net.weights[:-1], net.biases[:-1]):
-            a = _sigmoid(a @ w + b)
+            a = np.vstack([_sigmoid(np.vstack([w, b]).T @ a), ones])
         with np.errstate(invalid="ignore"):
-            expected = _reduce_max_softmax(a @ net.weights[-1] + net.biases[-1])
+            expected = _reduce_max_softmax(a.T @ np.vstack([net.weights[-1], net.biases[-1]]))
             got = forward(net, x)
         assert got.tobytes() == expected.tobytes()
         assert np.isnan(got[n_rows // 2]).all()
@@ -536,10 +538,11 @@ class TestPredictAndPersistence:
             load_network(path)
 
 
-# Reference: the training step as it stood before it was made to work in
-# place, kept verbatim (one temporary per operation, checks on every
-# mini-batch) apart from input and divergence checks that cannot fire on
-# the cases below. The in-place step must reproduce it bit for bit.
+# Reference: the training step with one temporary per operation and checks
+# on every mini-batch, apart from input and divergence checks that cannot
+# fire on the cases below. Each layer's weights over its bias form one
+# block, and each layer's input is feature-major over a row of ones, so a
+# layer is one product. The in-place step must reproduce it bit for bit.
 
 def _ref_sigmoid(z):
     return 0.5 + 0.5 * np.tanh(0.5 * z)
@@ -551,13 +554,19 @@ def _ref_softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _ref_block(network, layer):
+    return np.vstack([network.weights[layer], network.biases[layer]])
+
+
 def _ref_forward_cached(network, X):
-    activations = [X]
-    a = X
-    for w, b in zip(network.weights[:-1], network.biases[:-1]):
-        a = _ref_sigmoid(a @ w + b)
+    ones = np.ones(X.shape[0])
+    a = np.vstack([np.ascontiguousarray(X.T), ones])
+    activations = [a]
+    for layer in range(len(network.weights) - 1):
+        z = _ref_block(network, layer).T @ a
+        a = np.vstack([_ref_sigmoid(z), ones])
         activations.append(a)
-    probs = _ref_softmax(a @ network.weights[-1] + network.biases[-1])
+    probs = _ref_softmax(a.T @ _ref_block(network, -1))
     return activations, probs
 
 
@@ -585,12 +594,12 @@ def _ref_gradient(network, X, labels):
     weight_grads = [None] * n_layers
     bias_grads = [None] * n_layers
     for layer in range(n_layers - 1, -1, -1):
-        weight_grads[layer] = activations[layer].T @ delta
-        bias_grads[layer] = delta.sum(axis=0)
+        grad = activations[layer] @ delta
+        weight_grads[layer], bias_grads[layer] = grad[:-1], grad[-1]
         if layer:
-            upstream = delta @ network.weights[layer].T
-            a = activations[layer]
-            delta = upstream * a * (1.0 - a)
+            upstream = network.weights[layer] @ delta.T
+            a = activations[layer][:-1]
+            delta = (upstream * a * (1.0 - a)).T
     return weight_grads, bias_grads
 
 
@@ -626,6 +635,38 @@ def _ref_train(network, features, labels, hyper):
             if stale_epochs >= hyper.patience:
                 break
     return history
+
+
+# The textbook step, unfolded and row-major: a @ W + b forward, delta.sum(0)
+# for a bias gradient and delta @ W.T backward. The folded step sums in
+# another order, so it agrees with this to rounding, not bit for bit.
+
+def _textbook_forward(network, X):
+    activations = [X]
+    a = X
+    for w, b in zip(network.weights[:-1], network.biases[:-1]):
+        a = _ref_sigmoid(a @ w + b)
+        activations.append(a)
+    return activations, _ref_softmax(a @ network.weights[-1] + network.biases[-1])
+
+
+def _textbook_gradient(network, X, labels):
+    n = X.shape[0]
+    activations, probs = _textbook_forward(network, X)
+    rows = np.arange(n)
+    p_true = probs[rows, labels]
+    delta = probs
+    delta[rows, labels] -= 1.0
+    delta *= ((p_true > PROB_CLAMP_LO) & (p_true < PROB_CLAMP_HI))[:, None]
+    delta /= n
+    weight_grads, bias_grads = [], []
+    for layer in range(len(network.weights) - 1, -1, -1):
+        weight_grads.insert(0, activations[layer].T @ delta)
+        bias_grads.insert(0, delta.sum(0))
+        if layer:
+            a = activations[layer]
+            delta = delta @ network.weights[layer].T * a * (1.0 - a)
+    return weight_grads, bias_grads
 
 
 def _oracle_case(name):
@@ -701,6 +742,24 @@ class TestTrainingMatchesReference:
         for got, expected in zip(got_w + got_b, ref_w + ref_b):
             np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(x, before)  # the features are only read
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_forward_and_gradient_match_the_textbook_reference_to_rounding(self, name):
+        """On every case's rows and on its last row alone, the one-row
+        batch, with nonzero biases. A bias gradient sums terms that may
+        cancel, so an entry's error is bounded by its array's scale, not its
+        own magnitude."""
+        net, x, labels, _ = _oracle_case(name)
+        for b in net.biases:
+            b[:] = np.random.default_rng(b.size).standard_normal(b.size)
+        for rows in (slice(None), slice(-1, None)):
+            _, probs = _textbook_forward(net, x[rows])
+            np.testing.assert_allclose(forward(net, x[rows]), probs, rtol=1e-12, atol=0)
+            got_w, got_b = gradient(net, x[rows], labels[rows])
+            ref_w, ref_b = _textbook_gradient(net, x[rows], labels[rows])
+            for got, expected in zip(got_w + got_b, ref_w + ref_b):
+                np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                           atol=1e-12 * np.abs(expected).max())
 
     def test_gradient_of_no_rows_is_zero(self):
         net = init_network(NetworkSpec(depth=2, width=8, input_dim=3, output_dim=4, seed=15))
