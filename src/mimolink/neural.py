@@ -12,16 +12,15 @@ Training checks its inputs once. Each mini-batch step then runs in place,
 through the forward and backpropagation code that :func:`gradient` and
 :func:`forward` use, with the floating-point operations of a form with
 one temporary per operation, so the weights come out bit for bit the
-same. A step is a few dozen numpy calls on small arrays, whose per-call
-overhead sets its cost. The parameters sit in one flat buffer laid out
-W_0, b_0, W_1, b_1, ..., so each layer's weights over its bias form one
+same. A network owns its parameters as one buffer, ``Network.params``,
+that all three work on, nothing copied in or back. It is laid out W_0,
+b_0, W_1, b_1, ..., so each layer's weights over its bias form one
 (fan_in + 1, fan_out) block, the bias being the weight of a constant
 input of one; each layer's input is a feature-major (fan_in + 1, n)
-buffer whose last row is ones. A layer is then one ``np.dot`` forward
-and one for its gradient, each writing a contiguous block, and the update
-is two calls. A 64-row depth-2 step takes 46 numpy calls (every ufunc,
-reduction, method, gather, slice and transpose), where the unfolded step,
-with three bias adds and three costly axis-0 bias-gradient sums, took 50.
+buffer whose last row is ones. A layer is then one ``np.dot`` forward and
+one for its gradient, each writing a contiguous block, and the update is
+two calls: a 64-row depth-2 step is 46 numpy calls on small arrays, whose
+per-call overhead sets its cost.
 Ufuncs take their output positionally and their scalars as 0-d arrays;
 row indices and buffers are built once per run. The output delta subtracts
 identity rows (the bits of subtracting 1 at each label) and builds the
@@ -73,7 +72,7 @@ class NetworkSpec:
         return [self.input_dim] + [self.width] * self.depth + [self.output_dim]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparameters:
     learning_rate: float = 0.05
     batch_size: int = 64
@@ -105,14 +104,27 @@ class TrainingHistory:
 
 
 class Network:
-    """Weight and bias stacks plus the stream used for init and shuffling."""
+    """The parameter buffer ``params``, viewed by ``weights`` and ``biases``, and a stream."""
 
     def __init__(self, spec: NetworkSpec, weights: list[np.ndarray],
                  biases: list[np.ndarray], rng: np.random.Generator):
-        self.spec = spec
-        self.weights = weights
-        self.biases = biases
-        self.rng = rng
+        dims = spec.layer_dims
+        self.spec, self.rng = spec, rng
+        self.params = np.empty(sum((i + 1) * o for i, o in zip(dims, dims[1:])))
+        self._layers = _layers(self.params, dims)
+        self.weights, self.biases = _split(self._layers)
+        if not len(weights) == len(biases) == len(dims) - 1:
+            raise ValueError(f"{len(weights)} weights and {len(biases)} biases "
+                             f"for {len(dims) - 1} layers")
+        for layer, (w, b, w_in, b_in) in enumerate(zip(self.weights, self.biases, weights, biases)):
+            if np.shape(w_in) != w.shape or np.shape(b_in) != b.shape:
+                raise ValueError(f"layer {layer}: weights {np.shape(w_in)} and biases "
+                                 f"{np.shape(b_in)}, expected {w.shape} and {b.shape}")
+            np.copyto(w, w_in)
+            np.copyto(b, b_in)
+
+    def __reduce__(self):  # a copy or pickle builds a buffer of its own, and views of it
+        return Network, (self.spec, self.weights, self.biases, self.rng)
 
 
 def init_network(spec: NetworkSpec) -> Network:
@@ -156,8 +168,8 @@ def _as_feature_matrix(network: Network, X) -> np.ndarray:
 
 
 def _layers(buffer: np.ndarray, dims: list[int]):
-    """Per layer, views of a buffer laid out as :func:`_flat`'s: the block
-    of weights over bias, its transpose, and the weights alone."""
+    """Per layer, views of a buffer laid out W_0, b_0, W_1, b_1, ...: the
+    block of weights over bias, its transpose, and the weights alone."""
     layers, offset = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         block = buffer[offset:offset + (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out)
@@ -166,10 +178,9 @@ def _layers(buffer: np.ndarray, dims: list[int]):
     return layers
 
 
-def _flat(network: Network) -> np.ndarray:
-    """A copy of the parameters laid out W_0, b_0, W_1, b_1, ..., row-major."""
-    return np.concatenate([p.ravel() for layer in zip(network.weights, network.biases)
-                           for p in layer])
+def _split(layers):
+    """The weight views and the bias views of :func:`_layers`' blocks."""
+    return [w for _, _, w in layers], [block[-1] for block, _, _ in layers]
 
 
 def _buffers(dims: list[int], n: int):
@@ -192,8 +203,8 @@ def _forward_cached(layers, buffers, X: np.ndarray, rows: np.ndarray) -> np.ndar
 def forward(network: Network, X) -> np.ndarray:
     """Per-row class probabilities (softmax output)."""
     X = _as_feature_matrix(network, X)
-    dims, n = network.spec.layer_dims, X.shape[0]
-    return _forward_cached(_layers(_flat(network), dims), _buffers(dims, n), X, np.arange(n))
+    n = X.shape[0]
+    return _forward_cached(network._layers, _buffers(network.spec.layer_dims, n), X, np.arange(n))
 
 
 def _checked_labels(labels, n_rows: int, n_classes: int) -> np.ndarray:
@@ -262,11 +273,9 @@ def gradient(network: Network, X, labels):
     X = _as_feature_matrix(network, X)
     dims, n = network.spec.layer_dims, X.shape[0]
     labels = _checked_labels(labels, n, dims[-1])
-    params = _flat(network)
-    grads = _layers(np.empty_like(params), dims)
-    _backprop(_layers(params, dims), _buffers(dims, n), X, labels, np.arange(n), np.eye(dims[-1]),
-              grads)
-    return [w for _, _, w in grads], [block[-1] for block, _, _ in grads]
+    grads = _layers(np.empty_like(network.params), dims)
+    _backprop(network._layers, _buffers(dims, n), X, labels, np.arange(n), np.eye(dims[-1]), grads)
+    return _split(grads)
 
 
 def train(network: Network, features, labels, hyper: Hyperparameters) -> TrainingHistory:
@@ -276,12 +285,12 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
     Both are checked once, before the network's stream is drawn from; a
     bad width or label raises ``ValueError`` and leaves the network as it
     was. Each epoch gathers its shuffled rows once and steps through
-    contiguous mini-batches, every step worked in place on one flat
-    parameter buffer (``w -= lr * g`` as ``g *= lr; w -= g`` over all
+    contiguous mini-batches, every step worked in place on
+    ``network.params`` (``w -= lr * g`` as ``g *= lr; w -= g`` over all
     layers at once), with the same arithmetic in the same order as
-    :func:`gradient` followed by that update. The trained values are
-    copied back into ``network.weights`` and ``network.biases``, the same
-    array objects, when training returns or raises.
+    :func:`gradient` followed by that update. Nothing is copied in or
+    back: ``network.weights`` and ``network.biases`` view that buffer, so
+    they hold the trained values, or those reached when training raises.
     The validation split and per-epoch shuffles use the network's stream,
     so (seed, data) fully determine the loss history: one validation loss
     per epoch, from forwarding only the validation rows after its steps.
@@ -305,46 +314,41 @@ def train(network: Network, features, labels, hyper: Hyperparameters) -> Trainin
     if val_idx.size == 0:
         val_idx = train_idx  # too little data to hold out; validate on train
 
-    params = _flat(network)
+    params, layers = network.params, network._layers
     grads = np.empty_like(params)
-    layers, grad_layers, eye = _layers(params, dims), _layers(grads, dims), np.eye(dims[-1])
+    grad_layers, eye = _layers(grads, dims), np.eye(dims[-1])
     X_val, labels_val = X[val_idx], labels[val_idx]
     val_buffers, val_rows = _buffers(dims, val_idx.size), np.arange(val_idx.size)
-    lr, batch_size = np.array(hyper.learning_rate), hyper.batch_size
     n_train = train_idx.size
+    lr, batch_size = np.array(hyper.learning_rate), min(hyper.batch_size, n_train)
     # buffers and row indices for a full batch and a short last one
     full, short = ((_buffers(dims, size), np.arange(size))
                    for size in (batch_size, n_train % batch_size))
     history = TrainingHistory()
     best_val = math.inf
     stale_epochs = 0
-    try:
-        for epoch in range(hyper.epochs):
-            order = train_idx[rng.permutation(n_train)]
-            X_epoch, labels_epoch = X.take(order, axis=0), labels.take(order)
-            for start in range(0, n_train, batch_size):
-                stop = start + batch_size
-                buffers, rows = full if stop <= n_train else short
-                _backprop(layers, buffers, X_epoch[start:stop], labels_epoch[start:stop], rows, eye,
-                          grad_layers)
-                grads *= lr
-                params -= grads
-            probs = _forward_cached(layers, val_buffers, X_val, val_rows)
-            val_loss = _mean_loss(probs[val_rows, labels_val])
-            if not math.isfinite(val_loss):
-                raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
-            history.val_loss.append(val_loss)
-            if val_loss < best_val:
-                best_val = val_loss
-                stale_epochs = 0
-            else:
-                stale_epochs += 1
-                if stale_epochs >= hyper.patience:
-                    break
-    finally:
-        for w, b, (block, _, trained) in zip(network.weights, network.biases, layers):
-            np.copyto(w, trained)
-            np.copyto(b, block[-1])
+    for epoch in range(hyper.epochs):
+        order = train_idx[rng.permutation(n_train)]
+        X_epoch, labels_epoch = X.take(order, axis=0), labels.take(order)
+        for start in range(0, n_train, batch_size):
+            stop = start + batch_size
+            buffers, rows = full if stop <= n_train else short
+            _backprop(layers, buffers, X_epoch[start:stop], labels_epoch[start:stop], rows, eye,
+                      grad_layers)
+            grads *= lr
+            params -= grads
+        probs = _forward_cached(layers, val_buffers, X_val, val_rows)
+        val_loss = _mean_loss(probs[val_rows, labels_val])
+        if not math.isfinite(val_loss):
+            raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
+        history.val_loss.append(val_loss)
+        if val_loss < best_val:
+            best_val = val_loss
+            stale_epochs = 0
+        else:
+            stale_epochs += 1
+            if stale_epochs >= hyper.patience:
+                break
     return history
 
 

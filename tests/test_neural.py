@@ -1,9 +1,12 @@
 """Tests for the from-scratch neural symbol classifier."""
 
 import copy
+import dataclasses
 import errno
 import math
 import os
+import pickle
+import re
 import warnings
 
 import numpy as np
@@ -66,6 +69,71 @@ class TestInit:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             NetworkSpec(depth=0, width=4, input_dim=2, output_dim=4)
+
+
+class TestParameterStore:
+    """A network's weights and biases are views of its one parameter
+    buffer, which the constructor fills from copies of its arguments."""
+
+    SPEC = NetworkSpec(depth=2, width=3, input_dim=2, output_dim=4, seed=5)
+
+    def test_weights_and_biases_view_the_buffer_in_layer_order(self):
+        net = init_network(self.SPEC)
+        flat = np.concatenate([p.ravel() for layer in zip(net.weights, net.biases) for p in layer])
+        np.testing.assert_array_equal(net.params, flat)
+        for p in net.weights + net.biases:
+            assert np.shares_memory(p, net.params)
+
+    def test_a_weight_written_through_its_view_shows_in_forward(self):
+        rng = np.random.default_rng(15)
+        net = init_network(self.SPEC)
+        x = rng.standard_normal((6, 2))
+        before = forward(net, x)
+        net.weights[1][2, 0] = 3.0
+        net.biases[-1][1] = -2.0
+        after = forward(net, x)
+        assert not np.array_equal(after, before)
+        np.testing.assert_allclose(after, _textbook_forward(net, x)[1], rtol=1e-12)
+
+    def test_constructor_copies_its_arguments(self):
+        weights = [np.full((2, 3), 0.5), np.full((3, 3), -0.25), np.ones((3, 4))]
+        biases = [np.zeros(3), np.zeros(3), np.arange(4.0)]
+        net = neural.Network(self.SPEC, weights, biases, np.random.default_rng(0))
+        weights[0][0, 0] = biases[2][0] = 9.0
+        assert net.weights[0][0, 0] == 0.5 and net.biases[2][0] == 0.0
+        for given, view in zip(weights + biases, net.weights + net.biases):
+            assert not np.shares_memory(given, view)
+
+    @pytest.mark.parametrize("layer,which,shape", [
+        (0, "weights", (3, 2)),  # transposed, of the right size
+        (1, "weights", (3, 4)),
+        (2, "weights", (4, 3)),
+        (1, "biases", (1,)),  # would broadcast
+        (2, "biases", (4, 1)),
+    ])
+    def test_constructor_rejects_a_misshapen_array_naming_its_layer(self, layer, which, shape):
+        net = init_network(self.SPEC)
+        arrays = {"weights": list(net.weights), "biases": list(net.biases)}
+        arrays[which][layer] = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"^layer {layer}: .*{re.escape(str(shape))}"):
+            neural.Network(self.SPEC, arrays["weights"], arrays["biases"], net.rng)
+
+    def test_constructor_rejects_a_missing_layer(self):
+        net = init_network(self.SPEC)
+        with pytest.raises(ValueError, match="2 weights and 3 biases for 3 layers"):
+            neural.Network(self.SPEC, net.weights[:2], net.biases, net.rng)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copy_owns_a_buffer_of_its_own(self, clone):
+        net = init_network(self.SPEC)
+        twin = clone(net)
+        np.testing.assert_array_equal(twin.params, net.params)
+        assert not np.shares_memory(twin.params, net.params)
+        twin.weights[0][0, 0] += 1.0
+        assert twin.params[0] == net.params[0] + 1.0
+        assert twin.spec == net.spec
+        np.testing.assert_array_equal(twin.rng.random(3), net.rng.random(3))
 
 
 class TestForward:
@@ -404,9 +472,9 @@ class TestTraining:
         forwarded = []
         forward_cached = neural._forward_cached
 
-        def spy(weights, biases, X, *rest):
+        def spy(layers, buffers, X, *rest):
             forwarded.append(X.copy())
-            return forward_cached(weights, biases, X, *rest)
+            return forward_cached(layers, buffers, X, *rest)
 
         monkeypatch.setattr(neural, "_forward_cached", spy)
         history = train(net, x, labels,
@@ -433,16 +501,37 @@ class TestTraining:
             Hyperparameters(learning_rate=learning_rate)
 
     def test_trained_values_land_in_the_networks_own_arrays(self):
-        """train works on a copy of the parameters and writes it back: the
-        network keeps its array objects, which hold the trained values."""
+        """train works on the network's parameter buffer itself: the network
+        keeps its buffer and views, which hold the trained values."""
         net, x, labels, hyper = _oracle_case("depth 3")
-        held = net.weights + net.biases
+        held, params = net.weights + net.biases, net.params
         ref = copy.deepcopy(net)
         train(net, x, labels, hyper)
         _ref_train(ref, x, labels, hyper)
+        assert net.params is params
         for got, array, expected in zip(net.weights + net.biases, held, ref.weights + ref.biases):
             assert got is array
             np.testing.assert_array_equal(got, expected)
+
+    def test_batch_above_the_training_rows_trains_as_one_full_batch(self):
+        """A batch_size beyond the training rows is one step over the whole
+        split, bit for bit, and sizes no buffer by batch_size."""
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((100, 2))  # 80 training rows
+        labels = rng.integers(0, 4, size=100)
+        nets, histories = [], []
+        for batch_size in (80, 10**12):
+            net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=4, seed=16))
+            histories.append(train(net, x, labels, Hyperparameters(batch_size=batch_size, epochs=6)))
+            nets.append(net)
+        assert histories[0].val_loss == histories[1].val_loss
+        np.testing.assert_array_equal(nets[1].params, nets[0].params)
+
+    def test_hyperparameters_are_frozen(self):
+        """Checked once at construction, so they cannot be changed after."""
+        hyper = Hyperparameters()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hyper.batch_size = 0
 
     def test_empty_training_set_rejected(self):
         net = init_network(NetworkSpec(depth=1, width=2, input_dim=2, output_dim=2))

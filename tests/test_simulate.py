@@ -706,6 +706,17 @@ class TestRunSweep:
         assert len(blocks) > 2 * 600 // 9
         assert all(np.isfinite(p).all() for p in model.weights + model.biases)
 
+    def test_batch_size_above_the_training_rows_gives_the_full_batch_records(self):
+        """300 samples leave 240 training rows; a batch of 10**12 is one
+        step over them, so the records are those of a batch of 240."""
+        config = replace(
+            FAST, N_t=1, N_r=1, constellation="QPSK", M_constellation=4, n_pilot=2,
+            detector="dnn", noise_power=(1e-3,), n_transmissions=5,
+            dnn_train_samples=300, dnn_epochs=5, dnn_width=8,
+        )
+        assert run_sweep(replace(config, dnn_batch_size=10**12)) == \
+            run_sweep(replace(config, dnn_batch_size=240))
+
     def test_invalid_config_propagates(self):
         with pytest.raises(ConfigError):
             run_sweep(replace(FAST, n_transmissions=0))
