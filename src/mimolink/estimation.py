@@ -1,10 +1,15 @@
 """Pilot-based least-squares and linear-MMSE channel estimation.
 
-Pilot matrices are semi-unitary by construction (X_P X_P^* = I), so both
-estimators reduce to a scaled correlation Y_P X_P^*. The general matrix
-forms are kept for user-supplied pilots. The received pilots
-Y_P = sqrt(G) H X_P + N come from :func:`mimolink.channel.apply_channel`
-over the H and G the data cross, with N drawn by ``sample_noise``.
+Pilot matrices are semi-unitary by construction: X_P = Q [I 0] with Q an
+N_t x N_t unitary matrix, so X_P X_P^* = I and both estimators reduce to a
+scaled correlation Y_P X_P^* = Y_P Q^* over the first N_t pilot columns.
+The sweep sends and correlates Q alone and scales the correlation by
+:func:`_scaled_correlation`, the closed form that :func:`estimate_ls` and
+:func:`estimate_lmmse` also apply to semi-unitary pilots. Those two test
+each Gram matrix X_P X_P^* and keep the general matrix forms for
+user-supplied pilots. The received pilots Y_P = sqrt(G) H X_P + N come
+from :func:`mimolink.channel.apply_channel` over the H and G the data
+cross, with N drawn by ``sample_noise``.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ def build_pilot_matrix(n_tx: int, n_pilot: int, rng: np.random.Generator,
     return pilots_from_basis(draw_pilot_basis(n_tx, rng, mode), n_pilot, mode)
 
 
+def _unknown_mode(mode: str) -> ValueError:
+    return ValueError(f"unknown pilot mode {mode!r}; expected one of {PILOT_MODES}")
+
+
 def draw_pilot_basis(n_tx: int, rng, mode: str = "unitary-random") -> np.ndarray:
     """The random N_t x N_t part of a pilot matrix: the complex Gaussian
     matrix to factorize (``unitary-random``) or the permuted identity
@@ -41,21 +50,27 @@ def draw_pilot_basis(n_tx: int, rng, mode: str = "unitary-random") -> np.ndarray
         return complex_gaussian(rng, (n_tx, n_tx))
     if mode == "permutation":
         return np.eye(n_tx, dtype=complex)[:, rng.permutation(n_tx)]
-    raise ValueError(f"unknown pilot mode {mode!r}; expected one of {PILOT_MODES}")
+    raise _unknown_mode(mode)
 
 
 def pilots_from_basis(basis: np.ndarray, n_pilot: int, mode: str = "unitary-random") -> np.ndarray:
     """Pilot matrices (..., N_t, n_pilot) from bases (..., N_t, N_t) drawn by
     :func:`draw_pilot_basis`; a stack of bases takes one stacked
-    factorization, each matrix bit for bit its own."""
+    factorization, each matrix bit for bit its own. At n_pilot = N_t this
+    is the unitary factor Q itself, with no zero columns to fill."""
     n_tx = basis.shape[-1]
+    if mode not in PILOT_MODES:
+        raise _unknown_mode(mode)
     if n_pilot < n_tx:
         raise ValueError(f"n_pilot = {n_pilot} must be at least N_t = {n_tx}")
-    q = basis
     if mode == "unitary-random":
         q, r = np.linalg.qr(basis)
         diag = np.diagonal(r, axis1=-2, axis2=-1)
         q *= (diag / np.abs(diag))[..., None, :]
+    else:
+        q = np.array(basis, dtype=complex)
+    if n_pilot == n_tx:
+        return q
     x_p = np.zeros(basis.shape[:-1] + (n_pilot,), dtype=complex)
     x_p[..., :n_tx] = q
     return x_p
@@ -86,6 +101,18 @@ def _solve_right(corr: np.ndarray, matrix: np.ndarray) -> np.ndarray:
                            corr.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
 
+def _scaled_correlation(corr: np.ndarray, G: float, sigma2: float | None = None) -> np.ndarray:
+    """The estimate from the correlation Y_P X_P^* of semi-unitary pilots,
+    scaled in place and returned: (1/sqrt(G)) Y_P X_P^* for LS (``sigma2``
+    None), (sqrt(G) / (G + sigma2)) Y_P X_P^* for L-MMSE. The arguments
+    are not checked."""
+    if sigma2 is None:
+        corr /= np.sqrt(G)
+    else:
+        corr *= np.sqrt(G) / (G + sigma2)
+    return corr
+
+
 def estimate_ls(y_p: np.ndarray, x_p: np.ndarray, G: float) -> np.ndarray:
     """Least-squares channel estimate.
 
@@ -101,8 +128,7 @@ def estimate_ls(y_p: np.ndarray, x_p: np.ndarray, G: float) -> np.ndarray:
     general = _not_semi_unitary(gram)
     if general.any():
         corr[general] = _solve_right(corr[general], gram[general])
-    corr /= np.sqrt(G)
-    return corr
+    return _scaled_correlation(corr, G)
 
 
 def estimate_lmmse(y_p: np.ndarray, x_p: np.ndarray, G: float, sigma2: float) -> np.ndarray:
@@ -118,7 +144,7 @@ def estimate_lmmse(y_p: np.ndarray, x_p: np.ndarray, G: float, sigma2: float) ->
     if not sigma2 >= 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     gram, corr = _gram_and_correlation(y_p, x_p)
-    h_hat = corr * (np.sqrt(G) / (G + sigma2))
+    h_hat = _scaled_correlation(corr.copy(), G, sigma2)
     general = _not_semi_unitary(gram)
     if general.any():
         regularized = G * gram[general] + sigma2 * np.eye(gram.shape[-1])

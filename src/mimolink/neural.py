@@ -103,6 +103,32 @@ class TrainingHistory:
         return len(self.val_loss)
 
 
+class _LayerViews(list):
+    """One view of a network's ``params`` per layer, its weights or its
+    biases. Assigning an entry copies the array into the buffer (of the
+    entry's shape, or a ValueError names the layer), so ``forward``,
+    ``train`` and ``save_network`` all see it; ``weights[-1] *= c`` scales
+    through the view and copies it onto itself."""
+
+    def __init__(self, views, kind: str):
+        super().__init__(views)
+        self.kind = kind
+
+    def __setitem__(self, index, value):
+        if isinstance(index, slice):
+            layers, values = range(len(self))[index], list(value)
+            if len(values) != len(layers):
+                raise ValueError(f"{len(values)} {self.kind} for {len(layers)} layers")
+            for layer, array in zip(layers, values):
+                self[layer] = array
+            return
+        view = self[index]
+        if np.shape(value) != view.shape:
+            raise ValueError(f"layer {range(len(self))[index]}: {self.kind} {np.shape(value)}, "
+                             f"expected {view.shape}")
+        np.copyto(view, value)
+
+
 class Network:
     """The parameter buffer ``params``, viewed by ``weights`` and ``biases``, and a stream."""
 
@@ -112,19 +138,15 @@ class Network:
         self.spec, self.rng = spec, rng
         self.params = np.empty(sum((i + 1) * o for i, o in zip(dims, dims[1:])))
         self._layers = _layers(self.params, dims)
-        self.weights, self.biases = _split(self._layers)
         if not len(weights) == len(biases) == len(dims) - 1:
             raise ValueError(f"{len(weights)} weights and {len(biases)} biases "
                              f"for {len(dims) - 1} layers")
-        for layer, (w, b, w_in, b_in) in enumerate(zip(self.weights, self.biases, weights, biases)):
-            if np.shape(w_in) != w.shape or np.shape(b_in) != b.shape:
-                raise ValueError(f"layer {layer}: weights {np.shape(w_in)} and biases "
-                                 f"{np.shape(b_in)}, expected {w.shape} and {b.shape}")
-            np.copyto(w, w_in)
-            np.copyto(b, b_in)
+        w_views, b_views = _split(self._layers)
+        self.weights, self.biases = _LayerViews(w_views, "weights"), _LayerViews(b_views, "biases")
+        self.weights[:], self.biases[:] = weights, biases
 
     def __reduce__(self):  # a copy or pickle builds a buffer of its own, and views of it
-        return Network, (self.spec, self.weights, self.biases, self.rng)
+        return Network, (self.spec, *_split(self._layers), self.rng)
 
 
 def init_network(spec: NetworkSpec) -> Network:

@@ -34,7 +34,7 @@ import numpy as np
 from . import atomic, metrics, pool
 from .channel import apply_channel, large_scale_gain, sample_channel, sample_noise
 from .constellation import ConstellationTable, build_constellation, map_bits_to_symbols, symbols_to_bits
-from .estimation import PILOT_MODES, draw_pilot_basis, estimate_lmmse, estimate_ls, pilots_from_basis
+from .estimation import PILOT_MODES, _scaled_correlation, draw_pilot_basis, pilots_from_basis
 from .framing import CrcSpec, block_total_bits, build_transport_blocks, extract_and_check, load_payload_bits
 from .neural import (
     Hyperparameters,
@@ -533,7 +533,9 @@ class _LinkDraws:
     the transmitted indices of training data (after the pilot noise, when
     ``n_classes`` is given) end a run. At noise power 0 the noise columns
     are not drawn. :meth:`stacks` assembles the complex stacks once per
-    chunk.
+    chunk; of the n_pilot pilot-noise columns only the first N_t, which
+    the signal-carrying pilot columns cross, are assembled: the others
+    are drawn, so every stream stays the same, but never read.
     """
 
     def __init__(self, config: SimConfig, noise_power: float, n_blocks: int, n_classes: int | None = None):
@@ -571,7 +573,8 @@ class _LinkDraws:
         rng.standard_normal(out=row[start:self.drawn])
 
     def stacks(self):
-        """The chunk's channel, pilot basis, pilot noise and data noise stacks."""
+        """The chunk's channel, pilot basis, pilot noise (its first N_t
+        columns) and data noise stacks."""
         config, n_blocks = self.config, len(self.normals)
         channel, basis, pilot_noise, data_noise = (
             self.normals[:, lo:hi].reshape((n_blocks, 2) + shape)
@@ -580,10 +583,25 @@ class _LinkDraws:
             basis = draw_pilot_basis(config.N_t, basis, config.pilot_mode)
         else:
             basis = self.pilot_basis
-        _, _, pilot_shape, data_shape = self.shapes
+        channel_shape, _, _, data_shape = self.shapes
         return (sample_channel(config.N_r, config.N_t, channel), basis,
-                sample_noise(pilot_shape, self.noise_power, pilot_noise),
+                sample_noise(channel_shape, self.noise_power, pilot_noise[..., :config.N_t]),
                 sample_noise(data_shape, self.noise_power, data_noise))
+
+
+def _estimate(draws: _LinkDraws, H: np.ndarray, pilot_basis: np.ndarray, pilot_noise: np.ndarray) -> np.ndarray:
+    """The chunk's channel estimates from its pilots X_P = Q [I 0].
+
+    Only Q crosses the link, with the pilot noise of its N_t columns, and
+    Y_P Q^* is scaled in closed form. The zero columns of X_P add only
+    zeros to Y_P X_P^*, and X_P X_P^* = I, so this is, bit for bit,
+    ``estimate_ls`` or ``estimate_lmmse`` on the full X_P and pilot noise.
+    """
+    config, gain = draws.config, draws.link.gain
+    q = pilots_from_basis(pilot_basis, config.N_t, config.pilot_mode)
+    y_p = apply_channel(H, gain, q, pilot_noise)
+    sigma2 = None if config.estimator == "ls" else draws.noise_power
+    return _scaled_correlation(y_p @ q.conj().swapaxes(-1, -2), gain, sigma2)
 
 
 def _equalize(draws: _LinkDraws, h_hat: np.ndarray, gain: float, y: np.ndarray) -> np.ndarray:
@@ -605,12 +623,7 @@ def _link_pass(draws: _LinkDraws, tx_indices: np.ndarray):
     config = draws.config
     table, _, gain, _ = draws.link
     H, pilot_basis, pilot_noise, data_noise = draws.stacks()
-    x_p = pilots_from_basis(pilot_basis, config.n_pilot, config.pilot_mode)
-    y_p = apply_channel(H, gain, x_p, pilot_noise)
-    if config.estimator == "ls":
-        h_hat = estimate_ls(y_p, x_p, gain)
-    else:
-        h_hat = estimate_lmmse(y_p, x_p, gain, draws.noise_power)
+    h_hat = _estimate(draws, H, pilot_basis, pilot_noise)
 
     n_blocks = tx_indices.shape[0]
     x = table.points[tx_indices].reshape(n_blocks, -1, config.N_t).swapaxes(-1, -2) / math.sqrt(config.N_t)

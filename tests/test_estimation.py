@@ -58,6 +58,25 @@ class TestPilotMatrix:
         with pytest.raises(ValueError, match="zadoff"):
             build_pilot_matrix(2, 2, np.random.default_rng(0), "zadoff")
 
+    @pytest.mark.parametrize("mode", ["zadoff", "unitary_random"])
+    def test_unknown_mode_rejected_from_a_basis(self, mode):
+        """A misspelt mode raises rather than returning the unfactorized
+        Gaussian basis as pilots, which are not semi-unitary."""
+        basis = draw_pilot_basis(2, np.random.default_rng(0))
+        for n_pilot in (2, 4):
+            with pytest.raises(ValueError, match=f"unknown pilot mode '{mode}'"):
+                pilots_from_basis(basis, n_pilot, mode)
+
+    @pytest.mark.parametrize("mode", ["unitary-random", "permutation"])
+    def test_square_pilots_are_the_unitary_factor(self, mode):
+        """At n_pilot = N_t the pilots are Q, the first N_t columns of any
+        longer pilot matrix from the same basis, in an array of their own."""
+        bases = np.stack([draw_pilot_basis(4, np.random.default_rng(seed), mode) for seed in range(3)])
+        q = pilots_from_basis(bases, 4, mode)
+        assert q.shape == (3, 4, 4) and q.dtype == complex
+        assert not np.shares_memory(q, bases)
+        np.testing.assert_array_equal(pilots_from_basis(bases, 6, mode)[..., :4], q)
+
     @pytest.mark.parametrize("mode", ["unitary-random", "permutation"])
     def test_stacked_bases_match_per_matrix_calls(self, mode):
         rng = np.random.default_rng(6)

@@ -95,6 +95,35 @@ class TestParameterStore:
         assert not np.array_equal(after, before)
         np.testing.assert_allclose(after, _textbook_forward(net, x)[1], rtol=1e-12)
 
+    def test_an_assigned_entry_is_copied_into_the_buffer(self, tmp_path):
+        """Assigning a weight or bias entry writes the buffer that forward
+        and training read, so the network and its saved, loaded and pickled
+        copies decide alike."""
+        rng = np.random.default_rng(16)
+        net = init_network(self.SPEC)
+        x = rng.standard_normal((6, 2))
+        before = forward(net, x)
+        held = net.weights[1]
+        net.weights[1] = rng.standard_normal((3, 3))
+        net.biases[-1] = np.array([0.5, -0.5, 0.25, 0.0])
+        net.weights[-1] *= 2.0
+        assert net.weights[1] is held and np.shares_memory(held, net.params)
+        after = forward(net, x)
+        assert not np.array_equal(after, before)
+        np.testing.assert_allclose(after, _textbook_forward(net, x)[1], rtol=1e-12)
+        path = tmp_path / "net.txt"
+        save_network(net, path)
+        for twin in (load_network(path), pickle.loads(pickle.dumps(net))):
+            np.testing.assert_array_equal(forward(twin, x), after)
+
+    @pytest.mark.parametrize("which,layer,shape", [("weights", 1, (3, 4)), ("biases", -1, (4, 1))])
+    def test_a_misshapen_entry_is_rejected_naming_its_layer(self, which, layer, shape):
+        net = init_network(self.SPEC)
+        params = net.params.copy()
+        with pytest.raises(ValueError, match=rf"^layer {layer % 3}: {which} {re.escape(str(shape))}"):
+            getattr(net, which)[layer] = np.zeros(shape)
+        np.testing.assert_array_equal(net.params, params)
+
     def test_constructor_copies_its_arguments(self):
         weights = [np.full((2, 3), 0.5), np.full((3, 3), -0.25), np.ones((3, 4))]
         biases = [np.zeros(3), np.zeros(3), np.arange(4.0)]

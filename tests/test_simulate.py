@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 import mimolink.simulate as sim
 from mimolink import metrics, pool
-from mimolink.channel import sample_channel, sample_noise
-from mimolink.estimation import draw_pilot_basis
+from mimolink.channel import apply_channel, sample_channel, sample_noise
+from mimolink.estimation import draw_pilot_basis, estimate_lmmse, estimate_ls, pilots_from_basis
 from mimolink.framing import CrcSpec, block_total_bits
 from mimolink.neural import TrainingDivergedError
 from mimolink.simulate import (
@@ -557,7 +557,7 @@ class TestRunTrial:
 
     def test_equalization_failure_is_a_block_failure(self, monkeypatch):
         """A rank-deficient estimate fails the block, not the run."""
-        monkeypatch.setattr(sim, "estimate_ls", lambda y, x, g: np.zeros(y.shape[:-1] + (FAST.N_t,)))
+        monkeypatch.setattr(sim, "_estimate", lambda draws, H, *pilots: np.zeros(H.shape))
         outcome = run_trial(FAST, 1e-3, 0)
         assert outcome.equalization_failed
         assert not outcome.crc_ok
@@ -634,7 +634,7 @@ class TestRunSweep:
     def test_equalization_failures_fail_every_rate(self, monkeypatch):
         """A noise point whose every estimate is rank-deficient reports all
         rates at 1."""
-        monkeypatch.setattr(sim, "estimate_ls", lambda y, x, g: np.zeros(y.shape[:-1] + (FAST.N_t,)))
+        monkeypatch.setattr(sim, "_estimate", lambda draws, H, *pilots: np.zeros(H.shape))
         [record] = run_sweep(replace(FAST, noise_power=(1e-3,), n_transmissions=5))
         assert (record.bler, record.ser, record.ber, record.classification_error) == (1.0, 1.0, 1.0, 1.0)
 
@@ -918,7 +918,9 @@ class TestDrawLayout:
     """A chunk's stacks are, block for block and bit for bit, what the public
     draw calls return on the block's stream in the old order: sample_channel,
     draw_pilot_basis, sample_noise for the pilots (then, for training data,
-    the transmitted indices), sample_noise for the data."""
+    the transmitted indices), sample_noise for the data. Of the pilot noise
+    the stacks keep the first N_t columns, the ones the signal-carrying
+    pilot columns cross."""
 
     @pytest.mark.parametrize("training", [False, True], ids=["trial", "training"])
     @pytest.mark.parametrize("sigma2", [1e-2, 0.0])
@@ -938,7 +940,7 @@ class TestDrawLayout:
             rng.integers(0, 2, size=config.codeword_size)
             expected = [sample_channel(config.N_r, config.N_t, rng),
                         draw_pilot_basis(config.N_t, rng, pilot_mode),
-                        sample_noise((config.N_r, config.n_pilot), sigma2, rng)]
+                        sample_noise((config.N_r, config.n_pilot), sigma2, rng)[:, :config.N_t]]
             if training:
                 indices = rng.integers(0, config.M_constellation, size=n_symbols)
                 assert draws.tx_indices[b].tobytes() == indices.tobytes()
@@ -949,6 +951,40 @@ class TestDrawLayout:
             assert drawn.bit_generator.state == rng.bit_generator.state, b
         if sigma2 == 0:
             assert not stacks[2].any() and not stacks[3].any()
+
+
+class TestPilotEstimate:
+    """The chunk pass sends only the pilots' unitary factor Q and scales
+    Y_P Q^* in closed form. Its stacked estimates are, bit for bit, what
+    estimate_ls and estimate_lmmse give on the full zero-padded X_P with
+    all n_pilot pilot-noise columns. The equality rests on the BLAS
+    product adding the zero pilot columns' terms after the others."""
+
+    @pytest.mark.parametrize("sigma2", [1e-2, 0.0])
+    @pytest.mark.parametrize("estimator", ["ls", "lmmse"])
+    @pytest.mark.parametrize("pilot_mode", ["unitary-random", "permutation"])
+    @pytest.mark.parametrize("n_tx,n_rx,n_pilot", [(4, 8, 20), (16, 20, 20), (4, 8, 4), (16, 20, 16)])
+    def test_equals_the_general_estimators_on_the_full_pilots(self, n_tx, n_rx, n_pilot, pilot_mode,
+                                                              estimator, sigma2):
+        config = SimConfig(N_t=n_tx, N_r=n_rx, n_pilot=n_pilot, pilot_mode=pilot_mode, estimator=estimator)
+        gain, n_blocks = sim._link(config).gain, 5
+        draws = sim._LinkDraws(config, sigma2, n_blocks)
+        for b in range(n_blocks):
+            draws.draw(b, substream(config.seed, 0, 0, b))
+        H, basis, pilot_noise, _ = draws.stacks()
+        got = sim._estimate(draws, H, basis, pilot_noise)
+
+        full_noise = []
+        for b in range(n_blocks):
+            rng = substream(config.seed, 0, 0, b)
+            sample_channel(n_rx, n_tx, rng)
+            draw_pilot_basis(n_tx, rng, pilot_mode)
+            full_noise.append(sample_noise((n_rx, n_pilot), sigma2, rng))
+        x_p = pilots_from_basis(basis, n_pilot, pilot_mode)
+        y_p = apply_channel(H, gain, x_p, np.stack(full_noise))
+        want = estimate_ls(y_p, x_p, gain) if estimator == "ls" else estimate_lmmse(y_p, x_p, gain, sigma2)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestChunking:
@@ -1017,11 +1053,11 @@ class TestFailureInChunk:
         raises) and turn one equalized entry of the NON_FINITE block into
         NaN, recognising that block by its estimate in the stacked call and
         in the per-block fallback alike."""
-        estimate, equalize = sim.estimate_ls, sim.equalize_zf
+        estimate, equalize = sim._estimate, sim.equalize_zf
         marked = []
 
-        def faulty_estimate(y_p, x_p, G):
-            h_hat = estimate(y_p, x_p, G)
+        def faulty_estimate(draws, *stacks):
+            h_hat = estimate(draws, *stacks)
             if not marked and h_hat.ndim == 3 and len(h_hat) > self.NON_FINITE:
                 h_hat[self.SINGULAR] = 0
                 marked.append(h_hat[self.NON_FINITE].copy())
@@ -1034,7 +1070,7 @@ class TestFailureInChunk:
                 s_hat.reshape((-1,) + s_hat.shape[-2:])[hits, 0, 0] = np.nan
             return s_hat
 
-        monkeypatch.setattr(sim, "estimate_ls", faulty_estimate)
+        monkeypatch.setattr(sim, "_estimate", faulty_estimate)
         monkeypatch.setattr(sim, "equalize_zf", faulty_equalize)
         return marked
 
