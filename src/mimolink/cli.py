@@ -71,6 +71,8 @@ def main(argv=None) -> int:
             extract_path = (_default_extract_path(config.output) if args.extract_output is None
                             else args.extract_output)
             _check_destination("--extract-output", extract_path)
+            if Path(extract_path).resolve() == Path(config.output).resolve():
+                raise ConfigError(f"--extract-output = {extract_path!r} is the output file {config.output!r}")
         records = run_sweep(config)
         write_csv(records, config.output)
         print(f"wrote {len(records)} records to {config.output}")

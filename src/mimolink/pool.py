@@ -9,7 +9,9 @@ OpenBLAS runs on one thread while the processes run, so that they do not
 oversubscribe the cores: a two-point default DNN sweep at workers = 2 on 2
 cores took 2.6-2.9 s so and 5.8-7.0 s without (4 of 4 alternating pairs,
 same records); a K-means and L-MMSE one showed no difference (12 pairs,
-6-6). :func:`openblas_threads` finds its thread-count calls.
+6-6). :func:`openblas_threads` finds its thread-count calls, and
+:func:`keep_heap_resident` keeps glibc from handing a sweep's chunk
+buffers back to the kernel between chunks.
 """
 
 from __future__ import annotations
@@ -70,6 +72,27 @@ def openblas_threads():
             set_.argtypes, set_.restype = [ctypes.c_int], None
             return get, set_
     return None
+
+
+@functools.cache
+def keep_heap_resident() -> bool:
+    """Raise glibc's mmap threshold to 32 MiB and its trim threshold to
+    64 MiB, the ceilings of glibc's own adaptive rule, once per process
+    (forked children inherit them), and say whether it took. Below them a
+    freed chunk buffer stays in the heap for the next chunk; at the 128 KiB
+    defaults each chunk's buffers were mapped and page-faulted afresh
+    (about 3900 minor faults a ``long_block`` benchmark sweep). False,
+    changing nothing, where there is no ``mallopt`` (macOS, Windows) or it
+    refuses (returns 0)."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # malloc.h
+    return bool(mallopt(m_mmap_threshold, 32 << 20) and mallopt(m_trim_threshold, 64 << 20))
 
 
 def run(run_point, n_points: int, workers: int):

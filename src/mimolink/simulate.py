@@ -510,11 +510,15 @@ CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
 # bound on the entries (16 bytes each) that the stacks of one chunk's draws
-# hold together, which keeps a chunk's working set near 1 MB: trials/s
-# stops rising past about a dozen trials per chunk on the default 16x16
-# link (848 entries a trial), while the 4x16 link of 257 channel uses per
-# block (4320 entries a trial) needs two or three per chunk not to lose speed
-_CHUNK_ENTRIES = 1 << 14
+# hold together. A chunk makes about 40 numpy/LAPACK calls whatever its
+# size, so larger chunks share that cost over more blocks: 77 blocks of the
+# default 16x16 link (848 entries a block), 15 of the 4x16 link of 257
+# channel uses (4320 entries a block). Their buffers outgrow glibc's default
+# 128 KiB mmap threshold, which pool.keep_heap_resident raises, so they stay
+# in the heap across chunks instead of being faulted in afresh. At 1 << 14
+# the long_block benchmark ran at 1370 calibrated trials/s, at this bound
+# 2110, for about 3 MB more peak RSS
+_CHUNK_ENTRIES = 1 << 16
 
 
 def _chunk_blocks(config: SimConfig) -> int:
@@ -835,6 +839,7 @@ def run_sweep(config: SimConfig) -> list[SweepRecord]:
     Every trial and training pass draws from its own substream, so the
     records do not depend on the number of processes.
     """
+    pool.keep_heap_resident()
     payload_chunks = None
     if config.payload is not None:
         bits = load_payload_bits(config.payload)

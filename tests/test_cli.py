@@ -137,6 +137,19 @@ class TestCli:
         assert err.startswith(f"simulate: error: {name} = {path!r}") and problem in err
         assert not list(tmp_path.rglob("*.csv")) and not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("extract_output", ["./out.csv", "out.csv", "sub/../out.csv", "{tmp}/out.csv"])
+    def test_extract_output_at_the_output_path_exits_2_before_the_sweep(self, fast_config, tmp_path, monkeypatch,
+                                                                        capsys, no_sweep, extract_output):
+        """The extract would overwrite the CSV it was taken from."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        extract_output = extract_output.format(tmp=tmp_path)
+        assert main(["--config", str(fast_config), "--output", "out.csv", "--extract", "bler",
+                     "--extract-output", extract_output]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"simulate: error: --extract-output = {extract_output!r}") and "out.csv" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_extract_output_in_the_working_directory(self, fast_config, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["--config", str(fast_config), "--extract", "bler", "--extract-output", "pair.csv"]) == 0

@@ -1,8 +1,10 @@
 """Tests for configuration, the trial pipeline, sweeps, and CSV emission."""
 
+import ctypes
 import math
 import os
 import pickle
+import platform
 import re
 import signal
 import subprocess
@@ -1022,7 +1024,7 @@ class TestChunking:
             assert run_sweep(sized) == standalone_records(sized, models), n
 
     def test_full_width_dnn_chunk_equals_standalone_trials(self, monkeypatch):
-        """At the default chunk bound an 8x8 QPSK link carries 78 blocks a
+        """At the default chunk bound an 8x8 QPSK link carries 315 blocks a
         chunk: one inference over the chunk's stacked features decides each
         block as an inference over that block alone."""
         config = SimConfig(N_t=8, N_r=8, constellation="QPSK", M_constellation=4, n_pilot=8,
@@ -1030,7 +1032,7 @@ class TestChunking:
                            dnn_train_samples=1000, dnn_epochs=20)
         n_uses = sim._link(config).n_uses
         chunk = sim._chunk_blocks(config)
-        assert chunk == 78
+        assert chunk == 315
         config = replace(config, n_transmissions=chunk)
         models = [sim.train_detector_network(config, 5e-2, 0)]
         rows = []
@@ -1040,6 +1042,55 @@ class TestChunking:
         assert rows == [chunk * n_uses * config.N_t]
         assert record.ser < 0.5  # the network decides, it does not guess
         assert [record] == standalone_records(config, models)
+
+
+class TestResidentHeap:
+    # the long_block benchmark workload's keys
+    LONG_BLOCK = """
+N_t = 4
+N_r = 16
+M_constellation = 16
+n_pilot = 8
+codeword_size = 4096
+crc_length = 16
+crc_generator = 10001000000100001
+noise_power = [1e-3, 5e-2, 2e-1]
+n_transmissions = 60
+seed = 1
+"""
+
+    def test_a_steady_state_sweep_takes_no_page_faults(self, tmp_path):
+        """Chunk buffers above glibc's default 128 KiB mmap threshold stay in
+        the heap from one chunk and one sweep to the next: a sweep after a
+        warm-up one faults no page in (about 3900 minor faults with the defaults)."""
+        pytest.importorskip("resource")
+        if platform.libc_ver()[0] != "glibc" or not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("no glibc mallopt")
+        path = tmp_path / "long_block.cfg"
+        path.write_text(self.LONG_BLOCK)
+        code = ("import resource, sys; from mimolink.simulate import load_config, run_sweep; "
+                "config = load_config(sys.argv[1]); run_sweep(config); "
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; run_sweep(config); "
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+        src = str(Path(sim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        faults = int(subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True,
+                                    capture_output=True, text=True).stdout)
+        assert faults < 100
+
+    def test_without_mallopt_nothing_changes(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert pool.keep_heap_resident.__wrapped__() is False
+
+    def test_a_refused_threshold_sets_no_other(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):  # glibc returns 0 for a value it refuses
+            calls.append((param, value))
+            return 0
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: type("Libc", (), {"mallopt": mallopt}))
+        assert pool.keep_heap_resident.__wrapped__() is False
+        assert calls == [(-3, 32 << 20)]  # M_MMAP_THRESHOLD only
 
 
 class TestFailureInChunk:
