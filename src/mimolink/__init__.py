@@ -12,6 +12,7 @@ from .channel import (
     sample_channel,
     sample_noise,
 )
+from .config import ConfigError, SimConfig, load_config
 from .constellation import (
     ConstellationTable,
     build_constellation,
@@ -53,11 +54,8 @@ from .receiver import (
     equalize_zf,
 )
 from .simulate import (
-    ConfigError,
-    SimConfig,
     SweepRecord,
     TrialOutcome,
-    load_config,
     run_sweep,
     run_trial,
     substream,

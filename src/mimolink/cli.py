@@ -6,18 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .simulate import (
-    DETECTORS,
-    EQUALIZERS,
-    ESTIMATORS,
-    ConfigError,
-    _check_file_name,
-    _checked_columns,
-    load_config,
-    run_sweep,
-    write_csv,
-    write_extract,
-)
+from .config import DETECTORS, EQUALIZERS, ESTIMATORS, ConfigError, check_file_name, load_config
+from .simulate import checked_columns, run_sweep, write_csv, write_extract
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,16 +34,21 @@ def _default_extract_path(output: str) -> str:
     return str(out.with_name(out.stem + "_extract" + (out.suffix or ".csv")))
 
 
-def _check_destination(name: str, path: str) -> None:
+def _check_destination(name: str, path: str, inputs: dict) -> None:
     """Raise :class:`ConfigError` naming ``name``, the key or flag that gave
-    ``path``, unless ``path`` names a file in a directory that exists, so a
-    bad destination fails before the sweep rather than at the write."""
-    _check_file_name(name, path)
+    ``path``, unless ``path`` names a file in a directory that exists and
+    none of the files that ``inputs`` maps (a description to a path or
+    None), so a bad destination fails before the sweep rather than at the
+    write, and a write never replaces the run's own inputs."""
+    check_file_name(name, path)
     directory = Path(path).parent
     if not directory.is_dir():
         raise ConfigError(f"{name} = {path!r}: {str(directory)!r} is not a directory")
     if Path(path).is_dir():
         raise ConfigError(f"{name} = {path!r} is a directory")
+    for description, input_path in inputs.items():
+        if input_path is not None and Path(path).resolve() == Path(input_path).resolve():
+            raise ConfigError(f"{name} = {path!r} is the {description} {input_path!r}")
 
 
 def main(argv=None) -> int:
@@ -64,15 +59,14 @@ def main(argv=None) -> int:
     try:
         keys = ("seed", "detector", "estimator", "equalizer", "output")
         config = load_config(args.config, {key: getattr(args, key) for key in keys})
-        _check_destination("output", config.output)
+        inputs = {"config file": args.config, "payload file": config.payload}
+        _check_destination("output", config.output, inputs)
         extract_columns = None
         if args.extract is not None:
-            extract_columns = _checked_columns(c.strip() for c in args.extract.split(",") if c.strip())
+            extract_columns = checked_columns(c.strip() for c in args.extract.split(",") if c.strip())
             extract_path = (_default_extract_path(config.output) if args.extract_output is None
                             else args.extract_output)
-            _check_destination("--extract-output", extract_path)
-            if Path(extract_path).resolve() == Path(config.output).resolve():
-                raise ConfigError(f"--extract-output = {extract_path!r} is the output file {config.output!r}")
+            _check_destination("--extract-output", extract_path, {**inputs, "output file": config.output})
         records = run_sweep(config)
         write_csv(records, config.output)
         print(f"wrote {len(records)} records to {config.output}")

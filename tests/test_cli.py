@@ -150,6 +150,30 @@ class TestCli:
         assert err.startswith(f"simulate: error: --extract-output = {extract_output!r}") and "out.csv" in err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("name, output, flags", [
+        ("output", "sim.cfg", []),
+        ("output", "out.csv", ["--output", "pay.bin"]),
+        ("output", "out.csv", ["--output", "./sub/../sim.cfg"]),
+        ("--extract-output", "out.csv", ["--extract", "bler", "--extract-output", "sim.cfg"]),
+        ("--extract-output", "out.csv", ["--extract", "bler", "--extract-output", "{tmp}/pay.bin"]),
+    ])
+    def test_destination_at_an_input_exits_2_and_leaves_it(self, tmp_path, monkeypatch, capsys, no_sweep,
+                                                           name, output, flags):
+        """A write must not replace the config file or the payload it was run from."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        payload, config = tmp_path / "pay.bin", tmp_path / "sim.cfg"
+        payload.write_bytes(bytes(range(256)))
+        config.write_text(FAST_CFG + f"payload = pay.bin\noutput = {output}\n")
+        inputs = {path: path.read_bytes() for path in (payload, config)}
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        assert main(["--config", str(config), *flags]) == 2
+        destination = flags[-1] if flags else output
+        err = capsys.readouterr().err
+        assert err.startswith(f"simulate: error: {name} = {destination!r} is the ")
+        assert {path: path.read_bytes() for path in inputs} == inputs
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_extract_output_in_the_working_directory(self, fast_config, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["--config", str(fast_config), "--extract", "bler", "--extract-output", "pair.csv"]) == 0

@@ -18,9 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mimolink.config
 import mimolink.simulate as sim
 from mimolink import metrics, pool
 from mimolink.channel import apply_channel, sample_channel, sample_noise
+from mimolink.config import link
+from mimolink.constellation import build_constellation
 from mimolink.estimation import draw_pilot_basis, estimate_lmmse, estimate_ls, pilots_from_basis
 from mimolink.framing import CrcSpec, block_total_bits
 from mimolink.neural import TrainingDivergedError
@@ -299,10 +302,9 @@ def test_numpy_floats_become_python_floats_in_a_direct_config():
     """A float32 f_c once made the log-distance gain float32, whose range
     check then overflowed in a cast (an error under -W error)."""
     config = SimConfig(f_c=np.float32(1.8e9), G_override=None)
-    sim.validate_config(config)
-    gain = sim._link(config).gain
+    gain = link(config).gain
     assert type(gain) is float
-    assert gain == sim._link(SimConfig(f_c=float(np.float32(1.8e9)), G_override=None)).gain
+    assert gain == link(SimConfig(f_c=float(np.float32(1.8e9)), G_override=None)).gain
     config = SimConfig(dnn_learning_rate=np.float32(0.05), G_override=np.float32(0.5))
     assert type(config.dnn_learning_rate) is float and type(config.G_override) is float
     assert config.dnn_learning_rate == float(np.float32(0.05)) and config.G_override == 0.5
@@ -881,7 +883,7 @@ class TestPoolSize:
 
 def standalone_records(config, models):
     """Records reduced, in trial order, from one standalone run_trial call per trial."""
-    table = sim.build_constellation(config.constellation, config.M_constellation)
+    table = build_constellation(config.constellation, config.M_constellation)
     records = []
     for noise_index, sigma2 in enumerate(config.noise_power):
         outcomes = [run_trial(config, sigma2, trial, noise_index, dnn_model=models[noise_index])
@@ -969,7 +971,7 @@ class TestPilotEstimate:
     def test_equals_the_general_estimators_on_the_full_pilots(self, n_tx, n_rx, n_pilot, pilot_mode,
                                                               estimator, sigma2):
         config = SimConfig(N_t=n_tx, N_r=n_rx, n_pilot=n_pilot, pilot_mode=pilot_mode, estimator=estimator)
-        gain, n_blocks = sim._link(config).gain, 5
+        gain, n_blocks = link(config).gain, 5
         draws = sim._LinkDraws(config, sigma2, n_blocks)
         for b in range(n_blocks):
             draws.draw(b, substream(config.seed, 0, 0, b))
@@ -996,15 +998,15 @@ class TestChunking:
         """Validation builds the table, CRC spec and gain; every chunk, trial
         and training pass of the config then shares them."""
         config = replace(FAST, detector="dnn", n_transmissions=9, **SMALL_DNN)
-        link = sim._link(config)
+        built_link = link(config)
         monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 64)
         assert sim._chunk_blocks(config) < config.n_transmissions
         built = []
         for name in ("build_constellation", "CrcSpec", "large_scale_gain"):
-            monkeypatch.setattr(sim, name, lambda *args, name=name: built.append(name))
+            monkeypatch.setattr(mimolink.config, name, lambda *args, name=name: built.append(name))
         records = run_sweep(config)
         run_trial(config, 1e-3, 0, dnn_model=sim.train_detector_network(config, 1e-3))
-        assert built == [] and sim._link(config) is link
+        assert built == [] and link(config) is built_link
         assert len(records) == len(config.noise_power)
 
     @pytest.mark.parametrize("detector", ["ml", "kmeans", "dnn"])
@@ -1030,7 +1032,7 @@ class TestChunking:
         config = SimConfig(N_t=8, N_r=8, constellation="QPSK", M_constellation=4, n_pilot=8,
                            noise_power=(5e-2,), detector="dnn", dnn_labels="ml",
                            dnn_train_samples=1000, dnn_epochs=20)
-        n_uses = sim._link(config).n_uses
+        n_uses = link(config).n_uses
         chunk = sim._chunk_blocks(config)
         assert chunk == 315
         config = replace(config, n_transmissions=chunk)
@@ -1265,6 +1267,11 @@ class TestCsvOutput:
     def test_extract_unknown_column_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nope"):
             write_extract(self._records(), ("nope",), tmp_path / "x.csv")
+        # a str is no sequence of names: its characters would be read as columns
+        for text in ("snr_tx_db,bler", "bler"):
+            with pytest.raises(ValueError, match=rf"^columns must be a sequence of column names .*{text!r}$"):
+                write_extract(self._records(), text, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_extract_repeated_column_rejected_naming_it(self, tmp_path):
         with pytest.raises(ValueError, match=r"^column\(s\) selected more than once: bler, ber$"):
