@@ -72,11 +72,11 @@ class SimConfig:
     workers: int = 1
     dnn_depth: int = 2
     dnn_width: int = 16
-    dnn_learning_rate: float = 0.05
-    dnn_batch_size: int = 64
-    dnn_epochs: int = 200
-    dnn_validation_fraction: float = 0.2
-    dnn_patience: int = 10
+    dnn_learning_rate: float = Hyperparameters.learning_rate
+    dnn_batch_size: int = Hyperparameters.batch_size
+    dnn_epochs: int = Hyperparameters.epochs
+    dnn_validation_fraction: float = Hyperparameters.validation_fraction
+    dnn_patience: int = Hyperparameters.patience
     dnn_train_samples: int = 10000
     dnn_labels: str = "truth"
 
@@ -120,10 +120,7 @@ class SimConfig:
             raise ConfigError(
                 f"equalizer 'zf' needs N_r >= N_t, got N_r={_shown(self.N_r)}, N_t={_shown(self.N_t)}"
             )
-        try:
-            hyperparameters(self)
-        except ValueError as exc:
-            raise ConfigError(f"dnn hyperparameters invalid: {exc}") from exc
+        hyperparameters(self)
         if self.B <= 0:
             raise ConfigError(f"B must be positive, got {self.B}")
         if self.N0 is not None and self.N0 < 0:
@@ -190,14 +187,16 @@ def _shown(value) -> str:
 
 
 def hyperparameters(config: SimConfig) -> Hyperparameters:
-    """The neural detector's training settings from the ``dnn_*`` keys."""
-    return Hyperparameters(
-        learning_rate=config.dnn_learning_rate,
-        batch_size=config.dnn_batch_size,
-        epochs=config.dnn_epochs,
-        validation_fraction=config.dnn_validation_fraction,
-        patience=config.dnn_patience,
-    )
+    """The neural detector's training settings, each field from its
+    ``dnn_`` key. Each field is built on its own, the others at their
+    defaults, so a rejected value raises ConfigError naming its key."""
+    values = {f.name: getattr(config, "dnn_" + f.name) for f in fields(Hyperparameters)}
+    for name, value in values.items():
+        try:
+            Hyperparameters(**{name: value})
+        except ValueError as exc:
+            raise ConfigError(f"dnn_{name} = {_shown(value)}: {exc}") from exc
+    return Hyperparameters(**values)
 
 
 class Link(NamedTuple):

@@ -74,6 +74,8 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class Hyperparameters:
+    """Training settings, each with its default and one rule that reads it alone."""
+
     learning_rate: float = 0.05
     batch_size: int = 64
     epochs: int = 200
@@ -82,14 +84,12 @@ class Hyperparameters:
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(
-                f"learning_rate must be finite and nonnegative, got {self.learning_rate}")
-        if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:
-            raise ValueError("batch_size, epochs and patience must all be >= 1")
+            raise ValueError(f"learning_rate must be finite and nonnegative, got {self.learning_rate}")
+        for name in ("batch_size", "epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.validation_fraction < 1:
-            raise ValueError(
-                f"validation fraction must be in (0, 1), got {self.validation_fraction}"
-            )
+            raise ValueError(f"validation_fraction must be in (0, 1), got {self.validation_fraction}")
 
 
 @dataclass

@@ -124,6 +124,14 @@ class TestParameterStore:
             getattr(net, which)[layer] = np.zeros(shape)
         np.testing.assert_array_equal(net.params, params)
 
+    @pytest.mark.parametrize("which", ["weights", "biases"])
+    def test_a_slice_given_the_wrong_number_of_arrays_is_rejected(self, which):
+        net = init_network(self.SPEC)
+        params, views = net.params.copy(), getattr(net, which)
+        with pytest.raises(ValueError, match=rf"^1 {which} for 2 layers$"):
+            views[1:] = [views[1].copy()]
+        np.testing.assert_array_equal(net.params, params)
+
     def test_constructor_copies_its_arguments(self):
         weights = [np.full((2, 3), 0.5), np.full((3, 3), -0.25), np.ones((3, 4))]
         biases = [np.zeros(3), np.zeros(3), np.arange(4.0)]
@@ -316,6 +324,16 @@ class TestLabels:
         x = np.zeros((np.size(labels), 2))
         with pytest.raises(ValueError, match=rf"^labels must be integers, {message}$"):
             call(net, x, labels)
+
+    @pytest.mark.parametrize("call", [
+        lambda net, x, labels: cross_entropy(forward(net, x), labels),
+        lambda net, x, labels: gradient(net, x, labels),
+        lambda net, x, labels: train(net, x, labels, Hyperparameters(epochs=1)),
+    ], ids=["cross_entropy", "gradient", "train"])
+    def test_a_label_count_other_than_the_row_count_rejected(self, call):
+        net = init_network(NetworkSpec(depth=1, width=2, input_dim=2, output_dim=4))
+        with pytest.raises(ValueError, match=r"^3 rows but 2 labels$"):
+            call(net, np.zeros((3, 2)), [0, 1])
 
     def test_integral_float_labels_are_the_integers(self):
         net = init_network(NetworkSpec(depth=1, width=2, input_dim=2, output_dim=4, seed=3))
@@ -529,6 +547,19 @@ class TestTraining:
         with pytest.raises(ValueError, match="learning_rate"):
             Hyperparameters(learning_rate=learning_rate)
 
+    RULES = {"learning_rate": (-0.1, "must be finite and nonnegative"), "batch_size": (0, "must be >= 1"),
+             "epochs": (-3, "must be >= 1"), "validation_fraction": (0.0, "must be in (0, 1)"),
+             "patience": (0, "must be >= 1")}
+
+    def test_every_setting_has_a_rule_case(self):
+        assert self.RULES.keys() == {f.name for f in dataclasses.fields(Hyperparameters)}
+
+    @pytest.mark.parametrize("name", RULES)
+    def test_each_rule_names_its_setting_and_value(self, name):
+        value, rule = self.RULES[name]
+        with pytest.raises(ValueError, match=rf"^{name} {re.escape(rule)}, got {re.escape(str(value))}$"):
+            Hyperparameters(**{name: value})
+
     def test_trained_values_land_in_the_networks_own_arrays(self):
         """train works on the network's parameter buffer itself: the network
         keeps its buffer and views, which hold the trained values."""
@@ -618,7 +649,8 @@ class TestPredictAndPersistence:
 
     @pytest.mark.parametrize("keep", ["empty", "truncated", "extra line", "non-numeric-dim",
                                       "non-numeric-weight", "non-numeric-bias", "zero-dim",
-                                      "non-numeric-seed", "fractional-seed", "negative-seed"])
+                                      "non-numeric-seed", "fractional-seed", "negative-seed",
+                                      "non-uniform-widths", "short-weight-line"])
     def test_malformed_file_rejected_naming_the_path(self, tmp_path, keep):
         net = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=4, seed=14))
         path = tmp_path / "net.txt"
@@ -636,7 +668,9 @@ class TestPredictAndPersistence:
                 "zero-dim": with_first_token(0, "0"),
                 "non-numeric-seed": lines[:-1] + ["x"],
                 "fractional-seed": lines[:-1] + ["1.5"],
-                "negative-seed": lines[:-1] + ["-1"]}[keep]
+                "negative-seed": lines[:-1] + ["-1"],
+                "non-uniform-widths": ["2 8 7 4"] + lines[1:],
+                "short-weight-line": lines[:1] + [lines[1].rsplit(" ", 1)[0]] + lines[2:]}[keep]
         path.write_text("".join(line + "\n" for line in body), encoding="utf-8")
         with pytest.raises(ValueError, match="net.txt"):
             load_network(path)

@@ -10,7 +10,7 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +95,15 @@ class TestLoadConfig:
         assert load_config(path).noise_power == (1e-4, 1e-3, 1e-2)
         path.write_text("noise_power = ['1e-2', 1e-4]\n")
         assert load_config(path).noise_power == (1e-4, 1e-2)
+
+    @pytest.mark.parametrize("line, key, want", [
+        ('seed = "3"', "seed", 3),
+        ('noise_power = "[1e-3, 1e-2]"', "noise_power", (1e-3, 1e-2)),
+    ])
+    def test_a_quoted_value_of_a_non_string_key_is_read_again(self, tmp_path, line, key, want):
+        path = tmp_path / "q.cfg"
+        path.write_text(line + "\n")
+        assert getattr(load_config(path), key) == want
 
     def test_string_keys_keep_their_text(self, tmp_path):
         path = tmp_path / "s.cfg"
@@ -235,6 +244,11 @@ class TestLoadConfig:
     ("output = ..", "output"),
     ("output = runs/", "output"),
     ("output = runs/.", "output"),
+    # a generator that yields no CRC: a leading 0 bit, a digit other than 0
+    # and 1, a degree of zero
+    ("crc_generator = 011", "crc_generator"),
+    ("crc_generator = 121", "crc_generator"),
+    ("crc_generator = 1", "crc_generator"),
 ])
 def test_out_of_range_values_rejected_naming_the_key(tmp_path, text, key):
     """Non-finite, out-of-range or boolean values fail at load time, naming the key."""
@@ -242,6 +256,43 @@ def test_out_of_range_values_rejected_naming_the_key(tmp_path, text, key):
     path.write_text(text + "\n")
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
         load_config(path)
+
+
+# one value per SimConfig field that construction rejects
+BAD_VALUES = {
+    "seed": -1, "N_t": 0, "N_r": 0, "constellation": "PSK", "M_constellation": 3,
+    "codeword_size": 0, "crc_length": 3, "crc_generator": "011", "n_pilot": 1,
+    "pilot_mode": "hadamard", "noise_power": (-1e-3,), "f_c": -1.8e9, "d": 0.5, "eta": 1.5,
+    "B": 0.0, "N0": -1e-20, "G_override": -1.0, "detector": "zf", "estimator": "ml",
+    "equalizer": "mmse", "n_transmissions": 0, "payload": 5, "output": "runs/", "workers": 0,
+    "dnn_depth": 0, "dnn_width": 0, "dnn_learning_rate": -0.05, "dnn_batch_size": 0,
+    "dnn_epochs": 0, "dnn_validation_fraction": 1.0, "dnn_patience": 0,
+    "dnn_train_samples": 0, "dnn_labels": "oracle",
+}
+
+
+def test_every_field_has_a_bad_value_case():
+    assert BAD_VALUES.keys() == {f.name for f in fields(SimConfig)}
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES.items())
+def test_every_key_names_itself_in_its_error(key, value):
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        SimConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dnn_learning_rate", -0.05, "learning_rate must be finite and nonnegative, got -0.05"),
+    ("dnn_batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("dnn_epochs", -2, "epochs must be >= 1, got -2"),
+    ("dnn_validation_fraction", 1.0, "validation_fraction must be in (0, 1), got 1.0"),
+    ("dnn_patience", 0, "patience must be >= 1, got 0"),
+])
+def test_a_training_key_error_gives_the_key_the_value_and_the_rule(key, value, message):
+    """Each training setting's rule lives in Hyperparameters; the config
+    names the key and the value given in front of it."""
+    with pytest.raises(ConfigError, match=rf"^{key} = {re.escape(repr(value))}: {re.escape(message)}$"):
+        SimConfig(**{key: value})
 
 
 @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 + 1])

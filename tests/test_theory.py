@@ -7,6 +7,8 @@ whose entries have variance sigma2 / G. The L-MMSE estimate scales it by
 G / (G + sigma2), which leaves the error sigma2 / (G + sigma2) per entry.
 Both hold in expectation, so each noise point's channel_mse is checked
 against them to four standard errors of its per-trial column.
+
+At saturation a CRC of length L passes 2^-L of the blocks.
 """
 
 import math
@@ -37,3 +39,32 @@ def test_channel_mse_matches_the_closed_form(estimator, pilot_mode):
         assert abs(record.channel_mse - want) <= 4 * standard_error, (
             f"sigma2 = {sigma2}: channel_mse {record.channel_mse} against {want}, "
             f"{(record.channel_mse - want) / standard_error:+.2f} standard errors")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("generator", ["111", "1101", "10011"])
+def test_crc_passes_two_to_the_minus_l_of_blocks_at_saturation(generator, seed):
+    """SISO QPSK at noise power 100, where the unit-power signal sits 20 dB
+    below the noise.
+
+    The QPSK slicer reads each bit as the sign of one coordinate of the
+    equalized symbol, and the circularly symmetric noise, fresh on every
+    channel use, swamps the signal there. So the received bits are close
+    to independent fair coins, and the error pattern close to uniform over
+    the codeword: the CRC passes it when it is a multiple of the generator,
+    2^-L of all patterns. Sliced QAM at high noise is not uniform over
+    symbols: the outer levels' decision regions are unbounded and take most
+    of the noise, so its amplitude bits lean one way and the pass rate
+    leaves 2^-L; it is not checked here.
+    """
+    crc_length = len(generator) - 1
+    n = 4000
+    config = SimConfig(seed=seed, N_t=1, N_r=1, constellation="QPSK", M_constellation=4, n_pilot=1,
+                       noise_power=100.0, crc_generator=generator, crc_length=crc_length,
+                       n_transmissions=n)
+    (record,) = run_sweep(config)
+    want = 2.0 ** -crc_length
+    standard_error = math.sqrt(want * (1 - want) / n)
+    passed = 1 - record.bler
+    assert abs(passed - want) <= 4 * standard_error, (
+        f"CRC pass rate {passed} against {want}, {(passed - want) / standard_error:+.2f} standard errors")
