@@ -27,7 +27,7 @@ from .channel import large_scale_gain
 from .constellation import ConstellationTable, build_constellation
 from .estimation import PILOT_MODES
 from .framing import CrcSpec, block_total_bits
-from .neural import Hyperparameters
+from .neural import Hyperparameters, _shown
 
 DETECTORS = ("ml", "kmeans", "dnn")
 ESTIMATORS = ("ls", "lmmse")
@@ -173,17 +173,6 @@ def _field_value(name: str, kind: str, value):
         return int(value) if kind == "int" else value  # int() is exact above 2**53
     except (TypeError, ValueError, OverflowError):  # ConfigError is a ValueError
         raise ConfigError(f"{name} = {_shown(value)} is not {description}") from None
-
-
-def _shown(value) -> str:
-    """``repr(value)`` for an error message; an integer past the digit limit
-    of int-to-str conversion (4300 by default) shows as its size in bits."""
-    try:
-        return repr(value)
-    except ValueError:
-        if isinstance(value, numbers.Integral):
-            return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
-        return "[" + ", ".join(map(_shown, value)) + "]"
 
 
 def hyperparameters(config: SimConfig) -> Hyperparameters:

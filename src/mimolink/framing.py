@@ -65,9 +65,12 @@ def _remainder_table(generator: str) -> np.ndarray:
     only 1 bit is bit j, and row i < r is also x^(r-1-i) * x^w mod g, so
     the first r rows carry a remainder w bits further along a message.
     Built once per generator by shift-and-reduce on a Python int, so any
-    degree r fits. Stored read-only as float64, 8 * w * r bytes whatever
-    the message length, so the CRC is a few BLAS products whose sums of
-    0/1 terms are exact.
+    degree r fits. Stored read-only as float32, 4 * w * r bytes whatever
+    the message length (64 KiB for CRC-16), so the CRC is a few
+    single-precision BLAS products (sgemm). Each of their sums counts at
+    most w + r <= 2w terms of 0 or 1, an integer below 2^24 for any table
+    under 2^48 bytes, so float32 holds every partial sum exactly in any
+    order of addition.
     """
     r = len(generator) - 1
     w = max(_CRC_CHUNK_BITS, r)
@@ -82,7 +85,7 @@ def _remainder_table(generator: str) -> np.ndarray:
         if reg & top:
             reg ^= poly
     packed = np.frombuffer(rows, dtype=np.uint8).reshape(w, width)
-    table = np.unpackbits(packed, axis=1)[:, 8 * width - r:].astype(np.float64)
+    table = np.unpackbits(packed, axis=1)[:, 8 * width - r:].astype(np.float32)
     table.setflags(write=False)
     return table
 

@@ -31,6 +31,7 @@ softmax shifts each row by its argmax entry, the row maximum exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,6 +44,17 @@ PROB_CLAMP_LO = 1e-12
 PROB_CLAMP_HI = 1.0 - 1e-12
 # 0-d operands, which a ufunc takes without converting a Python float on each call
 _HALF, _ONE = np.array(0.5), np.array(1.0)
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message; an integer past the digit limit
+    of int-to-str conversion (4300 by default) shows as its size in bits."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, numbers.Integral):
+            return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
+        return "[" + ", ".join(map(_shown, value)) + "]"
 
 
 class TrainingDivergedError(RuntimeError):
@@ -84,12 +96,13 @@ class Hyperparameters:
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(f"learning_rate must be finite and nonnegative, got {self.learning_rate}")
+            raise ValueError(f"learning_rate must be finite and nonnegative, "
+                             f"got {_shown(self.learning_rate)}")
         for name in ("batch_size", "epochs", "patience"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be >= 1, got {_shown(getattr(self, name))}")
         if not 0 < self.validation_fraction < 1:
-            raise ValueError(f"validation_fraction must be in (0, 1), got {self.validation_fraction}")
+            raise ValueError(f"validation_fraction must be in (0, 1), got {_shown(self.validation_fraction)}")
 
 
 @dataclass

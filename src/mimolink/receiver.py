@@ -73,19 +73,30 @@ def detect_ml(s_hat, table: ConstellationTable) -> np.ndarray:
     point per symbol.
 
     On a square grid the nearest point is the nearest level on I paired
-    with the nearest level on Q, so each axis is sliced against the
+    with the nearest level on Q, so each coordinate is sliced against the
     sqrt(M) - 1 midpoints of its levels and point (i, q) is index
-    i * sqrt(M) + q. Inputs must be finite and in table coordinates (the
-    1/sqrt(N_t) transmit scaling removed). A symbol exactly on a midpoint
-    takes the lower level, so ties break toward the lowest index.
+    i * sqrt(M) + q. A coordinate's level is the count of midpoints below
+    it, from one comparison pass per midpoint over the interleaved (I, Q)
+    coordinates. For every finite input, exact midpoints and ±0.0
+    included, that count is the left insertion point of a binary search
+    over the midpoints, at a fraction of its cost once a chunk holds
+    thousands of symbols. Inputs must be finite and in table coordinates
+    (the 1/sqrt(N_t) transmit scaling removed). A symbol exactly on a
+    midpoint takes the lower level, so ties break toward the lowest index.
     """
-    s = np.asarray(s_hat, dtype=complex).ravel()
+    parts = np.asarray(s_hat, dtype=complex).ravel().view(np.float64)
     side = math.isqrt(table.M)
     levels = table.points.real[::side]
     midpoints = (levels[:-1] + levels[1:]) / 2
-    indices = midpoints.searchsorted(s.real).astype(np.int64, copy=False)
+    # at most side - 1 <= 15 counts: uint8 adds of the bool view, no casts
+    level = np.zeros(parts.size, dtype=np.uint8)
+    above = np.empty(parts.size, dtype=bool)
+    for midpoint in midpoints.tolist():
+        np.greater(parts, midpoint, out=above)
+        level += above.view(np.uint8)
+    indices = level[0::2].astype(np.int64)
     indices *= side
-    indices += midpoints.searchsorted(s.imag)
+    indices += level[1::2]
     return indices
 
 

@@ -314,7 +314,9 @@ def _link_pass(draws: _LinkDraws, tx_indices: np.ndarray):
     h_hat = _estimate(draws, H, pilot_basis, pilot_noise)
 
     n_blocks = tx_indices.shape[0]
-    x = table.points[tx_indices].reshape(n_blocks, -1, config.N_t).swapaxes(-1, -2) / math.sqrt(config.N_t)
+    # scale the M points, not every gathered symbol: the same division of the same values
+    points = table.points / math.sqrt(config.N_t)
+    x = points[tx_indices].reshape(n_blocks, -1, config.N_t).swapaxes(-1, -2)
     y = apply_channel(H, gain, x, data_noise)
     try:
         s_hat = _equalize(draws, h_hat, gain, y)

@@ -135,6 +135,64 @@ class TestCrcCompute:
             assert crc_verify(message, crc, DEFAULT_SPEC)
 
 
+def bit_serial_crc(message_bits, generator):
+    """The CRC by a shift register fed one message bit at a time, MSB
+    first, zero start, no reflection, no final XOR: a Python int register
+    that is reduced by the generator whenever its degree reaches r."""
+    r = len(generator) - 1
+    poly, top = int(generator, 2), 1 << r
+    register = 0
+    for bit in list(message_bits) + [0] * r:
+        register = register << 1 | int(bit)
+        if register & top:
+            register ^= poly
+    return [register >> (r - 1 - i) & 1 for i in range(r)]
+
+
+ORACLE_GENERATORS = {
+    "degree-2": "111",
+    "degree-16": "10001000000100001",  # CRC-16/CCITT
+    "degree-32": "100000100110000010001110110110111",  # CRC-32
+    # past the 1024-bit chunk: the table is (r, r)
+    "degree-1030": "1" + "".join(map(str, np.random.default_rng(8).integers(0, 2, size=1029))) + "1",
+}
+
+
+class TestCrcBitSerialOracle:
+    """The float32 table products give the bit-serial CRC on both sides of
+    every chunk boundary, for single messages and stacks of them."""
+
+    LENGTHS = [0, 1, 1023, 1024, 1025, 4096, 3 * 1024 + 17]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("generator", ORACLE_GENERATORS.values(), ids=ORACLE_GENERATORS.keys())
+    def test_single_message(self, generator, n):
+        message = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
+        crc = crc_compute(message, CrcSpec(generator))
+        assert crc.dtype == np.uint8
+        assert crc.tolist() == bit_serial_crc(message, generator)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("generator", ORACLE_GENERATORS.values(), ids=ORACLE_GENERATORS.keys())
+    def test_stacked_messages(self, generator, n):
+        rng = np.random.default_rng(n + 1)
+        stack = rng.integers(0, 2, size=(3, n), dtype=np.uint8)
+        stack[1] = 1  # every table row of every chunk summed at once
+        crcs = crc_compute(stack, CrcSpec(generator))
+        assert crcs.shape == (3, len(generator) - 1) and crcs.dtype == np.uint8
+        assert crcs.tolist() == [bit_serial_crc(row, generator) for row in stack]
+
+    @pytest.mark.parametrize("generator", ORACLE_GENERATORS.values(), ids=ORACLE_GENERATORS.keys())
+    def test_table_is_read_only_float32(self, generator):
+        table = _remainder_table(generator)
+        r = len(generator) - 1
+        assert table.dtype == np.float32
+        assert table.shape == (max(1024, r), r)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
 class TestCrcVerify:
     def test_untouched_block_verifies(self):
         message = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)

@@ -560,6 +560,13 @@ class TestTraining:
         with pytest.raises(ValueError, match=rf"^{name} {re.escape(rule)}, got {re.escape(str(value))}$"):
             Hyperparameters(**{name: value})
 
+    @pytest.mark.parametrize("name, rule", [("patience", "must be >= 1"), ("epochs", "must be >= 1"),
+                                            ("validation_fraction", "must be in (0, 1)")])
+    def test_a_value_past_the_digit_limit_shows_its_size(self, name, rule):
+        """An integer of more than 4300 digits has no str; the rule gives its size in bits."""
+        with pytest.raises(ValueError, match=rf"^{name} {re.escape(rule)}, got a negative integer of 16610 bits$"):
+            Hyperparameters(**{name: -10**5000})
+
     def test_trained_values_land_in_the_networks_own_arrays(self):
         """train works on the network's parameter buffer itself: the network
         keeps its buffer and views, which hold the trained values."""

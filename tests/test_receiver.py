@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from mimolink import receiver
 from mimolink.channel import apply_channel, sample_channel, sample_noise
-from mimolink.constellation import build_constellation, map_bits_to_symbols
+from mimolink.constellation import SUPPORTED_SIZES, build_constellation, map_bits_to_symbols
 from mimolink.receiver import detect_kmeans, detect_ml, equalize_lmmse, equalize_zf
 
-TABLES = [build_constellation(scheme, m)
-          for scheme, m in [("QPSK", 4), ("QAM", 16), ("QAM", 64), ("QAM", 256)]]
+TABLES = [build_constellation("QPSK" if m == 4 else "QAM", m) for m in SUPPORTED_SIZES]
 TABLE_IDS = [f"M{table.M}" for table in TABLES]
 COORDINATES = st.floats(min_value=-1e3, max_value=1e3)
 
@@ -228,6 +227,70 @@ class TestMlDetection:
         assert detect_ml(s, table)[0] == 2 * 4 + 3
         assert np.abs(s[:, None] - table.points).argmin() == 3
         assert detect_kmeans(s, table)[0] == 3
+
+
+def searchsorted_reference(s, table):
+    """The binary-search slicer: the left insertion point of each coordinate
+    among the level midpoints, I level * sqrt(M) + Q level."""
+    side = math.isqrt(table.M)
+    levels = table.points.real[::side]
+    midpoints = (levels[:-1] + levels[1:]) / 2
+    s = np.asarray(s, dtype=complex).ravel()
+    return midpoints.searchsorted(s.real, side="left") * side + midpoints.searchsorted(s.imag, side="left")
+
+
+def _edge_coordinates(table):
+    """Each level midpoint and its two float neighbours, +-0.0 and +-1e300."""
+    side = math.isqrt(table.M)
+    levels = table.points.real[::side]
+    midpoints = (levels[:-1] + levels[1:]) / 2
+    edges = np.concatenate([midpoints, np.nextafter(midpoints, -np.inf), np.nextafter(midpoints, np.inf),
+                            [0.0, -0.0, 1e300, -1e300]])
+    return edges.tolist()
+
+
+def _pairs(re, im):
+    """Complex symbols with exactly these parts; ``re + 1j * im`` would make
+    an imaginary -0.0 into +0.0."""
+    return np.stack([re, im], axis=-1).view(complex)[:, 0]
+
+
+@st.composite
+def _table_and_symbols(draw):
+    table = draw(st.sampled_from(TABLES))
+    coordinate = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(_edge_coordinates(table)))
+    pairs = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=40))
+    return table, np.array([complex(re, im) for re, im in pairs])
+
+
+class TestSlicingReference:
+    """The counting slicer decides every finite symbol as the binary-search
+    slicer does, bit for bit, ties on midpoints and signed zeros included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_table_and_symbols())
+    def test_matches_the_binary_search_slicer(self, case):
+        table, s = case
+        got = detect_ml(s, table)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, searchsorted_reference(s, table))
+
+    @pytest.mark.parametrize("table", TABLES, ids=TABLE_IDS)
+    def test_every_edge_pair_matches(self, table):
+        re, im = np.meshgrid(_edge_coordinates(table), _edge_coordinates(table))
+        s = _pairs(re.ravel(), im.ravel())
+        np.testing.assert_array_equal(detect_ml(s, table), searchsorted_reference(s, table))
+
+    @pytest.mark.parametrize("table", TABLES, ids=TABLE_IDS)
+    def test_a_chunk_of_more_than_15k_symbols_matches(self, table):
+        """A long_block chunk holds 15 blocks of 1028 symbols."""
+        rng = np.random.default_rng(table.M)
+        s = (rng.standard_normal(15_500) + 1j * rng.standard_normal(15_500)) * 0.7
+        n_edges = s[::97].size
+        s[::97] = _pairs(*rng.choice(_edge_coordinates(table), size=(2, n_edges)))
+        np.testing.assert_array_equal(detect_ml(s, table), searchsorted_reference(s, table))
+        np.testing.assert_array_equal(detect_ml(s.reshape(31, 500), table), searchsorted_reference(s, table))
 
 
 class TestKmeansDetection:

@@ -295,6 +295,13 @@ def test_a_training_key_error_gives_the_key_the_value_and_the_rule(key, value, m
         SimConfig(**{key: value})
 
 
+def test_a_training_key_past_the_digit_limit_names_the_key_and_the_rule():
+    """A value of more than 4300 digits has no repr; key, size and rule still show."""
+    size = "a negative integer of 16610 bits"
+    with pytest.raises(ConfigError, match=rf"^dnn_patience = {size}: patience must be >= 1, got {size}$"):
+        SimConfig(dnn_patience=-10**5000)
+
+
 @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 + 1])
 def test_integers_above_2_to_the_53_stay_exact(tmp_path, seed):
     """Integer keys are not sent through float, which would round them."""
@@ -1040,6 +1047,30 @@ class TestPilotEstimate:
         want = estimate_ls(y_p, x_p, gain) if estimator == "ls" else estimate_lmmse(y_p, x_p, gain, sigma2)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
+
+
+class TestTransmitMatrix:
+    """The chunk pass sends each block's symbols as table.points[tx] / sqrt(N_t),
+    bit for bit, although it scales the M points rather than every symbol."""
+
+    @pytest.mark.parametrize("n_tx", [1, 3, 4, 16])
+    def test_equals_the_scaled_table_points_bit_for_bit(self, monkeypatch, n_tx):
+        config = SimConfig(N_t=n_tx)
+        table, n_uses = link(config).table, link(config).n_uses
+        n_blocks = 3
+        draws = sim._LinkDraws(config, 1e-2, n_blocks)
+        for b in range(n_blocks):
+            draws.draw(b, substream(config.seed, 0, 0, b))
+        tx = np.random.default_rng(n_tx).integers(0, table.M, size=(n_blocks, n_uses * n_tx))
+        sent = []
+        monkeypatch.setattr(sim, "apply_channel",
+                            lambda H, gain, x, noise: sent.append(x) or apply_channel(H, gain, x, noise))
+        sim._link_pass(draws, tx)
+        _, x = sent  # the pilots, then the data
+        assert x.shape == (n_blocks, n_tx, n_uses)
+        got = np.ascontiguousarray(x.swapaxes(-1, -2)).reshape(n_blocks, -1)
+        want = table.points[tx] / math.sqrt(n_tx)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestChunking:
