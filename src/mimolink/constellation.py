@@ -85,10 +85,19 @@ def build_constellation(scheme: str, M: int) -> ConstellationTable:
 
 def _checked_bits(bits) -> np.ndarray:
     """``bits`` as uint8, or a ValueError naming the first entry that is not
-    0 or 1 and its position, checked before the cast (which makes -1 255)."""
+    0 or 1 and its position, checked before the cast (which makes -1 255).
+
+    An unsigned or bool array is decided by one ``max()`` reduction; the
+    mask pass that finds the position runs only where an entry is bad.
+    Other dtypes take one mask pass of two comparisons.
+    """
     bits = np.asarray(bits)
-    # one comparison finds every unsigned or bool entry that is not a bit
-    bad = bits > 1 if bits.dtype.kind in "bu" else (bits != 0) & (bits != 1)
+    if bits.dtype.kind in "bu":
+        if not bits.size or bits.max() <= 1:
+            return bits.astype(np.uint8, copy=False)
+        bad = bits > 1
+    else:
+        bad = (bits != 0) & (bits != 1)
     if bad.any():
         position = tuple(np.argwhere(bad)[0].tolist())
         raise ValueError(f"bits must be 0 or 1, got {bits[position].item()!r} "
@@ -113,15 +122,18 @@ def map_bits_to_symbols(bits, table: ConstellationTable) -> np.ndarray:
 
     The bit count must be a multiple of ``table.k``; callers pad first.
     An entry that is not a bit is named by its position in the flat stream.
+    Each k-bit word is one float32 product with ``[2^(k-1), ..., 1]``: with
+    k <= 8 every partial sum is an integer below 256, exact in float32 in
+    any order of addition, so the BLAS product gives the integer words.
     """
     bits = _checked_bits(np.ravel(bits))
     if bits.size % table.k:
         raise ValueError(
             f"bit count {bits.size} is not a multiple of k = {table.k}; pad the stream first"
         )
-    weights = 1 << np.arange(table.k - 1, -1, -1)
+    weights = (1 << np.arange(table.k - 1, -1, -1)).astype(np.float32)
     words = bits.reshape(-1, table.k) @ weights
-    return table.index_by_word[words]
+    return table.index_by_word[words.astype(np.intp)]
 
 
 def symbols_to_bits(indices, table: ConstellationTable) -> np.ndarray:

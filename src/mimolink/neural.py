@@ -95,7 +95,11 @@ class Hyperparameters:
     patience: int = 10
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+        try:
+            finite = math.isfinite(self.learning_rate)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not (finite and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and nonnegative, "
                              f"got {_shown(self.learning_rate)}")
         for name in ("batch_size", "epochs", "patience"):

@@ -12,6 +12,15 @@ same records); a K-means and L-MMSE one showed no difference (12 pairs,
 6-6). :func:`openblas_threads` finds its thread-count calls, and
 :func:`keep_heap_resident` keeps glibc from handing a sweep's chunk
 buffers back to the kernel between chunks.
+
+Children are forked afresh for every sweep. On a shared 2-core Xeon a
+warm ``kmeans_lmmse_2w`` sweep at seed 1 (52-62 ms) paid 0.6-1.1 ms to
+fork, about 1 ms to reap (0-2.2 ms), and about 1,480 minor faults in the
+parent and 1,775 in the child (``RUSAGE_SELF``/``RUSAGE_CHILDREN`` over 8
+sweeps); a copy-on-write fault costs about 2.7 us there. Children are not
+kept alive between sweeps: a kept child woken by a pipe write ran on its
+waker's CPU in 12 of 12 rounds, so the two halves of a sweep took as long
+as in one process, and a kept child would outlive its sweep.
 """
 
 from __future__ import annotations

@@ -38,6 +38,13 @@ def equalize_zf(h_hat: np.ndarray, G: float, y) -> np.ndarray:
     rank-deficient H_hat raises ``numpy.linalg.LinAlgError`` (recorded by
     the harness as an equalization failure, not a crash), for a whole
     stack if one of its estimates is.
+
+    The scaling multiplies the real and imaginary parts by fl(1/sqrt(G)).
+    numpy divides a complex value by a real c as Smith's algorithm does,
+    (a + b*0) * fl(1/c) and (b - a*0) * fl(1/c), so this gives the bits of
+    ``/ np.sqrt(G)`` wherever a part is finite and nonzero. It parts only
+    in the sign of an exact zero and in a finite part beside an infinite
+    one, which the division makes NaN.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
     n_rx, n_tx = h_hat.shape[-2:]
@@ -46,7 +53,10 @@ def equalize_zf(h_hat: np.ndarray, G: float, y) -> np.ndarray:
     if not G > 0:
         raise ValueError(f"G must be positive, got {G}")
     h_h = h_hat.conj().swapaxes(-1, -2)
-    return np.linalg.solve(h_h @ h_hat, h_h @ np.asarray(y, dtype=complex)) / np.sqrt(G)
+    s_hat = np.linalg.solve(h_h @ h_hat, h_h @ np.asarray(y, dtype=complex))
+    parts = s_hat.view(np.float64)
+    np.multiply(parts, 1.0 / np.sqrt(G), out=parts)
+    return s_hat
 
 
 def equalize_lmmse(h_hat: np.ndarray, G: float, sigma2: float, y) -> np.ndarray:

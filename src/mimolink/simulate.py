@@ -329,7 +329,10 @@ def _link_pass(draws: _LinkDraws, tx_indices: np.ndarray):
             except np.linalg.LinAlgError:
                 s_hat[b] = np.nan
     failed = ~np.isfinite(s_hat).all(axis=(-2, -1))
-    s_flat = (s_hat * math.sqrt(config.N_t)).swapaxes(-1, -2).reshape(n_blocks, -1)
+    # scale and reorder in one pass, into the (n_blocks, n_uses, N_t) layout
+    s_flat = np.empty((n_blocks, x.shape[-1], config.N_t), dtype=complex)
+    np.multiply(s_hat.swapaxes(-1, -2), math.sqrt(config.N_t), out=s_flat)
+    s_flat = s_flat.reshape(n_blocks, -1)
     s_flat[failed] = 0
     return H, h_hat, s_flat, failed
 

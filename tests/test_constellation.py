@@ -1,12 +1,15 @@
 """Tests for Gray-coded constellation tables and bit/symbol mapping."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolink.constellation import (
     SUPPORTED_SIZES,
+    _checked_bits,
     build_constellation,
     map_bits_to_symbols,
     symbols_to_bits,
@@ -206,3 +209,134 @@ class TestBitSymbolMapping:
             detected = detect_ml(table.points[tx], table)
             np.testing.assert_array_equal(detected, tx)
             np.testing.assert_array_equal(symbols_to_bits(detected, table), bits)
+
+
+def int64_mapping_reference(bits, table):
+    """The integer-product mapper: each k-bit word as an int64 product of
+    the bits with [2^(k-1), ..., 1], looked up in ``index_by_word``."""
+    weights = 1 << np.arange(table.k - 1, -1, -1)
+    words = np.ravel(bits).astype(np.uint8).reshape(-1, table.k) @ weights
+    return table.index_by_word[words]
+
+
+@st.composite
+def _table_and_bits(draw):
+    table = build_constellation(*draw(st.sampled_from(ALL_TABLES)))
+    n_symbols = draw(st.integers(min_value=0, max_value=64))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n_symbols * table.k, max_size=n_symbols * table.k))
+    return table, np.array(bits, dtype=np.uint8)
+
+
+class TestMappingReference:
+    """The float32 word product maps every bit stream as the int64 product
+    does, index for index and dtype for dtype."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_table_and_bits())
+    def test_matches_the_integer_product(self, case):
+        table, bits = case
+        self.assert_same(map_bits_to_symbols(bits, table), int64_mapping_reference(bits, table))
+
+    @pytest.mark.parametrize("scheme, m", ALL_TABLES)
+    def test_every_word_and_all_ones_words_match(self, scheme, m):
+        """Each of the M words, then a run of all-ones words: the largest sum, 2^k - 1."""
+        table = build_constellation(scheme, m)
+        words = np.arange(table.M)[:, None] >> np.arange(table.k - 1, -1, -1) & 1
+        for bits in (words.astype(np.uint8).ravel(), np.ones(9 * table.k, dtype=np.uint8)):
+            self.assert_same(map_bits_to_symbols(bits, table), int64_mapping_reference(bits, table))
+        assert table.labels[map_bits_to_symbols(np.ones(table.k, dtype=np.uint8), table)[0]] == "1" * table.k
+
+    @pytest.mark.parametrize("scheme, m", ALL_TABLES)
+    def test_an_empty_input_maps_to_no_symbols(self, scheme, m):
+        table = build_constellation(scheme, m)
+        got = map_bits_to_symbols(np.empty(0, dtype=np.uint8), table)
+        assert got.shape == (0,)
+        self.assert_same(got, int64_mapping_reference(np.empty(0, dtype=np.uint8), table))
+
+    @pytest.mark.parametrize("scheme, m", ALL_TABLES)
+    def test_a_stack_of_more_than_15k_symbols_matches(self, scheme, m):
+        """A long_block chunk maps 15 blocks of 1028 symbols in one call."""
+        table = build_constellation(scheme, m)
+        bits = np.random.default_rng(table.M).integers(0, 2, size=(31, 500 * table.k), dtype=np.uint8)
+        self.assert_same(map_bits_to_symbols(bits, table), int64_mapping_reference(bits, table))
+
+
+def checked_bits_reference(bits):
+    """The one-mask-pass bit check: a mask of the bad entries, then ``any``."""
+    bits = np.asarray(bits)
+    bad = bits > 1 if bits.dtype.kind in "bu" else (bits != 0) & (bits != 1)
+    if bad.any():
+        position = tuple(np.argwhere(bad)[0].tolist())
+        raise ValueError(f"bits must be 0 or 1, got {bits[position].item()!r} "
+                         f"at position {position[0] if bits.ndim == 1 else position}")
+    return bits.astype(np.uint8, copy=False)
+
+
+def _outcome(check, bits):
+    """What ``check`` gives: ("ok", array, shares memory) or ("error", message)."""
+    try:
+        got = check(bits)
+    except ValueError as error:
+        return "error", str(error)
+    return "ok", got, np.shares_memory(got, bits)
+
+
+BIT_DTYPES = [np.uint8, np.uint16, np.uint64, np.bool_, np.int8, np.int64, np.float32, np.float64]
+BIT_VALUES = [0, 1, 2, 9, 255, -1, 0.5, -0.0, np.nan, np.inf]
+
+
+@st.composite
+def _bit_arrays(draw):
+    dtype = np.dtype(draw(st.sampled_from(BIT_DTYPES)))
+    shape = draw(st.sampled_from([(0,), (1,), (7,), (3, 0), (2, 5), (2, 3, 2)]))
+    good = st.sampled_from([0, 1])
+    values = st.one_of(good, good, good, st.sampled_from(BIT_VALUES))
+    entries = draw(st.lists(values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # -1 or NaN into an unsigned or integer dtype
+        return np.array([float(v) for v in entries]).astype(dtype).reshape(shape)
+
+
+class TestCheckedBitsReference:
+    """The one-reduction check returns what the mask-pass check returns,
+    and fails with the same text naming the same position."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_bit_arrays())
+    def test_matches_the_mask_pass_check(self, bits):
+        got, want = _outcome(_checked_bits, bits), _outcome(checked_bits_reference, bits)
+        assert got[0] == want[0]
+        if got[0] == "error":
+            assert got[1] == want[1]
+        else:
+            assert got[1].dtype == want[1].dtype == np.uint8 and got[1].shape == want[1].shape
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+    @pytest.mark.parametrize("bits, message", [
+        (np.array([0, 1, 1, 7, 9], dtype=np.uint8), "got 7 at position 3"),
+        (np.array([[0, 1], [300, 1]], dtype=np.uint16), "got 300 at position (1, 0)"),
+        (np.array([0, -1, 1], dtype=np.int64), "got -1 at position 1"),
+        (np.array([1.0, 0.0, np.nan]), "got nan at position 2"),
+        (np.array([[1.0], [0.5]], dtype=np.float32), "got 0.5 at position (1, 0)"),
+    ])
+    def test_a_bad_entry_is_named_as_before(self, bits, message):
+        want = ("error", f"bits must be 0 or 1, {message}")
+        assert _outcome(_checked_bits, bits) == want == _outcome(checked_bits_reference, bits)
+
+    @pytest.mark.parametrize("dtype", BIT_DTYPES)
+    @pytest.mark.parametrize("shape", [(0,), (4, 0)])
+    def test_an_empty_array_passes_as_uint8(self, dtype, shape):
+        bits = np.empty(shape, dtype=dtype)
+        got, want = _checked_bits(bits), checked_bits_reference(bits)
+        assert got.dtype == want.dtype == np.uint8 and got.shape == want.shape == shape
+        assert np.shares_memory(got, bits) == np.shares_memory(want, bits)
+
+    def test_a_uint8_array_is_returned_without_a_copy(self):
+        bits = np.array([0, 1, 1, 0], dtype=np.uint8)
+        assert _checked_bits(bits) is bits

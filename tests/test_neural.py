@@ -567,6 +567,15 @@ class TestTraining:
         with pytest.raises(ValueError, match=rf"^{name} {re.escape(rule)}, got a negative integer of 16610 bits$"):
             Hyperparameters(**{name: -10**5000})
 
+    @pytest.mark.parametrize("learning_rate, shown", [(10**5000, "an integer of 16610 bits"),
+                                                      (-10**400, repr(-10**400))], ids=["10**5000", "-10**400"])
+    def test_a_learning_rate_past_the_float_range_is_not_finite(self, learning_rate, shown):
+        """``math.isfinite`` cannot convert such an integer to float; its
+        OverflowError reads as not finite, so the rule names the value."""
+        with pytest.raises(ValueError, match=rf"^learning_rate must be finite and nonnegative, "
+                                             rf"got {re.escape(shown)}$"):
+            Hyperparameters(learning_rate=learning_rate)
+
     def test_trained_values_land_in_the_networks_own_arrays(self):
         """train works on the network's parameter buffer itself: the network
         keeps its buffer and views, which hold the trained values."""

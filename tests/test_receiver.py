@@ -92,6 +92,38 @@ class TestZeroForcing:
             equalize_zf(np.ones((2, 4)), 1.0, np.ones(2))
 
 
+def zf_division_reference(h_hat, G, y):
+    """Zero-forcing scaled by numpy's complex division by sqrt(G)."""
+    h_h = h_hat.conj().swapaxes(-1, -2)
+    return np.linalg.solve(h_h @ h_hat, h_h @ y) / np.sqrt(G)
+
+
+class TestZfScalingReference:
+    """Scaling the solve output's parts by 1/sqrt(G) gives the bits of the
+    complex division wherever the division's parts are finite and nonzero."""
+
+    @pytest.mark.parametrize("G", [1.0, 0.37, 1e-6, 3e5])
+    @pytest.mark.parametrize("stack, n_uses", [((), None), ((), 7), ((5,), 7)],
+                             ids=["single-vector", "single-matrix", "stacked"])
+    @pytest.mark.parametrize("y_scale", [1.0, 1e-306, 1e306], ids=["unit", "tiny", "huge"])
+    def test_equals_the_division_wherever_it_is_finite_and_nonzero(self, G, stack, n_uses, y_scale):
+        rng = np.random.default_rng(len(stack) + (n_uses or 0))
+        h = rng.standard_normal(stack + (6, 4)) + 1j * rng.standard_normal(stack + (6, 4))
+        y_shape = stack + ((6,) if n_uses is None else (6, n_uses))
+        y = (rng.standard_normal(y_shape) + 1j * rng.standard_normal(y_shape)) * y_scale
+        with np.errstate(over="ignore", invalid="ignore"):  # the huge case overflows
+            got, want = equalize_zf(h, G, y), zf_division_reference(h, G, y)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        got_parts, want_parts = got.view(np.float64), want.view(np.float64)
+        kept = np.isfinite(want_parts) & (want_parts != 0)
+        assert kept.any()
+        if y_scale == 1.0:
+            assert kept.all()
+        assert np.array_equal(got_parts.view(np.uint64)[kept], want_parts.view(np.uint64)[kept])
+        # a symbol is finite, which is what keeps its block, in both or in neither
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+
+
 class TestLmmseEqualizer:
     def test_coincides_with_zf_at_zero_noise(self):
         rng = np.random.default_rng(6)

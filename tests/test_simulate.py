@@ -26,7 +26,8 @@ from mimolink.config import link
 from mimolink.constellation import build_constellation
 from mimolink.estimation import draw_pilot_basis, estimate_lmmse, estimate_ls, pilots_from_basis
 from mimolink.framing import CrcSpec, block_total_bits
-from mimolink.neural import TrainingDivergedError
+from mimolink.neural import NetworkSpec, TrainingDivergedError, forward, init_network, predict
+from mimolink.receiver import detect_kmeans, detect_ml
 from mimolink.simulate import (
     CSV_COLUMNS,
     DEFAULT_NOISE_GRID,
@@ -300,6 +301,15 @@ def test_a_training_key_past_the_digit_limit_names_the_key_and_the_rule():
     size = "a negative integer of 16610 bits"
     with pytest.raises(ConfigError, match=rf"^dnn_patience = {size}: patience must be >= 1, got {size}$"):
         SimConfig(dnn_patience=-10**5000)
+
+
+@pytest.mark.parametrize("value, shown", [(10**5000, "an integer of 16610 bits"), (-10**400, repr(-10**400))],
+                         ids=["10**5000", "-10**400"])
+def test_a_learning_rate_past_the_float_range_is_rejected_by_the_config(value, shown):
+    """The config turns dnn_learning_rate into a float first, so it names
+    the key before the training rule is reached."""
+    with pytest.raises(ConfigError, match=rf"^dnn_learning_rate = {re.escape(shown)} is not a finite number$"):
+        SimConfig(dnn_learning_rate=value)
 
 
 @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 + 1])
@@ -1071,6 +1081,62 @@ class TestTransmitMatrix:
         got = np.ascontiguousarray(x.swapaxes(-1, -2)).reshape(n_blocks, -1)
         want = table.points[tx] / math.sqrt(n_tx)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _zf_by_division(h_hat, G, y):
+    """Zero-forcing scaled by numpy's complex division by sqrt(G)."""
+    h_h = h_hat.conj().swapaxes(-1, -2)
+    return np.linalg.solve(h_h @ h_hat, h_h @ y) / np.sqrt(G)
+
+
+class TestZfScalingDecisions:
+    """Where scaling the ZF solve output's parts by 1/sqrt(G) parts from the
+    complex division by sqrt(G), in the sign of an exact zero and beside an
+    infinity, the chunk pass fails the same blocks and every detector
+    decides the same symbols."""
+
+    def test_planted_zeros_and_infinities_fail_and_decide_alike(self, monkeypatch):
+        config = SimConfig(N_t=2, N_r=4, M_constellation=16, codeword_size=64)
+        table, n_uses = link(config).table, link(config).n_uses
+        n_blocks = 4
+        draws = sim._LinkDraws(config, 1e-2, n_blocks)
+        for b in range(n_blocks):
+            draws.draw(b, substream(config.seed, 0, 0, b))
+        tx = np.random.default_rng(5).integers(0, table.M, size=(n_blocks, n_uses * config.N_t))
+        solve = np.linalg.solve
+
+        def planted_solve(a, b):
+            raw = solve(a, b)
+            parts = raw.view(np.float64)  # (n_blocks, N_t, 2 * n_uses): re, im, re, im, ...
+            parts[0, 0, :6] = [-0.0, 0.7, 0.0, -0.4, -0.0, -0.0]  # signed zeros in a finite block
+            parts[0, 1, :4] = [0.3, -0.0, -0.0, 0.0]
+            parts[1, 0, :2] = [np.inf, 0.2]  # an infinity beside a finite part
+            parts[2, 1, 2:4] = [-0.5, -np.inf]
+            return raw
+
+        def chunk_pass(equalize_zf):
+            def planted(h_hat, G, y):
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "solve", planted_solve)
+                    return equalize_zf(h_hat, G, y)
+            monkeypatch.setattr(sim, "equalize_zf", planted)
+            with np.errstate(invalid="ignore"):  # the division makes NaN beside an infinity
+                _, _, s_flat, failed = sim._link_pass(draws, tx)
+            return s_flat, failed
+
+        product, product_failed = chunk_pass(sim.equalize_zf)
+        division, division_failed = chunk_pass(_zf_by_division)
+        np.testing.assert_array_equal(product_failed, [False, True, True, False])
+        np.testing.assert_array_equal(division_failed, product_failed)
+        # equal values, but not equal bits: the signs of the planted zeros differ
+        assert np.array_equal(product, division)
+        assert not np.array_equal(product.view(np.uint64), division.view(np.uint64))
+        np.testing.assert_array_equal(detect_ml(product, table), detect_ml(division, table))
+        np.testing.assert_array_equal(detect_kmeans(product, table), detect_kmeans(division, table))
+        network = init_network(NetworkSpec(depth=2, width=8, input_dim=2, output_dim=table.M, seed=3))
+        features = [sim._detector_features(s) for s in (product, division)]
+        np.testing.assert_array_equal(*(forward(network, x) for x in features))
+        np.testing.assert_array_equal(*(predict(network, x) for x in features))
 
 
 class TestChunking:
